@@ -17,7 +17,12 @@ from . import config as cfgmod
 from . import io as iomod
 from .bohmian import weighted_fields
 from .core import default_grid
-from .engineering import engineered_packet, engineered_profile, gaussian_packet
+from .engineering import (
+    ProfileSpec,
+    engineered_packet,
+    engineered_profile,
+    gaussian_packet,
+)
 from .errors import QpotError
 from .experiments import (
     SweepSpec,
@@ -68,17 +73,20 @@ def cmd_profile(args):
     cfg = _load(args)
     params = cfgmod.params_from(cfg)
     grid = cfgmod.grid_from(cfg, params)
-    psi = engineered_packet(grid, params)
+    use_abs = cfg.get("profile", {}).get("use_abs", False)
+    spec = ProfileSpec(use_abs=use_abs)
+    psi = engineered_packet(grid, params, spec)
     z = grid.z
     profile = np.zeros_like(z)
     pos = z > 0
-    profile[pos] = engineered_profile(z[pos], params)
+    profile[pos] = engineered_profile(z[pos], params, spec)
     rows = zip(z, profile, psi.values.real, psi.values.imag, psi.density())
     path = _outpath(args, "profile.csv")
     iomod.write_csv(path, ("z_m", "profile", "re_psi", "im_psi", "density"), rows)
     iomod.write_manifest(
         _outpath(args, "profile_manifest.txt"),
-        _params_text(params) + _grid_text(grid),
+        _params_text(params) + _grid_text(grid)
+        + f"[profile]\nuse_abs = {'true' if use_abs else 'false'}\n",
         extra={"command": "profile"},
     )
     print(f"wrote {path}")
@@ -194,6 +202,7 @@ def cmd_sweep(args):
     evolve_cfg = cfgmod.evolve_from(cfg, t_final=cfg.get("evolve", {}).get(
         "t_final", sweep.t_average_window))
     rows = run_sweep(params, sweep, config=evolve_cfg, workers=args.workers)
+    failed = [r for r in rows if r.failed]
     path = _outpath(args, "sweep.csv")
     iomod.write_sweep_csv(path, rows)
     iomod.write_manifest(
@@ -202,11 +211,14 @@ def cmd_sweep(args):
         extra={
             "command": "sweep",
             "workers": args.workers if args.workers else "auto",
-            "failed_rows": sum(1 for r in rows if r.failed),
+            "failed_rows": len(failed),
         },
     )
     print(f"wrote {path} ({len(rows)} rows)")
-    return 0
+    for row in failed:
+        print(f"error: sweep point z0 = {row.z0!r} m failed: {row.error}",
+              file=sys.stderr)
+    return 1 if failed else 0
 
 
 def cmd_fitted(args):

@@ -22,7 +22,7 @@ from .engineering import (
     fidelity,
     two_stage_imprint,
 )
-from .errors import ConfigError
+from .errors import ConfigError, QpotError
 from .potentials import total_potential
 from .propagate import EvolveConfig, evolve
 
@@ -99,6 +99,14 @@ def absorption_ratio_series(record_num, record_den, floor=RATIO_FLOOR,
     return t, r, avg, crossover
 
 
+def _check_window(config, window, name):
+    """Reject an averaging window that ends after the last evolved step."""
+    t_end = config.n_steps * config.dt
+    if window - t_end > 1e-6 * config.dt:  # beyond n_steps * dt rounding
+        raise ConfigError(
+            f"{name} = {window!r} s ends after the evolved time {t_end!r} s")
+
+
 def _potential_for(grid, params, include_trap=True):
     return total_potential(grid, params, include_trap=include_trap)
 
@@ -111,6 +119,7 @@ def run_comparison(params, grid=None, config=None, include_trap=True,
         grid = default_grid(params)
     if config is None:
         config = EvolveConfig()
+    _check_window(config, t_average_window, "t_average_window")
     pot = _potential_for(grid, params, include_trap)
     eng = engineered_packet(grid, params, profile)
     gau = gaussian_packet(grid, params.z0, params.sigma)
@@ -171,7 +180,7 @@ def _sweep_point(args):
             for name, rec in records.items()
         }
         return row
-    except Exception as exc:  # a failed point must not sink the sweep
+    except QpotError as exc:  # a failed point must not sink the sweep
         return SweepRow(z0=z0, sigma=sweep.sigma_for(z0), failed=True,
                         error=f"{type(exc).__name__}: {exc}")
 
@@ -190,9 +199,9 @@ def run_sweep(params_base, sweep, config=None, workers=None, include_trap=True):
 
     Points are independent and may run in a process pool; results are
     collected in input order, so the output is identical for any worker
-    count. Rows with z0 at or below the absorber edge are rejected up
-    front; a point that fails during evolution is marked and the sweep
-    continues.
+    count. Rows with z0 at or below the absorber edge, and a window longer
+    than the evolved time, are rejected up front; a point that fails with
+    a QpotError during evolution is marked and the sweep continues.
     """
     for z0 in sweep.z0_values:
         if z0 <= params_base.delta:
@@ -202,6 +211,7 @@ def run_sweep(params_base, sweep, config=None, workers=None, include_trap=True):
             )
     if config is None:
         config = EvolveConfig(t_final=sweep.t_average_window)
+    _check_window(config, sweep.t_average_window, "t_average_window")
     config_fields = {
         "dt": config.dt,
         "t_final": config.t_final,
@@ -246,6 +256,7 @@ def run_fitted_control(params=None, grid=None, config=None, auto_fit=False,
         grid = default_grid(params.replace(z0=max(engineered_z0, gaussian_z0)))
     if config is None:
         config = EvolveConfig(t_final=t_average_window)
+    _check_window(config, t_average_window, "t_average_window")
 
     eng = engineered_packet(grid, p_eng)
     if auto_fit:
@@ -291,6 +302,7 @@ def run_preparation_study(params, slopes=None, grid=None, config=None,
         slopes = tuple(kz0 / params.z0 for kz0 in (0.05, 0.1, 0.3, 1.0))
     if config is None:
         config = EvolveConfig(t_final=t_window)
+    _check_window(config, t_window, "t_window")
     pot = _potential_for(grid, params, include_trap)
     ideal = engineered_packet(grid, params)
     rec_ideal = evolve(ideal, pot, params, config)

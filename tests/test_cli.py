@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from qpot.cli import main
+from qpot.errors import NumericsError
+from qpot.propagate import evolve as real_evolve
 from qpot.version import __version__
 
 
@@ -68,6 +70,20 @@ class TestProfile:
         code2, out2 = run(tmp_path / "again", ["profile"])
         assert code2 == 0
         assert (out2 / "profile.csv").read_bytes() == data1
+
+
+    def test_use_abs_honoured(self, tmp_path):
+        code, out = run(tmp_path / "signed", ["profile"])
+        assert code == 0
+        signed = np.loadtxt(out / "profile.csv", delimiter=",", skiprows=1)
+        assert signed[:, 1].min() < 0
+        code, out = run(tmp_path / "abs", ["profile"],
+                        "[profile]\nuse_abs = true\n")
+        assert code == 0
+        folded = np.loadtxt(out / "profile.csv", delimiter=",", skiprows=1)
+        assert folded[:, 1].min() >= 0
+        assert np.array_equal(folded[:, 1], np.abs(signed[:, 1]))
+        assert "use_abs = true" in (out / "profile_manifest.txt").read_text()
 
 
 class TestFields:
@@ -162,6 +178,24 @@ class TestSweep:
         manifest = (out1 / "sweep_manifest.txt").read_text()
         assert "# workers: 1" in manifest
         assert "# failed_rows: 0" in manifest
+
+
+    def test_failed_row_exits_nonzero(self, tmp_path, monkeypatch, capsys):
+        def flaky(psi, potential, params, config):
+            if abs(params.z0 - 2.5e-6) < 1e-12:
+                raise NumericsError("synthetic blow-up")
+            return real_evolve(psi, potential, params, config)
+
+        monkeypatch.setattr("qpot.experiments.evolve", flaky)
+        code, out = run(tmp_path, ["sweep", "--workers", "1"], SWEEP_CFG)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "NumericsError: synthetic blow-up" in err
+        manifest = (out / "sweep_manifest.txt").read_text()
+        assert "# failed_rows: 1" in manifest
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert len(lines) == 3  # the failed row is still written
 
 
 PREPARE_CFG = """\

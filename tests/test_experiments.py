@@ -5,7 +5,7 @@ import pytest
 
 from qpot.core import Grid1D, PhysicalParams, default_grid
 from qpot.engineering import engineered_packet as real_engineered_packet
-from qpot.errors import ConfigError
+from qpot.errors import ConfigError, ConstructionError
 from qpot.experiments import (
     ComparisonResult,
     SweepSpec,
@@ -151,7 +151,7 @@ class TestRunSweep:
     def test_failed_point_marked_and_sweep_continues(self, monkeypatch):
         def flaky(grid, params, spec=None):
             if abs(params.z0 - 2.0e-6) < 1e-12:
-                raise ValueError("synthetic failure")
+                raise ConstructionError("synthetic failure")
             return real_engineered_packet(grid, params, spec)
 
         monkeypatch.setattr("qpot.experiments.engineered_packet", flaky)
@@ -161,10 +161,22 @@ class TestRunSweep:
         rows = run_sweep(params, spec, config=cfg, workers=1)
         assert [r.z0 for r in rows] == [2.0e-6, 2.3e-6]
         assert rows[0].failed
-        assert rows[0].error.startswith("ValueError")
+        assert rows[0].error.startswith("ConstructionError")
         assert rows[0].averaged_ratio is None
         assert not rows[1].failed
         assert rows[1].averaged_ratio is not None
+
+    def test_programming_error_propagates(self, monkeypatch):
+        # only package errors mark a row; anything else is a bug and must
+        # surface instead of turning into a quiet "failed" row
+        def broken(grid, params, spec=None):
+            raise ValueError("synthetic bug")
+
+        monkeypatch.setattr("qpot.experiments.engineered_packet", broken)
+        spec = SweepSpec(z0_values=(2.0e-6,), t_average_window=2e-5)
+        cfg = EvolveConfig(dt=2e-7, t_final=2e-5)
+        with pytest.raises(ValueError, match="synthetic bug"):
+            run_sweep(PhysicalParams(), spec, config=cfg, workers=1)
 
     def test_parallel_rows_match_serial(self):
         params = PhysicalParams()
@@ -209,3 +221,38 @@ class TestPreparationStudy:
         assert 0.0 <= row.absorbed_imprinted <= 1.0
         assert 0.0 <= row.absorbed_ideal <= 1.0
         assert 0.5 < row.penalty < 2.0
+
+
+class TestWindowPastRecord:
+    """An averaging window that ends after the evolved time is rejected
+    before anything is evolved."""
+
+    CFG = EvolveConfig(dt=1e-7, t_final=1e-5)
+
+    def test_comparison(self):
+        with pytest.raises(ConfigError, match="t_average_window"):
+            run_comparison(PhysicalParams(), config=self.CFG,
+                           t_average_window=2e-5)
+
+    def test_sweep(self):
+        spec = SweepSpec(z0_values=(2.0e-6,), t_average_window=2e-5)
+        with pytest.raises(ConfigError, match="t_average_window"):
+            run_sweep(PhysicalParams(), spec, config=self.CFG, workers=1)
+
+    def test_fitted_control(self):
+        with pytest.raises(ConfigError, match="t_average_window"):
+            run_fitted_control(config=self.CFG, t_average_window=2e-5)
+
+    def test_preparation_study(self):
+        params = PhysicalParams()
+        with pytest.raises(ConfigError, match="t_window"):
+            run_preparation_study(params, slopes=(0.05 / params.z0,),
+                                  config=self.CFG, t_window=2e-5)
+
+    def test_window_equal_to_evolved_time_accepted(self):
+        # 200 * 1e-7 rounds to just below 2e-5; that is not a longer window
+        cfg = EvolveConfig(dt=1e-7, t_final=2e-5)
+        assert cfg.n_steps * cfg.dt < 2e-5
+        res = run_comparison(PhysicalParams(), config=cfg,
+                             t_average_window=2e-5)
+        assert res.t_average_window == 2e-5

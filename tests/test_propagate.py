@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from qpot.core import Grid1D, PhysicalParams, default_grid, moments
 from qpot.engineering import gaussian_packet
@@ -94,6 +95,90 @@ class TestStep:
         vals[2000] = np.nan
         with pytest.raises(NumericsError):
             step(psi.with_values(vals), free_potential(grid), params, 1e-7)
+
+
+class TestFactoredFastPath:
+    """The once-factored solver against a per-step banded solve."""
+
+    @pytest.fixture
+    def stack(self):
+        params = PhysicalParams()
+        grid = default_grid(params)
+        pot = total_potential(grid, params)  # absorber on
+        psi = gaussian_packet(grid, params.z0, params.sigma)
+        return grid, pot, params, psi
+
+    def test_bitwise_equal_to_banded_reference(self, stack):
+        grid, pot, params, psi = stack
+        dt = 1e-7
+        lam = 1j * dt / (2 * params.hbar)
+        kin = params.hbar**2 / (2 * params.mass * grid.dz**2)
+        diag = 2 * kin + pot.complex_values()[1:-1]
+        off = -kin * np.ones(grid.n_points - 3, dtype=complex)
+        ab = np.zeros((3, grid.n_points - 2), dtype=complex)
+        ab[0, 1:] = lam * off
+        ab[1, :] = 1.0 + lam * diag
+        ab[2, :-1] = lam * off
+        bdiag, boff = 1.0 - lam * diag, -lam * off
+
+        solver = CrankNicolson(grid, pot, params, dt)
+        u_ref = psi.values[1:-1].astype(complex)
+        u = u_ref.copy()
+        for _ in range(2000):
+            rhs = bdiag * u_ref
+            rhs[1:] += boff * u_ref[:-1]
+            rhs[:-1] += boff * u_ref[1:]
+            u_ref = solve_banded((1, 1), ab, rhs, check_finite=False)
+            u = solver.step_values(u)
+        assert np.array_equal(u, u_ref)
+
+    def test_input_untouched_and_results_fresh(self, stack):
+        grid, pot, params, psi = stack
+        solver = CrankNicolson(grid, pot, params, 1e-7)
+        u0 = psi.values[1:-1].astype(complex)
+        before = u0.copy()
+        u1 = solver.step_values(u0)
+        u2 = solver.step_values(u1)
+        assert np.array_equal(u0, before)
+        assert not np.shares_memory(u1, u0)
+        assert not np.shares_memory(u2, u1)
+
+    def test_nan_potential_caught(self, stack):
+        grid, pot, params, psi = stack
+        re = pot.real_part.copy()
+        re[2000] = np.nan
+        bad = ComplexPotential(grid, re, pot.imag_part)
+        with pytest.raises(NumericsError):
+            evolve(psi, bad, params, EvolveConfig(dt=1e-7, t_final=1e-6))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_one_bad_amplitude_mid_run_caught(self, stack, monkeypatch,
+                                              value):
+        # a single non-finite entry must make the recorded norm non-finite
+        grid, pot, params, psi = stack
+        real_step = CrankNicolson.step_values
+        calls = []
+
+        def corrupting(self, interior):
+            out = real_step(self, interior)
+            calls.append(None)
+            if len(calls) == 5:
+                out[1234] = value
+            return out
+
+        monkeypatch.setattr(CrankNicolson, "step_values", corrupting)
+        with pytest.raises(NumericsError, match="step 5"):
+            evolve(psi, pot, params, EvolveConfig(dt=1e-7, t_final=1e-6))
+
+    def test_recorded_norm_is_the_trapezoid_norm(self, stack):
+        grid, pot, params, psi = stack
+        cfg = EvolveConfig(dt=1e-7, t_final=2e-5, snapshot_stride=50,
+                           store_wavefunctions=True)
+        rec = evolve(psi, pot, params, cfg)
+        for t, vals in rec.psi_snapshots[1:]:
+            k = int(round(t / cfg.dt))
+            trap = np.sqrt(np.trapezoid(np.abs(vals) ** 2, grid.z))
+            assert rec.norms[k] == pytest.approx(trap, rel=1e-14, abs=0)
 
 
 class TestFreeSpreading:
