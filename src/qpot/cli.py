@@ -2,28 +2,28 @@
 
 Every subcommand reads an optional config file, runs one experiment and
 writes CSV files plus a run-manifest into the output directory. Runs are
-fully deterministic; --seed is accepted for interface stability but has
-no effect, and --workers only changes how sweep points are scheduled,
-never the numbers.
+fully deterministic; sweep's --workers only changes how points are
+scheduled, never the numbers.
 """
 
 import argparse
 import os
 import sys
+import types
+from typing import NamedTuple
 
 import numpy as np
 
 from . import config as cfgmod
 from . import io as iomod
 from .bohmian import weighted_fields
-from .core import default_grid
 from .engineering import (
     ProfileSpec,
     engineered_packet,
     engineered_profile,
     gaussian_packet,
 )
-from .errors import QpotError
+from .errors import ConfigError, QpotError
 from .experiments import (
     SweepSpec,
     run_comparison,
@@ -36,145 +36,105 @@ from .propagate import convergence_report, evolve
 from .version import __version__
 
 
-def _load(args):
-    if args.config:
-        return cfgmod.load_config(args.config)
-    return {}
+class _UsageError(Exception):
+    """A config value no command can act on; exits 2 like a bad flag."""
 
 
-def _outpath(args, name):
-    os.makedirs(args.out, exist_ok=True)
-    return os.path.join(args.out, name)
+class _Output(NamedTuple):
+    """What a command hands back to the driver."""
+
+    csvs: list  # (path, io writer, *data) per file
+    extra: dict  # manifest header lines after "# command: ..."
+    message: str  # the line printed on stdout
+    errors: tuple = ()  # stderr lines; any makes the command exit 1
 
 
-def _params_text(params):
-    fields = (
-        "mass", "c4", "z0", "sigma", "c1", "c2", "delta",
-        "absorber_strength", "trap_omega",
-    )
-    lines = ["[params]"]
-    lines += [f"{name} = {getattr(params, name)!r}" for name in fields]
-    return "\n".join(lines) + "\n"
+_PACKETS = {
+    "engineered": lambda grid, params: engineered_packet(grid, params),
+    "gaussian": lambda grid, params: gaussian_packet(grid, params.z0, params.sigma),
+}
 
 
-def _grid_text(grid):
-    return f"[grid]\nz_max = {grid.z_max!r}\nn_points = {grid.n_points}\n"
+def _packet_maker(section):
+    """The section's packet name (default engineered) and its builder."""
+    name = section.get("packet", "engineered")
+    if name not in _PACKETS:
+        raise _UsageError(f"unknown packet {name!r}")
+    return name, _PACKETS[name]
 
 
-def _evolve_text(cfg):
-    return (
-        f"[evolve]\ndt = {cfg.dt!r}\nt_final = {cfg.t_final!r}\n"
-        f"snapshot_stride = {cfg.snapshot_stride}\n"
-        f"store_wavefunctions = {'true' if cfg.store_wavefunctions else 'false'}\n"
-    )
+def _evolve_config(cfg, window):
+    """[evolve] settings; t_final defaults to the averaging window."""
+    t_final = cfg.get("evolve", {}).get("t_final", window)
+    return cfgmod.evolve_from(cfg, t_final=t_final)
 
 
-def cmd_profile(args):
-    cfg = _load(args)
-    params = cfgmod.params_from(cfg)
-    grid = cfgmod.grid_from(cfg, params)
-    use_abs = cfg.get("profile", {}).get("use_abs", False)
-    spec = ProfileSpec(use_abs=use_abs)
-    psi = engineered_packet(grid, params, spec)
-    z = grid.z
+def _path(run, name):
+    return os.path.join(run.args.out, name)
+
+
+def _comparison_csvs(run, ratio_name, result):
+    return [(_path(run, ratio_name), iomod.write_ratio_csv, result)] + [
+        (_path(run, f"record_{name}.csv"), iomod.write_record_csv, rec)
+        for name, rec in result.records.items()
+    ]
+
+
+def cmd_profile(run):
+    run.profile = spec = ProfileSpec(use_abs=run.section.get("use_abs", False))
+    psi = engineered_packet(run.grid, run.params, spec)
+    z = run.grid.z
     profile = np.zeros_like(z)
     pos = z > 0
-    profile[pos] = engineered_profile(z[pos], params, spec)
+    profile[pos] = engineered_profile(z[pos], run.params, spec)
     rows = zip(z, profile, psi.values.real, psi.values.imag, psi.density())
-    path = _outpath(args, "profile.csv")
-    iomod.write_csv(path, ("z_m", "profile", "re_psi", "im_psi", "density"), rows)
-    iomod.write_manifest(
-        _outpath(args, "profile_manifest.txt"),
-        _params_text(params) + _grid_text(grid)
-        + f"[profile]\nuse_abs = {'true' if use_abs else 'false'}\n",
-        extra={"command": "profile"},
-    )
-    print(f"wrote {path}")
-    return 0
+    path = _path(run, "profile.csv")
+    header = ("z_m", "profile", "re_psi", "im_psi", "density")
+    return _Output([(path, iomod.write_csv, header, rows)], {}, f"wrote {path}")
 
 
-def cmd_fields(args):
-    cfg = _load(args)
-    params = cfgmod.params_from(cfg)
-    grid = cfgmod.grid_from(cfg, params)
-    cut = cfg.get("fields", {}).get("support_cut", 1e-6)
-    w_q, w_res, rho = weighted_fields(grid, params, support_cut=cut)
-    path = _outpath(args, "fields.csv")
-    iomod.write_weighted_fields_csv(path, w_q, w_res, rho, params.hbar)
+def cmd_fields(run):
+    cut = run.section.get("support_cut", 1e-6)
+    w_q, w_res, rho = weighted_fields(run.grid, run.params, support_cut=cut)
     support = w_q.valid_mask()
     peak_q = float(abs(w_q.values[support]).max())
     peak_res = float(abs(w_res.values[support]).max())
-    iomod.write_manifest(
-        _outpath(args, "fields_manifest.txt"),
-        _params_text(params) + _grid_text(grid),
-        extra={
-            "command": "fields",
+    path = _path(run, "fields.csv")
+    return _Output(
+        [(path, iomod.write_weighted_fields_csv, w_q, w_res, rho, run.params.hbar)],
+        {
             "support_cut": repr(cut),
             "peak_weighted_q": repr(peak_q),
             "peak_weighted_residual": repr(peak_res),
         },
+        f"wrote {path} (residual/q peak ratio {peak_res / peak_q:.3e})",
     )
-    print(f"wrote {path} (residual/q peak ratio {peak_res / peak_q:.3e})")
-    return 0
 
 
-def cmd_evolve(args):
-    cfg = _load(args)
-    params = cfgmod.params_from(cfg)
-    grid = cfgmod.grid_from(cfg, params)
-    evolve_cfg = cfgmod.evolve_from(cfg)
-    section = cfg.get("evolve", {})
-    packet = section.get("packet", "engineered")
-    include_trap = section.get("include_trap", True)
-    include_absorber = section.get("include_absorber", True)
-    if packet == "gaussian":
-        psi = gaussian_packet(grid, params.z0, params.sigma)
-    elif packet == "engineered":
-        psi = engineered_packet(grid, params)
-    else:
-        print(f"unknown packet {packet!r}", file=sys.stderr)
-        return 2
-    pot = total_potential(grid, params, include_trap=include_trap,
-                          include_absorber=include_absorber)
-    record = evolve(psi, pot, params, evolve_cfg)
-    path = _outpath(args, "record.csv")
-    iomod.write_record_csv(path, record)
+def cmd_evolve(run):
+    run.evolve = cfgmod.evolve_from(run.cfg)
+    name, make = _packet_maker(run.section)
+    psi = make(run.grid, run.params)
+    pot = total_potential(run.grid, run.params,
+                          include_trap=run.section.get("include_trap", True),
+                          include_absorber=run.section.get("include_absorber", True))
+    record = evolve(psi, pot, run.params, run.evolve)
+    path = _path(run, "record.csv")
+    csvs = [(path, iomod.write_record_csv, record)]
     if record.snapshots:
-        iomod.write_snapshots_csv(_outpath(args, "snapshots.csv"), record)
-    iomod.write_manifest(
-        _outpath(args, "evolve_manifest.txt"),
-        _params_text(params) + _grid_text(grid) + _evolve_text(evolve_cfg),
-        extra={
-            "command": "evolve",
-            "packet": packet,
-            "absorbed_final": repr(float(record.absorbed_fraction[-1])),
-        },
-    )
-    print(f"wrote {path} (absorbed {record.absorbed_fraction[-1]:.6e})")
-    return 0
+        csvs.append((_path(run, "snapshots.csv"), iomod.write_snapshots_csv, record))
+    absorbed = record.absorbed_fraction[-1]
+    return _Output(csvs, {"packet": name, "absorbed_final": repr(float(absorbed))},
+                   f"wrote {path} (absorbed {absorbed:.6e})")
 
 
-def cmd_compare(args):
-    cfg = _load(args)
-    params = cfgmod.params_from(cfg)
-    grid = cfgmod.grid_from(cfg, params)
-    evolve_cfg = cfgmod.evolve_from(cfg)
-    section = cfg.get("compare", {})
-    result = run_comparison(
-        params,
-        grid=grid,
-        config=evolve_cfg,
-        include_trap=section.get("include_trap", True),
-        t_average_window=section.get("t_average_window", 2e-3),
-    )
-    iomod.write_ratio_csv(_outpath(args, "ratio.csv"), result)
-    for name, rec in result.records.items():
-        iomod.write_record_csv(_outpath(args, f"record_{name}.csv"), rec)
-    iomod.write_manifest(
-        _outpath(args, "compare_manifest.txt"),
-        _params_text(params) + _grid_text(grid) + _evolve_text(evolve_cfg),
-        extra={
-            "command": "compare",
+def cmd_compare(run):
+    run.evolve = cfgmod.evolve_from(run.cfg)
+    result = run_comparison(run.params, grid=run.grid, config=run.evolve,
+                            **run.section)
+    return _Output(
+        _comparison_csvs(run, "ratio.csv", result),
+        {
             "averaged_ratio": repr(result.averaged_ratio),
             "crossover_time_s": repr(result.crossover_time),
             "ratio_average_note": (
@@ -182,160 +142,138 @@ def cmd_compare(args):
                 "either absorbed fraction is below 1e-12 are excluded"
             ),
         },
-    )
-    print(
         f"averaged ratio {result.averaged_ratio}, "
-        f"crossover {result.crossover_time}"
+        f"crossover {result.crossover_time}",
     )
-    return 0
 
 
-def cmd_sweep(args):
-    cfg = _load(args)
-    params = cfgmod.params_from(cfg)
-    if "sweep" in cfg:
-        sweep = cfgmod.sweep_from(cfg)
+def cmd_sweep(run):
+    if "sweep" in run.cfg:
+        run.sweep = cfgmod.sweep_from(run.cfg)
     else:
-        sweep = SweepSpec(z0_values=tuple(
+        run.sweep = SweepSpec(z0_values=tuple(
             z * 1e-6 for z in (1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
         ))
-    evolve_cfg = cfgmod.evolve_from(cfg, t_final=cfg.get("evolve", {}).get(
-        "t_final", sweep.t_average_window))
-    rows = run_sweep(params, sweep, config=evolve_cfg, workers=args.workers)
+    run.evolve = _evolve_config(run.cfg, run.sweep.t_average_window)
+    workers = run.args.workers
+    rows = run_sweep(run.params, run.sweep, config=run.evolve, workers=workers)
     failed = [r for r in rows if r.failed]
-    path = _outpath(args, "sweep.csv")
-    iomod.write_sweep_csv(path, rows)
-    iomod.write_manifest(
-        _outpath(args, "sweep_manifest.txt"),
-        _params_text(params) + cfgmod.sweep_to_text(sweep),
-        extra={
-            "command": "sweep",
-            "workers": args.workers if args.workers else "auto",
-            "failed_rows": len(failed),
-        },
+    path = _path(run, "sweep.csv")
+    return _Output(
+        [(path, iomod.write_sweep_csv, rows)],
+        {"workers": workers if workers else "auto", "failed_rows": len(failed)},
+        f"wrote {path} ({len(rows)} rows)",
+        tuple(f"error: sweep point z0 = {row.z0!r} m failed: {row.error}"
+              for row in failed),
     )
-    print(f"wrote {path} ({len(rows)} rows)")
-    for row in failed:
-        print(f"error: sweep point z0 = {row.z0!r} m failed: {row.error}",
-              file=sys.stderr)
-    return 1 if failed else 0
 
 
-def cmd_fitted(args):
-    cfg = _load(args)
-    params = cfgmod.params_from(cfg)
-    section = cfg.get("fitted", {})
-    evolve_cfg = cfgmod.evolve_from(cfg, t_final=cfg.get("evolve", {}).get(
-        "t_final", section.get("t_average_window", 2e-3)))
-    result = run_fitted_control(
-        params,
-        config=evolve_cfg,
-        auto_fit=section.get("auto_fit", False),
-        engineered_z0=section.get("engineered_z0", 1.43e-6),
-        engineered_sigma=section.get("engineered_sigma", 1.0e-6),
-        gaussian_z0=section.get("gaussian_z0", 2.3e-6),
-        gaussian_sigma=section.get("gaussian_sigma", 1.0e-6),
-        include_trap=section.get("include_trap", True),
-        t_average_window=section.get("t_average_window", 2e-3),
-    )
-    iomod.write_ratio_csv(_outpath(args, "ratio_fitted.csv"), result)
-    for name, rec in result.records.items():
-        iomod.write_record_csv(_outpath(args, f"record_{name}.csv"), rec)
-    iomod.write_manifest(
-        _outpath(args, "fitted_manifest.txt"),
-        _params_text(params),
-        extra={
-            "command": "fitted",
-            "auto_fit": section.get("auto_fit", False),
+def cmd_fitted(run):
+    run.evolve = _evolve_config(run.cfg, run.section.get("t_average_window", 2e-3))
+    result = run_fitted_control(run.params, config=run.evolve, **run.section)
+    return _Output(
+        _comparison_csvs(run, "ratio_fitted.csv", result),
+        {
+            "auto_fit": run.section.get("auto_fit", False),
             "averaged_ratio": repr(result.averaged_ratio),
         },
+        f"averaged ratio {result.averaged_ratio}",
     )
-    print(f"averaged ratio {result.averaged_ratio}")
-    return 0
 
 
-def cmd_prepare(args):
-    cfg = _load(args)
-    params = cfgmod.params_from(cfg)
-    grid = cfgmod.grid_from(cfg, params)
-    section = cfg.get("prepare", {})
-    slopes = section.get("slopes")
-    if slopes is None and "slope_z0_values" in section:
-        slopes = tuple(kz0 / params.z0 for kz0 in section["slope_z0_values"])
+def cmd_prepare(run):
+    section = dict(run.section)
+    if "slope_z0_values" in section:
+        if "slopes" in section:
+            raise ConfigError("[prepare] sets both slopes and slope_z0_values")
+        section["slopes"] = tuple(
+            kz0 / run.params.z0 for kz0 in section.pop("slope_z0_values"))
     t_window = section.get("t_window", 2e-3)
-    evolve_cfg = cfgmod.evolve_from(cfg, t_final=cfg.get("evolve", {}).get(
-        "t_final", t_window))
-    rows = run_preparation_study(
-        params, slopes=slopes, grid=grid, config=evolve_cfg,
-        include_trap=section.get("include_trap", True), t_window=t_window,
+    rows = run_preparation_study(run.params, grid=run.grid,
+                                 config=_evolve_config(run.cfg, t_window),
+                                 **section)
+    path = _path(run, "prepare.csv")
+    return _Output([(path, iomod.write_preparation_csv, rows)],
+                   {"t_window_s": repr(t_window)},
+                   f"wrote {path} ({len(rows)} slopes)")
+
+
+def cmd_converge(run):
+    name, make = _packet_maker(run.section)
+    kwargs = {key: value for key, value in run.section.items() if key != "packet"}
+    report = convergence_report(
+        lambda grid: make(grid, run.params),
+        lambda grid: total_potential(grid, run.params),
+        run.params, base_grid=run.grid, **kwargs,
     )
-    path = _outpath(args, "prepare.csv")
-    iomod.write_preparation_csv(path, rows)
-    iomod.write_manifest(
-        _outpath(args, "prepare_manifest.txt"),
-        _params_text(params) + _grid_text(grid),
-        extra={"command": "prepare", "t_window_s": repr(t_window)},
-    )
-    print(f"wrote {path} ({len(rows)} slopes)")
-    return 0
-
-
-def cmd_converge(args):
-    cfg = _load(args)
-    params = cfgmod.params_from(cfg)
-    grid = cfgmod.grid_from(cfg, params)
-    section = cfg.get("converge", {})
-    packet = section.get("packet", "engineered")
-
-    def make_state(g):
-        if packet == "gaussian":
-            return gaussian_packet(g, params.z0, params.sigma)
-        return engineered_packet(g, params)
-
-    def make_potential(g):
-        return total_potential(g, params)
-
-    kwargs = {}
-    if "t_final" in section:
-        kwargs["t_final"] = section["t_final"]
-    if "dt_ladder" in section:
-        kwargs["dt_ladder"] = section["dt_ladder"]
-    if "n_refinements" in section:
-        kwargs["n_refinements"] = section["n_refinements"]
-    report = convergence_report(make_state, make_potential, params,
-                                base_grid=grid, **kwargs)
-    path = _outpath(args, "converge.csv")
-    iomod.write_convergence_csv(path, report)
-    iomod.write_manifest(
-        _outpath(args, "converge_manifest.txt"),
-        _params_text(params) + _grid_text(grid),
-        extra={
-            "command": "converge",
-            "packet": packet,
+    path = _path(run, "converge.csv")
+    return _Output(
+        [(path, iomod.write_convergence_csv, report)],
+        {
+            "packet": name,
             "dt_order": repr(report.dt_order()),
             "dz_order": repr(report.dz_order()),
             "dt_halving_change": repr(report.dt_halving_change),
             "dz_halving_change": repr(report.dz_halving_change),
         },
-    )
-    print(
         f"dt order {report.dt_order():.2f}, dz order {report.dz_order():.2f}, "
         f"dt halving change {report.dt_halving_change:.3e}, "
-        f"dz halving change {report.dz_halving_change:.3e}"
+        f"dz halving change {report.dz_halving_change:.3e}",
     )
-    return 0
 
 
+_WORKERS = (("--workers",), {"type": int, "default": None,
+                             "help": "worker processes for sweep points"})
+
+# name: (command, help, manifest config sections in order, extra flags)
 _COMMANDS = {
-    "profile": (cmd_profile, "dump the engineered packet and its profile"),
-    "fields": (cmd_fields, "density-weighted quantum potential and residual"),
-    "evolve": (cmd_evolve, "evolve one packet under the full potential stack"),
-    "compare": (cmd_compare, "engineered vs Gaussian absorbed fractions"),
-    "sweep": (cmd_sweep, "averaged advantage across envelope positions"),
-    "fitted": (cmd_fitted, "engineered packet vs position-matched Gaussian"),
-    "prepare": (cmd_prepare, "two-pulse preparation fidelity and cost"),
-    "converge": (cmd_converge, "time-step and grid refinement ladders"),
+    "profile": (cmd_profile, "dump the engineered packet and its profile",
+                ("params", "grid", "profile"), ()),
+    "fields": (cmd_fields, "density-weighted quantum potential and residual",
+               ("params", "grid"), ()),
+    "evolve": (cmd_evolve, "evolve one packet under the full potential stack",
+               ("params", "grid", "evolve"), ()),
+    "compare": (cmd_compare, "engineered vs Gaussian absorbed fractions",
+                ("params", "grid", "evolve"), ()),
+    "sweep": (cmd_sweep, "averaged advantage across envelope positions",
+              ("params", "evolve", "sweep"), (_WORKERS,)),
+    "fitted": (cmd_fitted, "engineered packet vs position-matched Gaussian",
+               ("params", "evolve"), ()),
+    "prepare": (cmd_prepare, "two-pulse preparation fidelity and cost",
+                ("params", "grid"), ()),
+    "converge": (cmd_converge, "time-step and grid refinement ladders",
+                 ("params", "grid"), ()),
 }
+
+
+def _run(args):
+    """Load and resolve the config, run the command, then write its CSVs,
+    its manifest and its summary line.
+
+    The command reads its own [section] and sets the resolved objects its
+    manifest records (run.evolve, run.sweep, run.profile); params and,
+    where the manifest records it, the grid are resolved here.
+    """
+    fn, _, sections, _ = _COMMANDS[args.command]
+    cfg = cfgmod.load_config(args.config) if args.config else {}
+    run = types.SimpleNamespace(args=args, cfg=cfg,
+                                section=cfg.get(args.command, {}),
+                                params=cfgmod.params_from(cfg))
+    if "grid" in sections:
+        run.grid = cfgmod.grid_from(cfg, run.params)
+    out = fn(run)
+    os.makedirs(args.out, exist_ok=True)
+    for path, write, *data in out.csvs:
+        write(path, *data)
+    iomod.write_manifest(
+        _path(run, f"{args.command}_manifest.txt"),
+        cfgmod.config_to_text({name: getattr(run, name) for name in sections}),
+        extra={"command": args.command, **out.extra},
+    )
+    print(out.message)
+    for line in out.errors:
+        print(line, file=sys.stderr)
+    return 1 if out.errors else 0
 
 
 def main(argv=None):
@@ -346,18 +284,18 @@ def main(argv=None):
     parser.add_argument("--version", action="version",
                         version=f"qpot {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (fn, help_text) in _COMMANDS.items():
+    for name, (_, help_text, _, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="config file path")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker processes for sweeps")
-        p.add_argument("--seed", type=int, default=None,
-                       help="reserved; all runs are deterministic")
-        p.set_defaults(func=fn)
+        for names, kwargs in flags:
+            p.add_argument(*names, **kwargs)
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except (QpotError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

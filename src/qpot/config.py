@@ -211,12 +211,9 @@ def grid_from(cfg, params=None):
 
 
 def evolve_from(cfg, **overrides):
-    section = dict(cfg.get("evolve", {}))
-    section.pop("packet", None)
-    section.pop("include_trap", None)
-    section.pop("include_absorber", None)
-    section.update(overrides)
-    return EvolveConfig(**section)
+    section = {k: v for k, v in cfg.get("evolve", {}).items()
+               if k not in ("packet", "include_trap", "include_absorber")}
+    return EvolveConfig(**{**section, **overrides})
 
 
 def sweep_from(cfg):
@@ -228,38 +225,24 @@ def sweep_from(cfg):
     return SweepSpec(**section)
 
 
-def sweep_to_text(spec):
-    """Serialize a SweepSpec so that parsing the text reproduces it."""
-    kind, value = spec.sigma_rule
-    lines = [
-        "[sweep]",
-        "z0_values = " + ", ".join(repr(v) for v in spec.z0_values),
-        f"sigma_rule = {kind} {value!r}",
-        f"t_average_window = {spec.t_average_window!r}",
-        "variants = " + ", ".join(spec.variants),
-    ]
-    return "\n".join(lines) + "\n"
-
-
 def config_to_text(cfg):
-    """Render a parsed config back to file form (used by run manifests)."""
+    """Render a config back to file form; every run manifest is written by it.
+
+    A section is either a parsed {key: value} dict or an object, such as
+    PhysicalParams, Grid1D, EvolveConfig or SweepSpec, whose attributes
+    named by that section's keys hold the values. Parsing the text gives
+    the section back.
+    """
     out = []
     for name, section in cfg.items():
+        if not isinstance(section, dict):
+            section = {key: getattr(section, key) for key in _SCHEMA[name]
+                       if hasattr(section, key)}
         out.append(f"[{name}]")
         for key, value in section.items():
-            if isinstance(value, tuple) and len(value) == 2 and value[0] in (
-                "ratio", "fixed",
-            ) and key == "sigma_rule":
-                out.append(f"{key} = {value[0]} {value[1]!r}")
+            if isinstance(value, bool):
+                value = "true" if value else "false"
             elif isinstance(value, tuple):
-                out.append(f"{key} = " + ", ".join(
-                    v if isinstance(v, str) else repr(v) for v in value
-                ))
-            elif isinstance(value, bool):
-                out.append(f"{key} = {'true' if value else 'false'}")
-            elif isinstance(value, float):
-                out.append(f"{key} = {value!r}")
-            else:
-                out.append(f"{key} = {value}")
-        out.append("")
-    return "\n".join(out)
+                value = (" " if key == "sigma_rule" else ", ").join(map(str, value))
+            out.append(f"{key} = {value}")
+    return "\n".join(out) + "\n"

@@ -1,12 +1,11 @@
-"""Physical constants, unit scaling, grids, wavefunctions and elementary functionals.
+"""Physical constants, grids, wavefunctions and elementary functionals.
 
-Everything downstream computes in SI units. The numbers involved stay well
-inside double range (the Crank-Nicolson coefficients are dimensionless
-ratios), so internal scaling is only needed at the I/O boundary, where
-lengths are reported in micrometers and times in milliseconds.
+Everything computes and reports in SI units. The numbers involved stay
+well inside double range (the Crank-Nicolson coefficients are
+dimensionless ratios), so no internal unit scaling is needed.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -82,18 +81,7 @@ class PhysicalParams:
     def replace(self, **kwargs):
         """Copy with some fields replaced; derived defaults are recomputed
         when their inputs change unless explicitly pinned."""
-        current = {
-            "mass": self.mass,
-            "c4": self.c4,
-            "z0": self.z0,
-            "sigma": self.sigma,
-            "c1": self.c1,
-            "c2": self.c2,
-            "delta": self.delta,
-            "absorber_strength": self.absorber_strength,
-            "trap_omega": self.trap_omega,
-            "hbar": self.hbar,
-        }
+        current = asdict(self)
         # recompute derived quantities if their inputs moved
         if ("sigma" in kwargs or "mass" in kwargs) and "trap_omega" not in kwargs:
             current["trap_omega"] = None
@@ -101,48 +89,6 @@ class PhysicalParams:
             current["absorber_strength"] = None
         current.update(kwargs)
         return PhysicalParams(**current)
-
-
-class UnitScale:
-    """Conversion between SI and the internal reporting units.
-
-    Lengths are scaled to length_unit (default micrometer) and times to
-    time_unit (default millisecond). The mass unit is chosen so that the
-    scaled Planck constant equals one, which keeps every derived quantity
-    within a few orders of magnitude of unity.
-    """
-
-    _dims = {
-        "length": (1, 0, 0),
-        "time": (0, 1, 0),
-        "mass": (0, 0, 1),
-        "velocity": (1, -1, 0),
-        "energy": (2, -2, 1),
-        "action": (2, -1, 1),
-        "frequency": (0, -1, 0),
-        "inverse_length": (-1, 0, 0),
-    }
-
-    def __init__(self, length_unit=1e-6, time_unit=1e-3, hbar=HBAR):
-        if length_unit <= 0 or time_unit <= 0:
-            raise ConfigError("unit scales must be positive")
-        self.length_unit = length_unit
-        self.time_unit = time_unit
-        self.mass_unit = hbar * time_unit / length_unit**2
-        self.energy_unit = self.mass_unit * length_unit**2 / time_unit**2
-
-    def factor(self, dimension):
-        try:
-            lp, tp, mp = self._dims[dimension]
-        except KeyError:
-            raise ConfigError(f"unknown dimension {dimension!r}") from None
-        return self.length_unit**lp * self.time_unit**tp * self.mass_unit**mp
-
-    def to_internal(self, value, dimension):
-        return value / self.factor(dimension)
-
-    def to_si(self, value, dimension):
-        return value * self.factor(dimension)
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,12 @@ over the retained times inside the averaging window.
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import default_grid, moments
+from .core import PhysicalParams, default_grid, moments
 from .engineering import (
-    ProfileSpec,
     engineered_packet,
     gaussian_packet,
     fidelity,
@@ -107,12 +106,43 @@ def _check_window(config, window, name):
             f"{name} = {window!r} s ends after the evolved time {t_end!r} s")
 
 
-def _potential_for(grid, params, include_trap=True):
-    return total_potential(grid, params, include_trap=include_trap)
+def _ratio_result(records, t_average_window):
+    """The ratio of the first benchmark record to the engineered one; no
+    ratio when the engineered packet is the only record."""
+    bench = [rec for name, rec in records.items() if name != "engineered"]
+    t = r = np.empty(0)
+    avg = cross = None
+    if bench:
+        t, r, avg, cross = absorption_ratio_series(
+            bench[0], records["engineered"], t_window=t_average_window)
+    return ComparisonResult(
+        records=records,
+        ratio_times=t,
+        ratios=r,
+        averaged_ratio=avg,
+        crossover_time=cross,
+        t_average_window=t_average_window,
+    )
+
+
+def _compare(params, grid, config, variants, include_trap, t_average_window):
+    """Evolve the engineered packet and each named benchmark variant under
+    one potential stack, one evolve call per packet."""
+    pot = total_potential(grid, params, include_trap=include_trap)
+    eng = engineered_packet(grid, params)
+    packets = {"engineered": eng}
+    if "gaussian" in variants:
+        packets["gaussian"] = gaussian_packet(grid, params.z0, params.sigma)
+    if "fitted_gaussian" in variants:
+        mean, std, _ = moments(eng)
+        packets["fitted_gaussian"] = gaussian_packet(grid, mean, std)
+    records = {name: evolve(psi, pot, params, config)
+               for name, psi in packets.items()}
+    return _ratio_result(records, t_average_window)
 
 
 def run_comparison(params, grid=None, config=None, include_trap=True,
-                   t_average_window=2e-3, profile=None):
+                   t_average_window=2e-3):
     """Evolve the engineered packet and the Gaussian benchmark with the same
     envelope parameters under identical potential stacks."""
     if grid is None:
@@ -120,21 +150,8 @@ def run_comparison(params, grid=None, config=None, include_trap=True,
     if config is None:
         config = EvolveConfig()
     _check_window(config, t_average_window, "t_average_window")
-    pot = _potential_for(grid, params, include_trap)
-    eng = engineered_packet(grid, params, profile)
-    gau = gaussian_packet(grid, params.z0, params.sigma)
-    rec_e = evolve(eng, pot, params, config)
-    rec_g = evolve(gau, pot, params, config)
-    t, r, avg, cross = absorption_ratio_series(rec_g, rec_e,
-                                               t_window=t_average_window)
-    return ComparisonResult(
-        records={"engineered": rec_e, "gaussian": rec_g},
-        ratio_times=t,
-        ratios=r,
-        averaged_ratio=avg,
-        crossover_time=cross,
-        t_average_window=t_average_window,
-    )
+    return _compare(params, grid, config, ("gaussian",), include_trap,
+                    t_average_window)
 
 
 @dataclass
@@ -150,39 +167,22 @@ class SweepRow:
 
 def _sweep_point(args):
     """One sweep point; module-level so worker processes can import it."""
-    params_base, sweep, z0, config_fields, include_trap = args
+    params_base, sweep, z0, config, include_trap = args
     sigma = sweep.sigma_for(z0)
     try:
         params = params_base.replace(z0=z0, sigma=sigma)
-        grid = default_grid(params)
-        config = EvolveConfig(**config_fields)
-        pot = _potential_for(grid, params, include_trap)
-        records = {}
-        eng = engineered_packet(grid, params)
-        records["engineered"] = evolve(eng, pot, params, config)
-        if "gaussian" in sweep.variants:
-            gau = gaussian_packet(grid, z0, sigma)
-            records["gaussian"] = evolve(gau, pot, params, config)
-        if "fitted_gaussian" in sweep.variants:
-            mean, std, _ = moments(eng)
-            fit = gaussian_packet(grid, mean, std)
-            records["fitted_gaussian"] = evolve(fit, pot, params, config)
-        bench = records.get("gaussian") or records.get("fitted_gaussian")
-        row = SweepRow(z0=z0, sigma=sigma)
-        if bench is not None:
-            _, _, avg, cross = absorption_ratio_series(
-                bench, records["engineered"], t_window=sweep.t_average_window
-            )
-            row.averaged_ratio = avg
-            row.crossover_time = cross
-        row.absorbed = {
-            name: rec.absorbed_at(sweep.t_average_window)
-            for name, rec in records.items()
-        }
-        return row
+        result = _compare(params, default_grid(params), config,
+                          sweep.variants, include_trap, sweep.t_average_window)
     except QpotError as exc:  # a failed point must not sink the sweep
-        return SweepRow(z0=z0, sigma=sweep.sigma_for(z0), failed=True,
+        return SweepRow(z0=z0, sigma=sigma, failed=True,
                         error=f"{type(exc).__name__}: {exc}")
+    return SweepRow(
+        z0=z0, sigma=sigma,
+        averaged_ratio=result.averaged_ratio,
+        crossover_time=result.crossover_time,
+        absorbed={name: rec.absorbed_at(sweep.t_average_window)
+                  for name, rec in result.records.items()},
+    )
 
 
 def resolve_workers(workers=None):
@@ -212,14 +212,9 @@ def run_sweep(params_base, sweep, config=None, workers=None, include_trap=True):
     if config is None:
         config = EvolveConfig(t_final=sweep.t_average_window)
     _check_window(config, sweep.t_average_window, "t_average_window")
-    config_fields = {
-        "dt": config.dt,
-        "t_final": config.t_final,
-        "snapshot_stride": 0,
-        "store_wavefunctions": False,
-    }
+    point_config = replace(config, snapshot_stride=0, store_wavefunctions=False)
     jobs = [
-        (params_base, sweep, z0, config_fields, include_trap)
+        (params_base, sweep, z0, point_config, include_trap)
         for z0 in sweep.z0_values
     ]
     nworkers = resolve_workers(workers)
@@ -247,8 +242,6 @@ def run_fitted_control(params=None, grid=None, config=None, auto_fit=False,
     deviation of the engineered packet. Each packet is evolved with the
     trap matched to its own parameters.
     """
-    from .core import PhysicalParams
-
     if params is None:
         params = PhysicalParams()
     p_eng = params.replace(z0=engineered_z0, sigma=engineered_sigma)
@@ -264,18 +257,11 @@ def run_fitted_control(params=None, grid=None, config=None, auto_fit=False,
     p_fit = params.replace(z0=gaussian_z0, sigma=gaussian_sigma)
     fit = gaussian_packet(grid, gaussian_z0, gaussian_sigma)
 
-    rec_e = evolve(eng, _potential_for(grid, p_eng, include_trap), p_eng, config)
-    rec_f = evolve(fit, _potential_for(grid, p_fit, include_trap), p_fit, config)
-    t, r, avg, cross = absorption_ratio_series(rec_f, rec_e,
-                                               t_window=t_average_window)
-    return ComparisonResult(
-        records={"engineered": rec_e, "fitted_gaussian": rec_f},
-        ratio_times=t,
-        ratios=r,
-        averaged_ratio=avg,
-        crossover_time=cross,
-        t_average_window=t_average_window,
-    )
+    pot_e = total_potential(grid, p_eng, include_trap=include_trap)
+    pot_f = total_potential(grid, p_fit, include_trap=include_trap)
+    records = {"engineered": evolve(eng, pot_e, p_eng, config),
+               "fitted_gaussian": evolve(fit, pot_f, p_fit, config)}
+    return _ratio_result(records, t_average_window)
 
 
 @dataclass
@@ -303,7 +289,7 @@ def run_preparation_study(params, slopes=None, grid=None, config=None,
     if config is None:
         config = EvolveConfig(t_final=t_window)
     _check_window(config, t_window, "t_window")
-    pot = _potential_for(grid, params, include_trap)
+    pot = total_potential(grid, params, include_trap=include_trap)
     ideal = engineered_packet(grid, params)
     rec_ideal = evolve(ideal, pot, params, config)
     a_ideal = rec_ideal.absorbed_at(t_window)

@@ -23,7 +23,6 @@ class EvolveConfig:
     t_final: float = 5e-3  # s
     snapshot_stride: int = 0  # density snapshots every N steps; 0 = none
     store_wavefunctions: bool = False
-    scheme: str = "crank-nicolson"
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -32,8 +31,6 @@ class EvolveConfig:
             raise ConfigError("t_final must be at least one time step")
         if self.snapshot_stride < 0:
             raise ConfigError("snapshot_stride must be >= 0")
-        if self.scheme != "crank-nicolson":
-            raise ConfigError(f"unsupported scheme {self.scheme!r}")
 
     @property
     def n_steps(self):

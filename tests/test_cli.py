@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from qpot import config as cfgmod
 from qpot.cli import main
+from qpot.config import evolve_from, grid_from, params_from, parse_config_text
 from qpot.errors import NumericsError
 from qpot.propagate import evolve as real_evolve
 from qpot.version import __version__
@@ -48,10 +50,19 @@ class TestErrors:
         assert "error:" in capsys.readouterr().err
 
     def test_unknown_packet_exits_2(self, tmp_path, capsys):
-        code, _ = run(tmp_path, ["evolve"],
-                      "[evolve]\npacket = plane\nt_final = 1us\n")
-        assert code == 2
-        assert "unknown packet" in capsys.readouterr().err
+        for command in ("evolve", "converge"):
+            code, out = run(tmp_path / command, [command],
+                            f"[{command}]\npacket = plane\nt_final = 1us\n")
+            assert code == 2
+            assert "unknown packet" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("flag", [["--seed", "1"], ["--workers", "2"]])
+    def test_compare_rejects_sweep_only_and_removed_flags(self, flag, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["compare"] + flag)
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestProfile:
@@ -216,6 +227,13 @@ class TestPrepare:
         assert float(cells[1]) == pytest.approx(0.05)
         assert float(cells[2]) > 0.99
 
+    def test_both_slope_keys_rejected(self, tmp_path, capsys):
+        code, out = run(tmp_path, ["prepare"],
+                        PREPARE_CFG + "slopes = 2e4\n")
+        assert code == 1
+        assert "slope_z0_values" in capsys.readouterr().err
+        assert not out.exists()
+
 
 CONVERGE_CFG = """\
 [grid]
@@ -239,3 +257,65 @@ class TestConverge:
         assert len(lines) == 1 + 2 + 2
         manifest = (out / "converge_manifest.txt").read_text()
         assert "# dz_halving_change: " in manifest
+
+
+FITTED_CFG = """\
+[evolve]
+dt = 0.2us
+t_final = 20us
+
+[fitted]
+t_average_window = 20us
+"""
+
+
+class TestManifestReplay:
+    """Each manifest parses back into the settings its run resolved."""
+
+    # prepare_manifest.txt does not yet record the [evolve] settings
+    # its run used.
+    UNRECORDED = {("prepare", "evolve")}
+
+    CONFIGS = {
+        "profile": None,
+        "fields": None,
+        "evolve": EVOLVE_CFG,
+        "compare": COMPARE_CFG,
+        "sweep": SWEEP_CFG,
+        "fitted": FITTED_CFG,
+        "prepare": PREPARE_CFG,
+        "converge": CONVERGE_CFG,
+    }
+
+    @pytest.mark.parametrize("command", list(CONFIGS))
+    def test_manifest_reproduces_resolved_settings(self, tmp_path, monkeypatch,
+                                                   command):
+        resolved = {"params": [], "grid": [], "evolve": []}
+
+        def recording(section, real):
+            def record(*args, **kwargs):
+                value = real(*args, **kwargs)
+                resolved[section].append(value)
+                return value
+            return record
+
+        for section in resolved:
+            name = f"{section}_from"
+            monkeypatch.setattr(cfgmod, name,
+                                recording(section, getattr(cfgmod, name)))
+        code, out = run(tmp_path, [command], self.CONFIGS[command])
+        monkeypatch.undo()
+        assert code == 0
+        assert resolved["params"], "the run resolved no params"
+        text = (out / f"{command}_manifest.txt").read_text()
+        replay = parse_config_text(text)
+        params = params_from(replay)
+        replayed = {
+            "params": lambda: params,
+            "grid": lambda: grid_from(replay, params),
+            "evolve": lambda: evolve_from(replay),
+        }
+        for section, values in resolved.items():
+            if values and (command, section) not in self.UNRECORDED:
+                assert section in replay, f"manifest lacks [{section}]"
+                assert all(v == replayed[section]() for v in values)

@@ -15,7 +15,6 @@ from qpot.config import (
     parse_quantity,
     parse_rule,
     sweep_from,
-    sweep_to_text,
 )
 from qpot.core import Grid1D, PhysicalParams, default_grid
 from qpot.engineering import gaussian_packet
@@ -168,7 +167,7 @@ class TestRoundTrips:
         SweepSpec(z0_values=(1e-6 / 3,), sigma_rule=("ratio", 1 / 3)),
     ])
     def test_sweep_spec_survives_serialization(self, spec):
-        text = sweep_to_text(spec)
+        text = config_to_text({"sweep": spec})
         assert sweep_from(parse_config_text(text)) == spec
 
     def test_config_text_round_trip(self):

@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from qpot.core import (
-    HBAR,
     Grid1D,
     PhysicalParams,
-    UnitScale,
     Wavefunction,
     default_grid,
     moments,
@@ -93,46 +91,6 @@ class TestPhysicalParams:
         )
         q = PhysicalParams().replace(sigma=2e-6, trap_omega=123.0)
         assert q.trap_omega == 123.0
-
-
-class TestUnitScale:
-    def test_hbar_is_one_internally(self):
-        u = UnitScale()
-        assert HBAR / u.factor("action") == pytest.approx(1.0, rel=1e-14)
-
-    def test_energy_unit(self):
-        u = UnitScale()
-        assert u.energy_unit == pytest.approx(HBAR / u.time_unit, rel=1e-14)
-
-    @pytest.mark.parametrize(
-        "dim,value",
-        [
-            ("length", 2.3e-6),
-            ("time", 5e-3),
-            ("mass", 1.44e-25),
-            ("velocity", 0.7),
-            ("energy", 1.9e-32),
-            ("frequency", 366.0),
-            ("inverse_length", 4.3e5),
-        ],
-    )
-    def test_round_trip(self, dim, value):
-        u = UnitScale()
-        again = u.to_si(u.to_internal(value, dim), dim)
-        assert again == pytest.approx(value, rel=1e-12)
-
-    def test_length_conversion(self):
-        u = UnitScale()
-        assert u.to_internal(2.3e-6, "length") == pytest.approx(2.3, rel=1e-14)
-        assert u.to_internal(2e-3, "time") == pytest.approx(2.0, rel=1e-14)
-
-    def test_unknown_dimension(self):
-        with pytest.raises(ConfigError):
-            UnitScale().factor("charge")
-
-    def test_bad_units(self):
-        with pytest.raises(ConfigError):
-            UnitScale(length_unit=0.0)
 
 
 class TestGrid1D:

@@ -39,7 +39,6 @@ class TestEvolveConfig:
         {"dt": -1e-7},
         {"dt": 1e-7, "t_final": 1e-8},
         {"snapshot_stride": -1},
-        {"scheme": "euler"},
     ])
     def test_rejects_bad_settings(self, kwargs):
         with pytest.raises(ConfigError):
