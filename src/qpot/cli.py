@@ -1,12 +1,18 @@
 """Command-line interface.
 
 Every subcommand reads an optional config file, runs one experiment and
-writes CSV files plus a run-manifest into the output directory. Runs are
-fully deterministic; sweep's --workers only changes how points are
+writes CSV files plus a run-manifest into the output directory. A
+command's row in _COMMANDS lists the config sections it reads; its
+manifest records exactly those sections with the values the run used, so
+the manifest given back as --config replays the run. A [grid] or [evolve]
+section given to a command that does not read it is an error, and so are
+[evolve] packet and a nonzero snapshot_stride outside `qpot evolve`. Runs
+are fully deterministic; sweep's --workers only changes how points are
 scheduled, never the numbers.
 """
 
 import argparse
+import inspect
 import os
 import sys
 import types
@@ -25,7 +31,6 @@ from .engineering import (
 )
 from .errors import ConfigError, QpotError
 from .experiments import (
-    SweepSpec,
     run_comparison,
     run_fitted_control,
     run_preparation_study,
@@ -63,10 +68,24 @@ def _packet_maker(section):
     return name, _PACKETS[name]
 
 
-def _evolve_config(cfg, window):
-    """[evolve] settings; t_final defaults to the averaging window."""
-    t_final = cfg.get("evolve", {}).get("t_final", window)
-    return cfgmod.evolve_from(cfg, t_final=t_final)
+def _settings(fn, section):
+    """The section over fn's keyword defaults: every setting the run used."""
+    defaults = {name: p.default
+                for name, p in inspect.signature(fn).parameters.items()
+                if p.default is not p.empty and p.default is not None}
+    return {**defaults, **section}
+
+
+def _evolve_config(run, window=None):
+    """[evolve] for a command that evolves its own packets and writes no
+    snapshots; t_final defaults to the averaging window when one is given."""
+    section = run.cfg.get("evolve", {})
+    for key in ("packet", "snapshot_stride"):
+        if section.get(key):
+            raise ConfigError(f"[evolve] {key} is read only by qpot evolve, "
+                              f"not by qpot {run.args.command}")
+    overrides = {} if window is None else {"t_final": section.get("t_final", window)}
+    return cfgmod.evolve_from(run.cfg, **overrides)
 
 
 def _path(run, name):
@@ -81,7 +100,7 @@ def _comparison_csvs(run, ratio_name, result):
 
 
 def cmd_profile(run):
-    run.profile = spec = ProfileSpec(use_abs=run.section.get("use_abs", False))
+    run.profile = spec = ProfileSpec(**run.section)
     psi = engineered_packet(run.grid, run.params, spec)
     z = run.grid.z
     profile = np.zeros_like(z)
@@ -94,8 +113,8 @@ def cmd_profile(run):
 
 
 def cmd_fields(run):
-    cut = run.section.get("support_cut", 1e-6)
-    w_q, w_res, rho = weighted_fields(run.grid, run.params, support_cut=cut)
+    run.fields = _settings(weighted_fields, run.section)
+    w_q, w_res, rho = weighted_fields(run.grid, run.params, **run.fields)
     support = w_q.valid_mask()
     peak_q = float(abs(w_q.values[support]).max())
     peak_res = float(abs(w_res.values[support]).max())
@@ -103,7 +122,7 @@ def cmd_fields(run):
     return _Output(
         [(path, iomod.write_weighted_fields_csv, w_q, w_res, rho, run.params.hbar)],
         {
-            "support_cut": repr(cut),
+            "support_cut": repr(run.fields["support_cut"]),
             "peak_weighted_q": repr(peak_q),
             "peak_weighted_residual": repr(peak_res),
         },
@@ -112,13 +131,11 @@ def cmd_fields(run):
 
 
 def cmd_evolve(run):
-    run.evolve = cfgmod.evolve_from(run.cfg)
     name, make = _packet_maker(run.section)
-    psi = make(run.grid, run.params)
-    pot = total_potential(run.grid, run.params,
-                          include_trap=run.section.get("include_trap", True),
-                          include_absorber=run.section.get("include_absorber", True))
-    record = evolve(psi, pot, run.params, run.evolve)
+    config = cfgmod.evolve_from(run.cfg)
+    run.evolve = {**vars(config), "packet": name}
+    record = evolve(make(run.grid, run.params),
+                    total_potential(run.grid, run.params), run.params, config)
     path = _path(run, "record.csv")
     csvs = [(path, iomod.write_record_csv, record)]
     if record.snapshots:
@@ -129,9 +146,10 @@ def cmd_evolve(run):
 
 
 def cmd_compare(run):
-    run.evolve = cfgmod.evolve_from(run.cfg)
+    run.evolve = _evolve_config(run)
+    run.compare = _settings(run_comparison, run.section)
     result = run_comparison(run.params, grid=run.grid, config=run.evolve,
-                            **run.section)
+                            **run.compare)
     return _Output(
         _comparison_csvs(run, "ratio.csv", result),
         {
@@ -148,13 +166,8 @@ def cmd_compare(run):
 
 
 def cmd_sweep(run):
-    if "sweep" in run.cfg:
-        run.sweep = cfgmod.sweep_from(run.cfg)
-    else:
-        run.sweep = SweepSpec(z0_values=tuple(
-            z * 1e-6 for z in (1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
-        ))
-    run.evolve = _evolve_config(run.cfg, run.sweep.t_average_window)
+    run.sweep = cfgmod.sweep_from(run.cfg)
+    run.evolve = _evolve_config(run, run.sweep.t_average_window)
     workers = run.args.workers
     rows = run_sweep(run.params, run.sweep, config=run.evolve, workers=workers)
     failed = [r for r in rows if r.failed]
@@ -169,12 +182,13 @@ def cmd_sweep(run):
 
 
 def cmd_fitted(run):
-    run.evolve = _evolve_config(run.cfg, run.section.get("t_average_window", 2e-3))
-    result = run_fitted_control(run.params, config=run.evolve, **run.section)
+    run.fitted = _settings(run_fitted_control, run.section)
+    run.evolve = _evolve_config(run, run.fitted["t_average_window"])
+    result = run_fitted_control(run.params, config=run.evolve, **run.fitted)
     return _Output(
         _comparison_csvs(run, "ratio_fitted.csv", result),
         {
-            "auto_fit": run.section.get("auto_fit", False),
+            "auto_fit": run.fitted["auto_fit"],
             "averaged_ratio": repr(result.averaged_ratio),
         },
         f"averaged ratio {result.averaged_ratio}",
@@ -182,16 +196,17 @@ def cmd_fitted(run):
 
 
 def cmd_prepare(run):
-    section = dict(run.section)
-    if "slope_z0_values" in section:
-        if "slopes" in section:
+    run.prepare = _settings(run_preparation_study, run.section)
+    kwargs = dict(run.prepare)
+    if "slope_z0_values" in kwargs:
+        if "slopes" in kwargs:
             raise ConfigError("[prepare] sets both slopes and slope_z0_values")
-        section["slopes"] = tuple(
-            kz0 / run.params.z0 for kz0 in section.pop("slope_z0_values"))
-    t_window = section.get("t_window", 2e-3)
-    rows = run_preparation_study(run.params, grid=run.grid,
-                                 config=_evolve_config(run.cfg, t_window),
-                                 **section)
+        kwargs["slopes"] = tuple(
+            kz0 / run.params.z0 for kz0 in kwargs.pop("slope_z0_values"))
+    t_window = kwargs["t_window"]
+    run.evolve = _evolve_config(run, t_window)
+    rows = run_preparation_study(run.params, grid=run.grid, config=run.evolve,
+                                 **kwargs)
     path = _path(run, "prepare.csv")
     return _Output([(path, iomod.write_preparation_csv, rows)],
                    {"t_window_s": repr(t_window)},
@@ -200,7 +215,8 @@ def cmd_prepare(run):
 
 def cmd_converge(run):
     name, make = _packet_maker(run.section)
-    kwargs = {key: value for key, value in run.section.items() if key != "packet"}
+    run.converge = {**_settings(convergence_report, run.section), "packet": name}
+    kwargs = {k: v for k, v in run.converge.items() if k != "packet"}
     report = convergence_report(
         lambda grid: make(grid, run.params),
         lambda grid: total_potential(grid, run.params),
@@ -225,37 +241,47 @@ def cmd_converge(run):
 _WORKERS = (("--workers",), {"type": int, "default": None,
                              "help": "worker processes for sweep points"})
 
-# name: (command, help, manifest config sections in order, extra flags)
+# name: (command, help, config sections it reads in manifest order,
+# extra flags); the command sets run.<section> for each section but params
+# and grid
 _COMMANDS = {
     "profile": (cmd_profile, "dump the engineered packet and its profile",
                 ("params", "grid", "profile"), ()),
     "fields": (cmd_fields, "density-weighted quantum potential and residual",
-               ("params", "grid"), ()),
+               ("params", "grid", "fields"), ()),
     "evolve": (cmd_evolve, "evolve one packet under the full potential stack",
                ("params", "grid", "evolve"), ()),
     "compare": (cmd_compare, "engineered vs Gaussian absorbed fractions",
-                ("params", "grid", "evolve"), ()),
+                ("params", "grid", "evolve", "compare"), ()),
     "sweep": (cmd_sweep, "averaged advantage across envelope positions",
               ("params", "evolve", "sweep"), (_WORKERS,)),
     "fitted": (cmd_fitted, "engineered packet vs position-matched Gaussian",
-               ("params", "evolve"), ()),
+               ("params", "evolve", "fitted"), ()),
     "prepare": (cmd_prepare, "two-pulse preparation fidelity and cost",
-                ("params", "grid"), ()),
+                ("params", "grid", "evolve", "prepare"), ()),
     "converge": (cmd_converge, "time-step and grid refinement ladders",
-                 ("params", "grid"), ()),
+                 ("params", "grid", "converge"), ()),
 }
+
+_listed = [name for _, _, sections, _ in _COMMANDS.values() for name in sections]
+# sections more than one command reads; an unlisted one is rejected
+_SHARED = {name for name in _listed if _listed.count(name) > 1}
 
 
 def _run(args):
     """Load and resolve the config, run the command, then write its CSVs,
     its manifest and its summary line.
 
-    The command reads its own [section] and sets the resolved objects its
-    manifest records (run.evolve, run.sweep, run.profile); params and,
-    where the manifest records it, the grid are resolved here.
+    A shared section the command's row does not list is rejected before
+    anything runs. Params and, where the row lists it, the grid are
+    resolved here; the command resolves its other sections into run.
     """
     fn, _, sections, _ = _COMMANDS[args.command]
     cfg = cfgmod.load_config(args.config) if args.config else {}
+    unread = sorted(_SHARED.intersection(cfg).difference(sections))
+    if unread:
+        raise ConfigError(f"qpot {args.command} does not read "
+                          + ", ".join(f"[{name}]" for name in unread))
     run = types.SimpleNamespace(args=args, cfg=cfg,
                                 section=cfg.get(args.command, {}),
                                 params=cfgmod.params_from(cfg))

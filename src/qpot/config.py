@@ -109,10 +109,7 @@ _SCHEMA = {
         "dt": parse_quantity,
         "t_final": parse_quantity,
         "snapshot_stride": parse_int,
-        "store_wavefunctions": parse_bool,
         "packet": parse_word,
-        "include_trap": parse_bool,
-        "include_absorber": parse_bool,
     },
     "sweep": {
         "z0_values": parse_list(parse_quantity),
@@ -122,7 +119,6 @@ _SCHEMA = {
     },
     "compare": {
         "t_average_window": parse_quantity,
-        "include_trap": parse_bool,
     },
     "fitted": {
         "engineered_z0": parse_quantity,
@@ -131,13 +127,11 @@ _SCHEMA = {
         "gaussian_sigma": parse_quantity,
         "auto_fit": parse_bool,
         "t_average_window": parse_quantity,
-        "include_trap": parse_bool,
     },
     "prepare": {
         "slopes": parse_list(parse_quantity),
         "slope_z0_values": parse_list(parse_quantity),
         "t_window": parse_quantity,
-        "include_trap": parse_bool,
     },
     "fields": {
         "support_cut": parse_quantity,
@@ -211,35 +205,32 @@ def grid_from(cfg, params=None):
 
 
 def evolve_from(cfg, **overrides):
-    section = {k: v for k, v in cfg.get("evolve", {}).items()
-               if k not in ("packet", "include_trap", "include_absorber")}
+    """[evolve] as an EvolveConfig; the packet name is not an evolve setting."""
+    section = {k: v for k, v in cfg.get("evolve", {}).items() if k != "packet"}
     return EvolveConfig(**{**section, **overrides})
 
 
 def sweep_from(cfg):
-    section = cfg.get("sweep")
-    if not section:
-        raise ConfigError("config has no [sweep] section")
-    if "z0_values" not in section:
-        raise ConfigError("[sweep] requires z0_values")
-    return SweepSpec(**section)
+    return SweepSpec(**cfg.get("sweep", {}))
 
 
 def config_to_text(cfg):
     """Render a config back to file form; every run manifest is written by it.
 
-    A section is either a parsed {key: value} dict or an object, such as
+    A section is either a {key: value} dict or an object, such as
     PhysicalParams, Grid1D, EvolveConfig or SweepSpec, whose attributes
-    named by that section's keys hold the values. Parsing the text gives
-    the section back.
+    hold the values. Only that section's keys are written, in schema
+    order; parsing the text gives the section back.
     """
     out = []
     for name, section in cfg.items():
         if not isinstance(section, dict):
-            section = {key: getattr(section, key) for key in _SCHEMA[name]
-                       if hasattr(section, key)}
+            section = vars(section)
         out.append(f"[{name}]")
-        for key, value in section.items():
+        for key in _SCHEMA[name]:
+            if key not in section:
+                continue
+            value = section[key]
             if isinstance(value, bool):
                 value = "true" if value else "false"
             elif isinstance(value, tuple):

@@ -30,12 +30,13 @@ RATIO_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grid of envelope means with a width rule.
+    """Grid of envelope means with a width rule; by default six means from
+    1.5 um to 4 um.
 
     sigma_rule is ("ratio", r) for sigma = r * z0 or ("fixed", sigma_m).
     """
 
-    z0_values: tuple
+    z0_values: tuple = tuple(z * 1e-6 for z in (1.5, 2.0, 2.5, 3.0, 3.5, 4.0))
     sigma_rule: tuple = ("ratio", 0.5)
     t_average_window: float = 2e-3
     variants: tuple = ("engineered", "gaussian")
@@ -125,10 +126,10 @@ def _ratio_result(records, t_average_window):
     )
 
 
-def _compare(params, grid, config, variants, include_trap, t_average_window):
+def _compare(params, grid, config, variants, t_average_window):
     """Evolve the engineered packet and each named benchmark variant under
     one potential stack, one evolve call per packet."""
-    pot = total_potential(grid, params, include_trap=include_trap)
+    pot = total_potential(grid, params)
     eng = engineered_packet(grid, params)
     packets = {"engineered": eng}
     if "gaussian" in variants:
@@ -141,8 +142,7 @@ def _compare(params, grid, config, variants, include_trap, t_average_window):
     return _ratio_result(records, t_average_window)
 
 
-def run_comparison(params, grid=None, config=None, include_trap=True,
-                   t_average_window=2e-3):
+def run_comparison(params, grid=None, config=None, t_average_window=2e-3):
     """Evolve the engineered packet and the Gaussian benchmark with the same
     envelope parameters under identical potential stacks."""
     if grid is None:
@@ -150,8 +150,7 @@ def run_comparison(params, grid=None, config=None, include_trap=True,
     if config is None:
         config = EvolveConfig()
     _check_window(config, t_average_window, "t_average_window")
-    return _compare(params, grid, config, ("gaussian",), include_trap,
-                    t_average_window)
+    return _compare(params, grid, config, ("gaussian",), t_average_window)
 
 
 @dataclass
@@ -167,12 +166,12 @@ class SweepRow:
 
 def _sweep_point(args):
     """One sweep point; module-level so worker processes can import it."""
-    params_base, sweep, z0, config, include_trap = args
+    params_base, sweep, z0, config = args
     sigma = sweep.sigma_for(z0)
     try:
         params = params_base.replace(z0=z0, sigma=sigma)
         result = _compare(params, default_grid(params), config,
-                          sweep.variants, include_trap, sweep.t_average_window)
+                          sweep.variants, sweep.t_average_window)
     except QpotError as exc:  # a failed point must not sink the sweep
         return SweepRow(z0=z0, sigma=sigma, failed=True,
                         error=f"{type(exc).__name__}: {exc}")
@@ -194,7 +193,7 @@ def resolve_workers(workers=None):
     return os.cpu_count() or 1
 
 
-def run_sweep(params_base, sweep, config=None, workers=None, include_trap=True):
+def run_sweep(params_base, sweep, config=None, workers=None):
     """Averaged absorbed-fraction ratios across the z0 grid.
 
     Points are independent and may run in a process pool; results are
@@ -213,10 +212,7 @@ def run_sweep(params_base, sweep, config=None, workers=None, include_trap=True):
         config = EvolveConfig(t_final=sweep.t_average_window)
     _check_window(config, sweep.t_average_window, "t_average_window")
     point_config = replace(config, snapshot_stride=0, store_wavefunctions=False)
-    jobs = [
-        (params_base, sweep, z0, point_config, include_trap)
-        for z0 in sweep.z0_values
-    ]
+    jobs = [(params_base, sweep, z0, point_config) for z0 in sweep.z0_values]
     nworkers = resolve_workers(workers)
     if nworkers <= 1 or len(jobs) <= 1:
         rows = [_sweep_point(j) for j in jobs]
@@ -230,7 +226,7 @@ def run_sweep(params_base, sweep, config=None, workers=None, include_trap=True):
 def run_fitted_control(params=None, grid=None, config=None, auto_fit=False,
                        engineered_z0=1.43e-6, engineered_sigma=1.0e-6,
                        gaussian_z0=2.3e-6, gaussian_sigma=1.0e-6,
-                       include_trap=True, t_average_window=2e-3):
+                       t_average_window=2e-3):
     """Engineered packet close to the surface against a Gaussian placed at
     the engineered packet's apparent position farther out.
 
@@ -240,25 +236,28 @@ def run_fitted_control(params=None, grid=None, config=None, auto_fit=False,
     actually sits rather than where its envelope is centered. auto_fit
     instead matches the Gaussian to the measured mean and standard
     deviation of the engineered packet. Each packet is evolved with the
-    trap matched to its own parameters.
+    trap matched to its own parameters. The default box holds z0 + 6 sigma
+    of each packet placed from these settings.
     """
     if params is None:
         params = PhysicalParams()
     p_eng = params.replace(z0=engineered_z0, sigma=engineered_sigma)
+    p_fit = params.replace(z0=gaussian_z0, sigma=gaussian_sigma)
     if grid is None:
-        grid = default_grid(params.replace(z0=max(engineered_z0, gaussian_z0)))
+        placed = (p_eng,) if auto_fit else (p_eng, p_fit)
+        grid = default_grid(max(placed, key=lambda p: p.z0 + 6 * p.sigma))
     if config is None:
         config = EvolveConfig(t_final=t_average_window)
     _check_window(config, t_average_window, "t_average_window")
 
     eng = engineered_packet(grid, p_eng)
     if auto_fit:
-        gaussian_z0, gaussian_sigma, _ = moments(eng)
-    p_fit = params.replace(z0=gaussian_z0, sigma=gaussian_sigma)
-    fit = gaussian_packet(grid, gaussian_z0, gaussian_sigma)
+        mean, std, _ = moments(eng)
+        p_fit = params.replace(z0=mean, sigma=std)
+    fit = gaussian_packet(grid, p_fit.z0, p_fit.sigma)
 
-    pot_e = total_potential(grid, p_eng, include_trap=include_trap)
-    pot_f = total_potential(grid, p_fit, include_trap=include_trap)
+    pot_e = total_potential(grid, p_eng)
+    pot_f = total_potential(grid, p_fit)
     records = {"engineered": evolve(eng, pot_e, p_eng, config),
                "fitted_gaussian": evolve(fit, pot_f, p_fit, config)}
     return _ratio_result(records, t_average_window)
@@ -275,7 +274,7 @@ class PreparationRow:
 
 
 def run_preparation_study(params, slopes=None, grid=None, config=None,
-                          include_trap=True, t_window=2e-3):
+                          t_window=2e-3):
     """Fidelity and absorption cost of the two-pulse preparation.
 
     For each imprint slope K the Gaussian is turned into
@@ -289,7 +288,7 @@ def run_preparation_study(params, slopes=None, grid=None, config=None,
     if config is None:
         config = EvolveConfig(t_final=t_window)
     _check_window(config, t_window, "t_window")
-    pot = total_potential(grid, params, include_trap=include_trap)
+    pot = total_potential(grid, params)
     ideal = engineered_packet(grid, params)
     rec_ideal = evolve(ideal, pot, params, config)
     a_ideal = rec_ideal.absorbed_at(t_window)

@@ -8,8 +8,6 @@ many workers computed the rows.
 
 import numpy as np
 
-from .core import Grid1D, Wavefunction
-from .errors import ConfigError, GridError
 from .version import __version__
 
 
@@ -30,39 +28,6 @@ def write_csv(path, header, rows):
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(format_cell(cell) for cell in row) + "\n")
-
-
-def write_packet_csv(path, psi):
-    """Columns: z_m, re_psi, im_psi, density."""
-    rows = zip(
-        psi.grid.z,
-        psi.values.real,
-        psi.values.imag,
-        np.abs(psi.values) ** 2,
-    )
-    write_csv(path, ("z_m", "re_psi", "im_psi", "density"), rows)
-
-
-def read_packet_csv(path):
-    """Rebuild a Wavefunction from write_packet_csv output."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header[:3] != ["z_m", "re_psi", "im_psi"]:
-            raise ConfigError(f"{path} is not a packet file")
-        z, re, im = [], [], []
-        for line in fh:
-            cells = line.strip().split(",")
-            z.append(float(cells[0]))
-            re.append(float(cells[1]))
-            im.append(float(cells[2]))
-    z = np.asarray(z)
-    if len(z) < 2:
-        raise GridError("packet file has fewer than 2 rows")
-    dz = np.diff(z)
-    if not np.allclose(dz, dz[0], rtol=1e-9, atol=0.0):
-        raise GridError("packet file grid is not uniform")
-    grid = Grid1D(z_max=float(z[-1]), n_points=len(z), z_min=float(z[0]))
-    return Wavefunction(grid, np.asarray(re) + 1j * np.asarray(im))
 
 
 def write_record_csv(path, record):

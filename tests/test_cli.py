@@ -1,10 +1,12 @@
 """End-to-end command-line runs on small configurations."""
 
+import filecmp
+
 import numpy as np
 import pytest
 
 from qpot import config as cfgmod
-from qpot.cli import main
+from qpot.cli import _COMMANDS, main
 from qpot.config import evolve_from, grid_from, params_from, parse_config_text
 from qpot.errors import NumericsError
 from qpot.propagate import evolve as real_evolve
@@ -57,6 +59,36 @@ class TestErrors:
             assert "unknown packet" in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("command,text,fragment", [
+        ("sweep", "[grid]\nn_points = 1024\n", "[grid]"),
+        ("fitted", "[grid]\nn_points = 1024\n", "[grid]"),
+        ("converge", "[evolve]\ndt = 0.2us\n", "[evolve]"),
+        ("profile", "[evolve]\ndt = 0.2us\n", "[evolve]"),
+        ("fields", "[evolve]\ndt = 0.2us\n", "[evolve]"),
+        ("compare", "[evolve]\npacket = gaussian\n", "[evolve] packet"),
+        ("compare", "[evolve]\nsnapshot_stride = 5\n", "[evolve] snapshot_stride"),
+        ("compare", "[compare]\ninclude_trap = false\n", "'include_trap'"),
+        ("fitted", "[fitted]\ninclude_trap = false\n", "'include_trap'"),
+        ("prepare", "[prepare]\ninclude_trap = false\n", "'include_trap'"),
+        ("evolve", "[evolve]\ninclude_trap = false\n", "'include_trap'"),
+        ("evolve", "[evolve]\ninclude_absorber = false\n", "'include_absorber'"),
+        ("evolve", "[evolve]\nstore_wavefunctions = true\n",
+         "'store_wavefunctions'"),
+    ])
+    def test_unread_section_or_key_exits_1(self, tmp_path, capsys, command,
+                                           text, fragment):
+        code, out = run(tmp_path, [command], text)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert fragment in err
+        assert not out.exists()
+
+    def test_every_section_is_read_by_some_command(self):
+        read = {name for _, _, sections, _ in _COMMANDS.values()
+                for name in sections}
+        assert read == set(cfgmod._SCHEMA)
+
     @pytest.mark.parametrize("flag", [["--seed", "1"], ["--workers", "2"]])
     def test_compare_rejects_sweep_only_and_removed_flags(self, flag, capsys):
         with pytest.raises(SystemExit) as err:
@@ -107,6 +139,7 @@ class TestFields:
         manifest = (out / "fields_manifest.txt").read_text()
         assert "peak_weighted_q" in manifest
         assert "peak_weighted_residual" in manifest
+        assert "[fields]\nsupport_cut = 1e-06\n" in manifest  # the default used
 
 
 EVOLVE_CFG = """\
@@ -270,11 +303,8 @@ t_average_window = 20us
 
 
 class TestManifestReplay:
-    """Each manifest parses back into the settings its run resolved."""
-
-    # prepare_manifest.txt does not yet record the [evolve] settings
-    # its run used.
-    UNRECORDED = {("prepare", "evolve")}
+    """Each manifest parses back into the settings its run resolved, and
+    given back as --config it reproduces every CSV byte for byte."""
 
     CONFIGS = {
         "profile": None,
@@ -316,6 +346,13 @@ class TestManifestReplay:
             "evolve": lambda: evolve_from(replay),
         }
         for section, values in resolved.items():
-            if values and (command, section) not in self.UNRECORDED:
+            if values:
                 assert section in replay, f"manifest lacks [{section}]"
                 assert all(v == replayed[section]() for v in values)
+
+        code, again = run(tmp_path / "replay", [command], text)
+        assert code == 0
+        names = sorted(path.name for path in out.iterdir())
+        assert names == sorted(path.name for path in again.iterdir())
+        for name in names:  # the replayed manifest is the same text, too
+            assert filecmp.cmp(out / name, again / name, shallow=False), name

@@ -17,14 +17,11 @@ from qpot.config import (
     sweep_from,
 )
 from qpot.core import Grid1D, PhysicalParams, default_grid
-from qpot.engineering import gaussian_packet
-from qpot.errors import ConfigError, GridError
+from qpot.errors import ConfigError
 from qpot.experiments import SweepRow, SweepSpec
 from qpot.io import (
     format_cell,
-    read_packet_csv,
     write_manifest,
-    write_packet_csv,
     write_record_csv,
     write_snapshots_csv,
     write_sweep_csv,
@@ -93,7 +90,9 @@ variants = engineered, gaussian
 dt = 0.1us
 t_final = 2ms
 packet = engineered
-include_trap = true
+
+[profile]
+use_abs = true
 """
 
 
@@ -105,7 +104,7 @@ class TestParseConfigText:
         assert cfg["sweep"]["sigma_rule"] == ("ratio", 0.5)
         assert cfg["sweep"]["variants"] == ("engineered", "gaussian")
         assert cfg["evolve"]["dt"] == pytest.approx(1e-7)
-        assert cfg["evolve"]["include_trap"] is True
+        assert cfg["profile"]["use_abs"] is True
 
     @pytest.mark.parametrize("text,fragment", [
         ("[nope]\n", "unknown section"),
@@ -149,11 +148,14 @@ class TestBuilders:
         ev2 = evolve_from(cfg, t_final=1e-4)
         assert ev2.t_final == 1e-4
 
-    def test_sweep_from_requires_section_and_values(self):
-        with pytest.raises(ConfigError):
-            sweep_from({})
-        with pytest.raises(ConfigError):
-            sweep_from({"sweep": {"t_average_window": 1e-3}})
+    def test_sweep_from_fills_defaults(self):
+        default = SweepSpec()
+        assert default.z0_values == pytest.approx(
+            (1.5e-6, 2e-6, 2.5e-6, 3e-6, 3.5e-6, 4e-6), rel=1e-15)
+        assert sweep_from({}) == default
+        partial = sweep_from({"sweep": {"t_average_window": 1e-3}})
+        assert partial.z0_values == default.z0_values
+        assert partial.t_average_window == 1e-3
         spec = sweep_from(parse_config_text(SAMPLE))
         assert spec.z0_values == (1.5e-6, 2e-6)
 
@@ -185,39 +187,6 @@ class TestFormatCell:
         assert format_cell(0.1) == "0.1"
         assert format_cell(np.float64(0.25)) == "0.25"
         assert format_cell("word") == "word"
-
-
-class TestPacketCsv:
-    def test_round_trip_exact(self, tmp_path):
-        grid = Grid1D(z_max=10e-6, n_points=64)
-        psi = gaussian_packet(grid, 5e-6, 1e-6)
-        path = tmp_path / "packet.csv"
-        write_packet_csv(path, psi)
-        back = read_packet_csv(path)
-        assert back.grid == grid
-        assert np.array_equal(back.values, psi.values)
-
-    def test_rewrite_is_byte_identical(self, tmp_path):
-        grid = Grid1D(z_max=10e-6, n_points=64)
-        psi = gaussian_packet(grid, 5e-6, 1e-6)
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_packet_csv(a, psi)
-        write_packet_csv(b, psi)
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_rejects_wrong_header(self, tmp_path):
-        path = tmp_path / "x.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ConfigError):
-            read_packet_csv(path)
-
-    def test_rejects_nonuniform_grid(self, tmp_path):
-        path = tmp_path / "x.csv"
-        path.write_text(
-            "z_m,re_psi,im_psi,density\n0.0,1,0,1\n1.0,1,0,1\n2.5,1,0,1\n"
-        )
-        with pytest.raises(GridError):
-            read_packet_csv(path)
 
 
 def tiny_record():

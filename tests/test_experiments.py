@@ -1,11 +1,13 @@
 """Experiment-layer tests: ratio bookkeeping, sweeps, controls, imprinting."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from qpot.core import Grid1D, PhysicalParams, default_grid
 from qpot.engineering import engineered_packet as real_engineered_packet
-from qpot.errors import ConfigError, ConstructionError
+from qpot.errors import ConfigError, ConstructionError, TruncationWarning
 from qpot.experiments import (
     ComparisonResult,
     SweepSpec,
@@ -206,6 +208,18 @@ class TestFittedControl:
         assert res.ratios[0] > 1.0
         assert res.crossover_time is not None
         assert 1e-5 < res.crossover_time < 1e-4
+
+    def test_default_box_holds_the_wider_gaussian(self):
+        # z0 + 6 sigma of the Gaussian is 14.3 um, beyond the 10 um box
+        # that the engineered packet alone would need
+        cfg = EvolveConfig(dt=1e-7, t_final=1e-6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", TruncationWarning)
+            res = run_fitted_control(config=cfg, gaussian_sigma=2e-6,
+                                     t_average_window=1e-6)
+        grid = res.records["fitted_gaussian"].grid
+        assert grid.z_max == pytest.approx(14.3e-6)
+        assert grid.dz == pytest.approx(default_grid().dz, rel=1e-3)
 
 
 class TestPreparationStudy:
