@@ -1,0 +1,188 @@
+#!/usr/bin/env python3
+"""Per-layer timings of qpot, written to BENCH_<label>.json.
+
+    python3 bench/layers.py                  # label: `git describe --always --dirty`
+    python3 bench/layers.py --label e7ceb22 --out BENCH_e7ceb22.json
+
+Measures the program in the checkout this file sits in (its `src/`), on
+the default grid (4096 points on [0, 10 um]) with z0 = 3 um, sigma = 1 um
+and dt = 0.1 us. Every figure is the median of its repeats; the samples
+and the machine (perfbench's `environment`) are stored next to it.
+
+- L0 `factor_s`: `CrankNicolson(...)`, the zgttrf factorization.
+- L1 one step: `step_us` for `step_values`, split into `rhs_us` (the three
+  numpy operations of the right-hand side), `solve_us` (`zgttrs`) and
+  `norm_us` (`vdot`), each the mean over a batch of calls.
+- L2 `evolve_2ms_s`: one 2 ms `evolve` (20,000 steps), no snapshots.
+- io: `write_record_csv_s` on that 20,001-row record, and
+  `write_snapshots_csv_s` on a 2 ms record captured every 100 steps
+  (201 captures).
+- L4: wall time and peak memory of `qpot compare` and of the snapshots
+  `qpot evolve`, run as perfbench's production configs with z0 = 3 um.
+
+The in-process layers run in a child with perfbench's `child_env` (BLAS
+threads pinned to 1); the parent never imports numpy or qpot.
+"""
+
+import argparse
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import launch  # noqa: E402
+import workloads  # noqa: E402
+from run import child_env, environment  # noqa: E402
+
+Z0_UM = 3.0
+BATCH = 500  # calls per L1 sample
+
+
+def _timed(fn, repeats):
+    samples = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        samples.append(time.perf_counter() - t0)
+    return samples
+
+
+def inner(repeats):
+    """The in-process layers; prints {name: (samples, unit)} as JSON."""
+    import numpy as np
+    from scipy.linalg.lapack import zgttrs
+
+    from qpot.core import PhysicalParams, default_grid
+    from qpot.engineering import engineered_packet
+    from qpot.io import write_record_csv, write_snapshots_csv
+    from qpot.potentials import total_potential
+    from qpot.propagate import CrankNicolson, EvolveConfig, evolve
+
+    params = PhysicalParams(z0=Z0_UM * 1e-6, sigma=1e-6)
+    grid = default_grid(params)
+    pot = total_potential(grid, params)
+    psi = engineered_packet(grid, params)
+    dt = 1e-7
+    out = {"factor_s": (_timed(lambda: CrankNicolson(grid, pot, params, dt),
+                               repeats["factor"]), "s")}
+
+    solver = CrankNicolson(grid, pot, params, dt)
+    u = psi.values[1:-1].astype(complex)
+    bdiag, boff, factors = solver._bdiag, solver._boff, solver._factors
+
+    def rhs():
+        b = bdiag * u
+        b[1:] += boff * u[:-1]
+        b[:-1] += boff * u[1:]
+        return b
+
+    def batch(fn):
+        def run():
+            for _ in range(BATCH):
+                fn()
+        return [s / BATCH * 1e6 for s in _timed(run, repeats["step"])]
+
+    b = rhs()
+    out["step_us"] = (batch(lambda: solver.step_values(u)), "us")
+    out["rhs_us"] = (batch(rhs), "us")
+    out["solve_us"] = (batch(lambda: zgttrs(*factors, b[:, None])), "us")
+    out["norm_us"] = (batch(lambda: np.vdot(u, u)), "us")
+
+    config = EvolveConfig(dt=dt, t_final=2e-3)
+    records = []
+    out["evolve_2ms_s"] = (_timed(lambda: records.append(evolve(psi, pot, params, config)),
+                                  repeats["evolve"]), "s")
+    snap = evolve(psi, pot, params, EvolveConfig(dt=dt, t_final=2e-3,
+                                                  snapshot_stride=100))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.csv")
+        out["write_record_csv_s"] = (
+            _timed(lambda: write_record_csv(path, records[0]), repeats["io"]), "s")
+        out["write_snapshots_csv_s"] = (
+            _timed(lambda: write_snapshots_csv(path, snap), repeats["io"]), "s")
+    print(json.dumps(out))
+
+
+def cli_layers(env, repeats):
+    """L4: the perfbench production compare and snapshots configs."""
+    out = {}
+    work = ROOT / ".bench_build" / "layers"
+    for name in ("compare", "snapshots"):
+        spec = workloads.PRODUCTION[name]
+        walls, rss = [], []
+        for k in range(repeats + 1):  # the first run warms the caches
+            cwd = work / f"{name}-{k}"
+            cwd.mkdir(parents=True)
+            try:
+                (cwd / "run.cfg").write_text(spec.config_text(Z0_UM), encoding="utf-8")
+                argv = [sys.executable, "-m", "qpot.cli"] + spec.cli_args(
+                    "run.cfg", "out")
+                proc = launch.run(argv, cwd, env)
+                if proc.returncode != 0:
+                    raise SystemExit(f"qpot {spec.command} failed: {proc.stderr}")
+            finally:
+                shutil.rmtree(cwd, ignore_errors=True)
+            if k:
+                walls.append(proc.wall_s)
+                rss.append(proc.peak_rss_mb)
+        out[f"cli_{name}_wall_s"] = (walls, "s")
+        out[f"cli_{name}_peak_rss_mb"] = (rss, "MB")
+    return out
+
+
+def describe():
+    try:
+        return subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT,
+                              capture_output=True, text=True, check=True,
+                              timeout=30).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label", help="names the output (default: git describe)")
+    parser.add_argument("--out", help="output path (default: BENCH_<label>.json "
+                                      "at the checkout root)")
+    parser.add_argument("--repeats", type=int, default=5,
+                        help="repeats of each layer (evolve and the CLI: 3)")
+    parser.add_argument("--inner", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    few = max(1, min(3, args.repeats))
+    repeats = {"factor": 4 * args.repeats, "step": args.repeats,
+               "evolve": few, "io": args.repeats}
+    if args.inner:
+        inner(json.loads(args.inner))
+        return 0
+    label = args.label or describe()
+    env = child_env()
+    child = subprocess.run([sys.executable, __file__, "--inner", json.dumps(repeats)],
+                           env=env, capture_output=True, text=True, check=True)
+    layers = json.loads(child.stdout.splitlines()[-1])
+    layers.update(cli_layers(env, few))
+    result = {
+        "label": label,
+        "source": describe(),
+        "machine": environment(env),
+        "layers": {name: {"median": statistics.median(xs), "unit": unit,
+                          "n": len(xs), "samples": xs}
+                   for name, (xs, unit) in layers.items()},
+    }
+    out = Path(args.out) if args.out else ROOT / f"BENCH_{label}.json"
+    out.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    for name, entry in result["layers"].items():
+        print(f"{name:28s} {entry['median']:.6g} {entry['unit']} (n = {entry['n']})")
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -6,9 +6,10 @@ command's row in _COMMANDS lists the config sections it reads; its
 manifest records exactly those sections with the values the run used, so
 the manifest given back as --config replays the run. A [grid] or [evolve]
 section given to a command that does not read it is an error, and so are
-[evolve] packet and a nonzero snapshot_stride outside `qpot evolve`. Runs
-are fully deterministic; sweep's --workers only changes how points are
-scheduled, never the numbers.
+[evolve] packet and a nonzero snapshot_stride outside `qpot evolve`, and
+[params] z0, sigma and trap_omega for sweep and fitted, which set them per
+packet. Runs are fully deterministic; sweep's --workers only changes how
+points are scheduled, never the numbers.
 """
 
 import argparse
@@ -88,6 +89,19 @@ def _evolve_config(run, window=None):
     return cfgmod.evolve_from(run.cfg, **overrides)
 
 
+def _packet_free_params(run):
+    """The params for sweep and fitted, which set z0, sigma and trap_omega
+    per packet; [params] may not set them, and the manifest omits them."""
+    placed = ("z0", "sigma", "trap_omega")
+    for key in placed:
+        if key in run.cfg.get("params", {}):
+            raise ConfigError(f"[params] {key} is set per packet by "
+                              f"qpot {run.args.command}; remove it")
+    params = run.params
+    run.params = {k: v for k, v in vars(params).items() if k not in placed}
+    return params
+
+
 def _path(run, name):
     return os.path.join(run.args.out, name)
 
@@ -106,10 +120,9 @@ def cmd_profile(run):
     profile = np.zeros_like(z)
     pos = z > 0
     profile[pos] = engineered_profile(z[pos], run.params, spec)
-    rows = zip(z, profile, psi.values.real, psi.values.imag, psi.density())
     path = _path(run, "profile.csv")
-    header = ("z_m", "profile", "re_psi", "im_psi", "density")
-    return _Output([(path, iomod.write_csv, header, rows)], {}, f"wrote {path}")
+    return _Output([(path, iomod.write_profile_csv, z, profile, psi)], {},
+                   f"wrote {path}")
 
 
 def cmd_fields(run):
@@ -121,11 +134,7 @@ def cmd_fields(run):
     path = _path(run, "fields.csv")
     return _Output(
         [(path, iomod.write_weighted_fields_csv, w_q, w_res, rho, run.params.hbar)],
-        {
-            "support_cut": repr(run.fields["support_cut"]),
-            "peak_weighted_q": repr(peak_q),
-            "peak_weighted_residual": repr(peak_res),
-        },
+        {"peak_weighted_q": repr(peak_q), "peak_weighted_residual": repr(peak_res)},
         f"wrote {path} (residual/q peak ratio {peak_res / peak_q:.3e})",
     )
 
@@ -141,7 +150,7 @@ def cmd_evolve(run):
     if record.snapshots:
         csvs.append((_path(run, "snapshots.csv"), iomod.write_snapshots_csv, record))
     absorbed = record.absorbed_fraction[-1]
-    return _Output(csvs, {"packet": name, "absorbed_final": repr(float(absorbed))},
+    return _Output(csvs, {"absorbed_final": repr(float(absorbed))},
                    f"wrote {path} (absorbed {absorbed:.6e})")
 
 
@@ -166,10 +175,11 @@ def cmd_compare(run):
 
 
 def cmd_sweep(run):
+    params = _packet_free_params(run)
     run.sweep = cfgmod.sweep_from(run.cfg)
     run.evolve = _evolve_config(run, run.sweep.t_average_window)
     workers = run.args.workers
-    rows = run_sweep(run.params, run.sweep, config=run.evolve, workers=workers)
+    rows = run_sweep(params, run.sweep, config=run.evolve, workers=workers)
     failed = [r for r in rows if r.failed]
     path = _path(run, "sweep.csv")
     return _Output(
@@ -182,15 +192,13 @@ def cmd_sweep(run):
 
 
 def cmd_fitted(run):
+    params = _packet_free_params(run)
     run.fitted = _settings(run_fitted_control, run.section)
     run.evolve = _evolve_config(run, run.fitted["t_average_window"])
-    result = run_fitted_control(run.params, config=run.evolve, **run.fitted)
+    result = run_fitted_control(params, config=run.evolve, **run.fitted)
     return _Output(
         _comparison_csvs(run, "ratio_fitted.csv", result),
-        {
-            "auto_fit": run.fitted["auto_fit"],
-            "averaged_ratio": repr(result.averaged_ratio),
-        },
+        {"averaged_ratio": repr(result.averaged_ratio)},
         f"averaged ratio {result.averaged_ratio}",
     )
 
@@ -203,13 +211,11 @@ def cmd_prepare(run):
             raise ConfigError("[prepare] sets both slopes and slope_z0_values")
         kwargs["slopes"] = tuple(
             kz0 / run.params.z0 for kz0 in kwargs.pop("slope_z0_values"))
-    t_window = kwargs["t_window"]
-    run.evolve = _evolve_config(run, t_window)
+    run.evolve = _evolve_config(run, kwargs["t_window"])
     rows = run_preparation_study(run.params, grid=run.grid, config=run.evolve,
                                  **kwargs)
     path = _path(run, "prepare.csv")
-    return _Output([(path, iomod.write_preparation_csv, rows)],
-                   {"t_window_s": repr(t_window)},
+    return _Output([(path, iomod.write_preparation_csv, rows)], {},
                    f"wrote {path} ({len(rows)} slopes)")
 
 
@@ -226,7 +232,6 @@ def cmd_converge(run):
     return _Output(
         [(path, iomod.write_convergence_csv, report)],
         {
-            "packet": name,
             "dt_order": repr(report.dt_order()),
             "dz_order": repr(report.dz_order()),
             "dt_halving_change": repr(report.dt_halving_change),

@@ -166,17 +166,15 @@ class SweepRow:
 
 def _sweep_point(args):
     """One sweep point; module-level so worker processes can import it."""
-    params_base, sweep, z0, config = args
-    sigma = sweep.sigma_for(z0)
+    params, sweep, config = args
     try:
-        params = params_base.replace(z0=z0, sigma=sigma)
         result = _compare(params, default_grid(params), config,
                           sweep.variants, sweep.t_average_window)
     except QpotError as exc:  # a failed point must not sink the sweep
-        return SweepRow(z0=z0, sigma=sigma, failed=True,
+        return SweepRow(z0=params.z0, sigma=params.sigma, failed=True,
                         error=f"{type(exc).__name__}: {exc}")
     return SweepRow(
-        z0=z0, sigma=sigma,
+        z0=params.z0, sigma=params.sigma,
         averaged_ratio=result.averaged_ratio,
         crossover_time=result.crossover_time,
         absorbed={name: rec.absorbed_at(sweep.t_average_window)
@@ -196,11 +194,12 @@ def resolve_workers(workers=None):
 def run_sweep(params_base, sweep, config=None, workers=None):
     """Averaged absorbed-fraction ratios across the z0 grid.
 
-    Points are independent and may run in a process pool; results are
-    collected in input order, so the output is identical for any worker
-    count. Rows with z0 at or below the absorber edge, and a window longer
-    than the evolved time, are rejected up front; a point that fails with
-    a QpotError during evolution is marked and the sweep continues.
+    Points are independent and may run in a process pool, largest grid
+    first; the rows come back sorted by z0, so the output is identical for
+    any worker count. Rows with z0 at or below the absorber edge, and a
+    window longer than the evolved time, are rejected up front; a point
+    that fails with a QpotError during evolution is marked and the sweep
+    continues.
     """
     for z0 in sweep.z0_values:
         if z0 <= params_base.delta:
@@ -212,7 +211,11 @@ def run_sweep(params_base, sweep, config=None, workers=None):
         config = EvolveConfig(t_final=sweep.t_average_window)
     _check_window(config, sweep.t_average_window, "t_average_window")
     point_config = replace(config, snapshot_stride=0, store_wavefunctions=False)
-    jobs = [(params_base, sweep, z0, point_config) for z0 in sweep.z0_values]
+    points = [params_base.replace(z0=z0, sigma=sweep.sigma_for(z0))
+              for z0 in sweep.z0_values]
+    # the largest grid goes first, so that it never starts last
+    points.sort(key=lambda p: default_grid(p).n_points, reverse=True)
+    jobs = [(params, sweep, point_config) for params in points]
     nworkers = resolve_workers(workers)
     if nworkers <= 1 or len(jobs) <= 1:
         rows = [_sweep_point(j) for j in jobs]

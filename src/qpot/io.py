@@ -3,15 +3,22 @@
 All files are comma-separated with a header row and '.' decimals. Floats
 are written with repr so the text is deterministic and round-trips to the
 exact double; identical inputs produce byte-identical files no matter how
-many workers computed the rows.
+many workers computed the rows. One column-oriented writer formats
+each column once and streams the rows one block at a time, so no file is
+ever held in memory whole.
 """
+
+from dataclasses import astuple
+from itertools import repeat
 
 import numpy as np
 
 from .version import __version__
 
+_BLOCK_ROWS = 1024  # rows formatted and written per writelines call
 
-def format_cell(value):
+
+def _cell(value):
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -23,29 +30,51 @@ def format_cell(value):
     return str(value)
 
 
-def write_csv(path, header, rows):
+def _cells(column):
+    """A column's cells, formatted lazily; a float array in one pass."""
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return map(repr, column.astype(float, copy=False).tolist())
+    return map(_cell, column)
+
+
+def _line(cells):
+    return ",".join(cells) + "\n"
+
+
+def _blocks(*columns):
+    """The columns in blocks of _BLOCK_ROWS rows, formatted lazily."""
+    n = min(map(len, columns), default=0)
+    for start in range(0, n, _BLOCK_ROWS):
+        yield tuple(_cells(c[start:start + _BLOCK_ROWS]) for c in columns)
+
+
+def _write_csv(path, header, blocks):
+    """Write the header, then each block (a sequence of columns of cell
+    strings, cut to the shortest) in one writelines call."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(format_cell(cell) for cell in row) + "\n")
+        fh.write(_line(header))
+        for columns in blocks:
+            fh.writelines(map(_line, zip(*columns)))
+
+
+def write_profile_csv(path, z, profile, psi):
+    """Columns: z_m, profile, re_psi, im_psi, density."""
+    _write_csv(path, ("z_m", "profile", "re_psi", "im_psi", "density"),
+               _blocks(z, profile, psi.values.real, psi.values.imag, psi.density()))
 
 
 def write_record_csv(path, record):
     """Columns: t_s, norm, absorbed_fraction."""
-    rows = zip(record.times, record.norms, record.absorbed_fraction)
-    write_csv(path, ("t_s", "norm", "absorbed_fraction"), rows)
+    _write_csv(path, ("t_s", "norm", "absorbed_fraction"),
+               _blocks(record.times, record.norms, record.absorbed_fraction))
 
 
 def write_snapshots_csv(path, record):
-    """Density snapshots in long form: t_s, z_m, density."""
-    z = record.grid.z
-
-    def rows():
-        for t, rho in record.snapshots:
-            for zi, ri in zip(z, rho):
-                yield (t, zi, ri)
-
-    write_csv(path, ("t_s", "z_m", "density"), rows())
+    """Density snapshots in long form: t_s, z_m, density; one block per
+    capture, with the z column formatted once for all of them."""
+    z = list(_cells(record.grid.z))
+    blocks = ((repeat(_cell(t)), z, _cells(rho)) for t, rho in record.snapshots)
+    _write_csv(path, ("t_s", "z_m", "density"), blocks)
 
 
 def write_weighted_fields_csv(path, w_q, w_res, rho, hbar):
@@ -57,18 +86,16 @@ def write_weighted_fields_csv(path, w_q, w_res, rho, hbar):
     support = w_q.valid_mask()
     wq = np.where(support, w_q.values, 0.0) / hbar
     wr = np.where(support, w_res.values, 0.0) / hbar
-    rows = zip(rho.grid.z, rho.values, wq, wr)
-    write_csv(
+    _write_csv(
         path,
         ("z_m", "density", "weighted_q_over_hbar", "weighted_residual_over_hbar"),
-        rows,
+        _blocks(rho.grid.z, rho.values, wq, wr),
     )
 
 
 def write_ratio_csv(path, result):
     """Columns: t_s, ratio (benchmark absorbed / engineered absorbed)."""
-    rows = zip(result.ratio_times, result.ratios)
-    write_csv(path, ("t_s", "ratio"), rows)
+    _write_csv(path, ("t_s", "ratio"), _blocks(result.ratio_times, result.ratios))
 
 
 def write_sweep_csv(path, rows):
@@ -78,37 +105,29 @@ def write_sweep_csv(path, rows):
         (r.z0, r.sigma, r.averaged_ratio, r.crossover_time, r.failed, r.error)
         for r in rows
     ]
-    write_csv(path, header, out)
+    _write_csv(path, header, _blocks(*zip(*out)))
 
 
 def write_preparation_csv(path, rows):
     header = ("slope_per_m", "slope_z0", "fidelity", "absorbed_imprinted",
               "absorbed_ideal", "penalty")
-    out = [
-        (r.slope, r.slope_z0, r.fidelity, r.absorbed_imprinted,
-         r.absorbed_ideal, r.penalty)
-        for r in rows
-    ]
-    write_csv(path, header, out)
+    # PreparationRow's fields are in header order
+    _write_csv(path, header, _blocks(*zip(*map(astuple, rows))))
 
 
 def write_convergence_csv(path, report):
     """Refinement ladders in long form, one row per run."""
-    rows = []
-    for dt, f in report.dt_rows:
-        rows.append(("dt", dt, "", f))
-    for dz, n, f in report.dz_rows:
-        rows.append(("dz", dz, n, f))
-    write_csv(path, ("ladder", "step", "n_points", "absorbed_fraction"), rows)
+    rows = [("dt", dt, "", f) for dt, f in report.dt_rows]
+    rows += [("dz", dz, n, f) for dz, n, f in report.dz_rows]
+    _write_csv(path, ("ladder", "step", "n_points", "absorbed_fraction"),
+               _blocks(*zip(*rows)))
 
 
 def write_manifest(path, cfg_text, extra=None):
     """Echo the resolved configuration and code version next to the data."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# qpot {__version__}\n")
-        if extra:
-            for key, value in extra.items():
-                fh.write(f"# {key}: {value}\n")
+        fh.writelines(f"# {key}: {value}\n" for key, value in (extra or {}).items())
         fh.write(cfg_text)
         if not cfg_text.endswith("\n"):
             fh.write("\n")

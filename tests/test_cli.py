@@ -74,6 +74,12 @@ class TestErrors:
         ("evolve", "[evolve]\ninclude_absorber = false\n", "'include_absorber'"),
         ("evolve", "[evolve]\nstore_wavefunctions = true\n",
          "'store_wavefunctions'"),
+        ("sweep", "[params]\nz0 = 3um\n", "[params] z0"),
+        ("sweep", "[params]\nsigma = 0.5um\n", "[params] sigma"),
+        ("sweep", "[params]\ntrap_omega = 100\n", "[params] trap_omega"),
+        ("fitted", "[params]\nz0 = 3um\n", "[params] z0"),
+        ("fitted", "[params]\nsigma = 0.5um\n", "[params] sigma"),
+        ("fitted", "[params]\ntrap_omega = 100\n", "[params] trap_omega"),
     ])
     def test_unread_section_or_key_exits_1(self, tmp_path, capsys, command,
                                            text, fragment):
@@ -166,8 +172,8 @@ class TestEvolve:
         assert len(snaps) == 1 + 3 * 2048  # t = 0, 50 dt, 100 dt
         manifest = (out / "evolve_manifest.txt").read_text()
         assert "# command: evolve" in manifest
-        assert "# packet: gaussian" in manifest
-        assert "[evolve]" in manifest
+        assert "# packet:" not in manifest  # [evolve] records it
+        assert "\npacket = gaussian\n" in manifest[manifest.index("[evolve]"):]
 
 
 COMPARE_CFG = """\

@@ -1,5 +1,8 @@
 """Config parsing and CSV/manifest serialization."""
 
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -19,9 +22,13 @@ from qpot.config import (
 from qpot.core import Grid1D, PhysicalParams, default_grid
 from qpot.errors import ConfigError
 from qpot.experiments import SweepRow, SweepSpec
+from qpot.experiments import PreparationRow
 from qpot.io import (
-    format_cell,
+    write_convergence_csv,
     write_manifest,
+    write_preparation_csv,
+    write_profile_csv,
+    write_ratio_csv,
     write_record_csv,
     write_snapshots_csv,
     write_sweep_csv,
@@ -177,16 +184,138 @@ class TestRoundTrips:
         assert parse_config_text(config_to_text(cfg)) == cfg
 
 
-class TestFormatCell:
-    def test_values(self):
-        assert format_cell(None) == ""
-        assert format_cell(True) == "true"
-        assert format_cell(False) == "false"
-        assert format_cell(7) == "7"
-        assert format_cell(np.int64(7)) == "7"
-        assert format_cell(0.1) == "0.1"
-        assert format_cell(np.float64(0.25)) == "0.25"
-        assert format_cell("word") == "word"
+def reference_cell(value):
+    """The per-cell rules of the row-by-row writer the column writer
+    replaced, kept as the reference its bytes are compared against."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def reference_csv(path, header, rows):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(reference_cell(cell) for cell in row) + "\n")
+
+
+EDGES = [-0.0, 5e-324, 1e-300, 1.7976931348623157e308, 0.1, -2.5, 1.0 / 3,
+         float("inf"), float("nan")]
+EDGES_F32 = np.array([-0.0, 1e-45, 1e-30, 3.4028235e38, 0.1, -2.5, 1.0 / 3,
+                      float("inf"), float("nan")], dtype=np.float32)
+
+
+def edge_column(shift=0):
+    return np.roll(np.array(EDGES), shift)
+
+
+def edge_cases():
+    """(name, write, args, header, reference rows) for every CSV writer, on
+    edge floats, float32 and longdouble arrays, numpy scalars, None, bools
+    and strings."""
+    n = len(EDGES)
+    grid = Grid1D(z_max=1e-6, n_points=n)
+    f32 = np.roll(EDGES_F32, 2)
+    record = ExperimentRecord(
+        grid=grid, times=edge_column(), norms=f32, absorbed_fraction=edge_column(5),
+        snapshots=[(0.0, edge_column(1)), (np.float32(0.1), f32),
+                   (np.float64(5e-324), edge_column(4))])
+    rho = SimpleNamespace(grid=grid, values=edge_column(3))
+    mask = np.arange(n) % 3 != 0
+    hbar = 1.0545718176461565e-34
+    w_q = SimpleNamespace(values=edge_column(6) * hbar, valid_mask=lambda: mask)
+    w_res = SimpleNamespace(values=f32 * hbar, valid_mask=lambda: mask)
+    ratio = SimpleNamespace(ratio_times=f32,
+                            ratios=edge_column(7).astype(np.longdouble))
+    values = np.empty(n, dtype=complex)
+    values.real, values.imag = edge_column(1), edge_column(8)
+    psi = SimpleNamespace(values=values, density=lambda: edge_column(2))
+    sweep_rows = [
+        SweepRow(z0=np.float32(2e-6), sigma=np.int64(7), averaged_ratio=None,
+                 crossover_time=5e-324),
+        SweepRow(z0=-0.0, sigma=1e-300, averaged_ratio=1.7976931348623157e308,
+                 failed=True, error="ConfigError: x, y"),
+    ]
+    prep_rows = [PreparationRow(*EDGES[:6]),
+                 PreparationRow(np.float32(0.1), np.int64(3), True, None, "s",
+                                float("nan"))]
+    report = SimpleNamespace(dt_rows=[(1e-7, -0.0), (5e-324, np.float32(0.1))],
+                             dz_rows=[(2.5e-9, np.int64(4097), 1e-300),
+                                      (1.25e-9, 8193, float("inf"))])
+    rows = 12_289  # one row past a multiple of any power-of-two block up to 4096
+    long = ExperimentRecord(
+        grid=grid, times=np.arange(rows) * 1e-7, norms=np.linspace(1, 0.5, rows),
+        absorbed_fraction=np.resize(EDGES_F32, rows))
+    return [
+        ("record", write_record_csv, (record,), ("t_s", "norm", "absorbed_fraction"),
+         zip(record.times, record.norms, record.absorbed_fraction)),
+        ("record_long", write_record_csv, (long,), ("t_s", "norm", "absorbed_fraction"),
+         zip(long.times, long.norms, long.absorbed_fraction)),
+        ("snapshots", write_snapshots_csv, (record,), ("t_s", "z_m", "density"),
+         [(t, zi, ri) for t, d in record.snapshots for zi, ri in zip(grid.z, d)]),
+        ("fields", write_weighted_fields_csv, (w_q, w_res, rho, hbar),
+         ("z_m", "density", "weighted_q_over_hbar", "weighted_residual_over_hbar"),
+         zip(grid.z, rho.values, np.where(mask, w_q.values, 0.0) / hbar,
+             np.where(mask, w_res.values, 0.0) / hbar)),
+        ("ratio", write_ratio_csv, (ratio,), ("t_s", "ratio"),
+         zip(ratio.ratio_times, ratio.ratios)),
+        ("sweep", write_sweep_csv, (sweep_rows,),
+         ("z0_m", "sigma_m", "averaged_ratio", "crossover_time_s", "failed", "error"),
+         [(r.z0, r.sigma, r.averaged_ratio, r.crossover_time, r.failed, r.error)
+          for r in sweep_rows]),
+        ("preparation", write_preparation_csv, (prep_rows,),
+         ("slope_per_m", "slope_z0", "fidelity", "absorbed_imprinted",
+          "absorbed_ideal", "penalty"),
+         [(r.slope, r.slope_z0, r.fidelity, r.absorbed_imprinted,
+           r.absorbed_ideal, r.penalty) for r in prep_rows]),
+        ("convergence", write_convergence_csv, (report,),
+         ("ladder", "step", "n_points", "absorbed_fraction"),
+         [("dt", dt, "", f) for dt, f in report.dt_rows]
+         + [("dz", dz, k, f) for dz, k, f in report.dz_rows]),
+        ("profile", write_profile_csv, (grid.z, edge_column(5), psi),
+         ("z_m", "profile", "re_psi", "im_psi", "density"),
+         zip(grid.z, edge_column(5), psi.values.real, psi.values.imag,
+             psi.density())),
+    ]
+
+
+class TestColumnWriter:
+    @pytest.mark.parametrize("case", edge_cases(), ids=lambda case: case[0])
+    def test_bytes_match_row_by_row_reference(self, tmp_path, case):
+        _, write, args, header, rows = case
+        write(tmp_path / "new.csv", *args)
+        reference_csv(tmp_path / "ref.csv", header, rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_empty_tables_write_the_header_alone(self, tmp_path):
+        write_sweep_csv(tmp_path / "sweep.csv", [])
+        ratio = SimpleNamespace(ratio_times=np.empty(0), ratios=np.empty(0))
+        write_ratio_csv(tmp_path / "ratio.csv", ratio)
+        assert (tmp_path / "sweep.csv").read_text().count("\n") == 1
+        assert (tmp_path / "ratio.csv").read_text() == "t_s,ratio\n"
+
+    def test_snapshot_writer_streams(self, tmp_path):
+        """201 captures of 4096 points, an 11 MB file, in under 2 MB."""
+        grid = Grid1D(z_max=10e-6, n_points=4096)
+        rng = np.random.default_rng(7)
+        record = ExperimentRecord(
+            grid=grid, times=np.zeros(1), norms=np.ones(1),
+            absorbed_fraction=np.zeros(1),
+            snapshots=[(k * 1e-5, rng.random(4096)) for k in range(201)])
+        tracemalloc.start()
+        try:
+            write_snapshots_csv(tmp_path / "snapshots.csv", record)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "snapshots.csv").stat().st_size > 10e6
+        assert peak < 2e6
 
 
 def tiny_record():

@@ -10,6 +10,7 @@ from qpot.engineering import engineered_packet as real_engineered_packet
 from qpot.errors import ConfigError, ConstructionError, TruncationWarning
 from qpot.experiments import (
     ComparisonResult,
+    SweepRow,
     SweepSpec,
     absorption_ratio_series,
     resolve_workers,
@@ -149,6 +150,21 @@ class TestRunSweep:
         spec = SweepSpec(z0_values=(0.1e-6,))
         with pytest.raises(ConfigError):
             run_sweep(params, spec, workers=1)
+
+    def test_largest_grid_submitted_first(self, monkeypatch):
+        submitted = []
+
+        def record(job):
+            params = job[0]
+            submitted.append(params.z0)
+            return SweepRow(z0=params.z0, sigma=params.sigma)
+
+        monkeypatch.setattr("qpot.experiments._sweep_point", record)
+        # boxes of 4096, 4096, 6553 and 5734 points
+        spec = SweepSpec(z0_values=(1.5e-6, 2e-6, 4e-6, 3.5e-6))
+        rows = run_sweep(PhysicalParams(), spec, workers=1)
+        assert submitted == [4e-6, 3.5e-6, 1.5e-6, 2e-6]
+        assert [r.z0 for r in rows] == [1.5e-6, 2e-6, 3.5e-6, 4e-6]
 
     def test_failed_point_marked_and_sweep_continues(self, monkeypatch):
         def flaky(grid, params, spec=None):
