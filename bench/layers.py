@@ -17,8 +17,14 @@ and the machine (perfbench's `environment`) are stored next to it.
 - io: `write_record_csv_s` on that 20,001-row record, and
   `write_snapshots_csv_s` on a 2 ms record captured every 100 steps
   (201 captures).
+- L3: `run_comparison_s` over 2 ms with a 2 ms window;
+  `run_fitted_control_s` (default pairing) and `run_preparation_study_s`
+  (default four slopes) over 0.2 ms; `run_sweep_1w_s` and
+  `run_sweep_2w_s` on perfbench's sweep points (six z0, 0.2 ms) with 1
+  and 2 worker processes.
 - L4: wall time and peak memory of `qpot compare` and of the snapshots
-  `qpot evolve`, run as perfbench's production configs with z0 = 3 um.
+  `qpot evolve`, run as perfbench's production configs with z0 = 3 um,
+  and `tier1_s`, one run of the Tier-1 suite (`pytest` over `tests/`).
 
 The in-process layers run in a child with perfbench's `child_env` (BLAS
 threads pinned to 1); the parent never imports numpy or qpot.
@@ -62,6 +68,13 @@ def inner(repeats):
 
     from qpot.core import PhysicalParams, default_grid
     from qpot.engineering import engineered_packet
+    from qpot.experiments import (
+        SweepSpec,
+        run_comparison,
+        run_fitted_control,
+        run_preparation_study,
+        run_sweep,
+    )
     from qpot.io import write_record_csv, write_snapshots_csv
     from qpot.potentials import total_potential
     from qpot.propagate import CrankNicolson, EvolveConfig, evolve
@@ -108,11 +121,33 @@ def inner(repeats):
             _timed(lambda: write_record_csv(path, records[0]), repeats["io"]), "s")
         out["write_snapshots_csv_s"] = (
             _timed(lambda: write_snapshots_csv(path, snap), repeats["io"]), "s")
+    del records, snap
+
+    short = EvolveConfig(dt=dt, t_final=2e-4)
+    l3 = {
+        "run_comparison_s": lambda: run_comparison(
+            params, grid, config, t_average_window=2e-3),
+        "run_fitted_control_s": lambda: run_fitted_control(
+            config=short, t_average_window=2e-4),
+        "run_preparation_study_s": lambda: run_preparation_study(
+            params, grid=grid, config=short, t_window=2e-4),
+    }
+    sweep = workloads.PRODUCTION["sweep"]
+    spec = SweepSpec(z0_values=tuple(z * 1e-6 for z in sweep.z0_um),
+                     sigma_rule=("ratio", sweep.sigma_ratio),
+                     t_average_window=sweep.t_final)
+    sweep_config = EvolveConfig(dt=sweep.dt, t_final=sweep.t_final)
+    for workers in (1, 2):
+        l3[f"run_sweep_{workers}w_s"] = lambda w=workers: run_sweep(
+            PhysicalParams(), spec, config=sweep_config, workers=w)
+    for name, fn in l3.items():
+        out[name] = (_timed(fn, repeats["evolve"]), "s")
     print(json.dumps(out))
 
 
 def cli_layers(env, repeats):
-    """L4: the perfbench production compare and snapshots configs."""
+    """L4: the perfbench production compare and snapshots configs, and one
+    run of the Tier-1 suite."""
     out = {}
     work = ROOT / ".bench_build" / "layers"
     for name in ("compare", "snapshots"):
@@ -135,6 +170,13 @@ def cli_layers(env, repeats):
                 rss.append(proc.peak_rss_mb)
         out[f"cli_{name}_wall_s"] = (walls, "s")
         out[f"cli_{name}_peak_rss_mb"] = (rss, "MB")
+    t0 = time.perf_counter()
+    tier1 = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors", "tests"],
+        cwd=ROOT, env=env, capture_output=True, text=True)
+    out["tier1_s"] = ([time.perf_counter() - t0], "s")
+    print(tier1.stdout.strip().splitlines()[-1], file=sys.stderr)
     return out
 
 
@@ -153,7 +195,7 @@ def main(argv=None):
     parser.add_argument("--out", help="output path (default: BENCH_<label>.json "
                                       "at the checkout root)")
     parser.add_argument("--repeats", type=int, default=5,
-                        help="repeats of each layer (evolve and the CLI: 3)")
+                        help="repeats of each layer (evolve, L3 and the CLI: 3)")
     parser.add_argument("--inner", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     few = max(1, min(3, args.repeats))

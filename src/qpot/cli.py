@@ -77,16 +77,15 @@ def _settings(fn, section):
     return {**defaults, **section}
 
 
-def _evolve_config(run, window=None):
+def _evolve_config(run, window):
     """[evolve] for a command that evolves its own packets and writes no
-    snapshots; t_final defaults to the averaging window when one is given."""
+    snapshots; t_final defaults to the command's averaging window."""
     section = run.cfg.get("evolve", {})
     for key in ("packet", "snapshot_stride"):
         if section.get(key):
             raise ConfigError(f"[evolve] {key} is read only by qpot evolve, "
                               f"not by qpot {run.args.command}")
-    overrides = {} if window is None else {"t_final": section.get("t_final", window)}
-    return cfgmod.evolve_from(run.cfg, **overrides)
+    return cfgmod.evolve_from(run.cfg, t_final=section.get("t_final", window))
 
 
 def _packet_free_params(run):
@@ -155,8 +154,8 @@ def cmd_evolve(run):
 
 
 def cmd_compare(run):
-    run.evolve = _evolve_config(run)
     run.compare = _settings(run_comparison, run.section)
+    run.evolve = _evolve_config(run, run.compare["t_average_window"])
     result = run_comparison(run.params, grid=run.grid, config=run.evolve,
                             **run.compare)
     return _Output(

@@ -9,7 +9,7 @@ over the retained times inside the averaging window.
 """
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -126,6 +126,20 @@ def _ratio_result(records, t_average_window):
     )
 
 
+def _evolve_each(jobs):
+    """evolve(psi, potential, params, config) for each job, the jobs spread
+    over one thread per core; the records come back in job order.
+
+    zgttrs and numpy's element-wise kernels release the interpreter lock,
+    so the packets step side by side, each record bitwise the one a serial
+    call gives. evolve is read from this module when the call runs, so a
+    rebound qpot.experiments.evolve takes effect. The first failing job's
+    exception is raised unchanged.
+    """
+    with ThreadPoolExecutor(max_workers=min(len(jobs), os.cpu_count() or 1)) as pool:
+        return list(pool.map(evolve, *zip(*jobs)))
+
+
 def _compare(params, grid, config, variants, t_average_window):
     """Evolve the engineered packet and each named benchmark variant under
     one potential stack, one evolve call per packet."""
@@ -137,9 +151,8 @@ def _compare(params, grid, config, variants, t_average_window):
     if "fitted_gaussian" in variants:
         mean, std, _ = moments(eng)
         packets["fitted_gaussian"] = gaussian_packet(grid, mean, std)
-    records = {name: evolve(psi, pot, params, config)
-               for name, psi in packets.items()}
-    return _ratio_result(records, t_average_window)
+    records = _evolve_each([(psi, pot, params, config) for psi in packets.values()])
+    return _ratio_result(dict(zip(packets, records)), t_average_window)
 
 
 def run_comparison(params, grid=None, config=None, t_average_window=2e-3):
@@ -148,7 +161,7 @@ def run_comparison(params, grid=None, config=None, t_average_window=2e-3):
     if grid is None:
         grid = default_grid(params)
     if config is None:
-        config = EvolveConfig()
+        config = EvolveConfig(t_final=t_average_window)
     _check_window(config, t_average_window, "t_average_window")
     return _compare(params, grid, config, ("gaussian",), t_average_window)
 
@@ -183,12 +196,20 @@ def _sweep_point(args):
 
 
 def resolve_workers(workers=None):
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("QPOT_WORKERS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    """The sweep's worker processes: the argument, else QPOT_WORKERS, else
+    the core count. A value that is not a positive integer is rejected."""
+    name = "workers"
+    if workers is None:
+        name, workers = "QPOT_WORKERS", os.environ.get("QPOT_WORKERS")
+        if not workers:
+            return os.cpu_count() or 1
+    try:
+        count = int(workers)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ConfigError(f"{name} must be a positive integer, got {workers!r}")
+    return count
 
 
 def run_sweep(params_base, sweep, config=None, workers=None):
@@ -259,11 +280,12 @@ def run_fitted_control(params=None, grid=None, config=None, auto_fit=False,
         p_fit = params.replace(z0=mean, sigma=std)
     fit = gaussian_packet(grid, p_fit.z0, p_fit.sigma)
 
-    pot_e = total_potential(grid, p_eng)
-    pot_f = total_potential(grid, p_fit)
-    records = {"engineered": evolve(eng, pot_e, p_eng, config),
-               "fitted_gaussian": evolve(fit, pot_f, p_fit, config)}
-    return _ratio_result(records, t_average_window)
+    rec_eng, rec_fit = _evolve_each([
+        (eng, total_potential(grid, p_eng), p_eng, config),
+        (fit, total_potential(grid, p_fit), p_fit, config),
+    ])
+    return _ratio_result({"engineered": rec_eng, "fitted_gaussian": rec_fit},
+                         t_average_window)
 
 
 @dataclass
@@ -293,17 +315,16 @@ def run_preparation_study(params, slopes=None, grid=None, config=None,
     _check_window(config, t_window, "t_window")
     pot = total_potential(grid, params)
     ideal = engineered_packet(grid, params)
-    rec_ideal = evolve(ideal, pot, params, config)
+    imprinted = [two_stage_imprint(grid, params, k) for k in slopes]
+    rec_ideal, *recs = _evolve_each(
+        [(psi, pot, params, config) for psi in [ideal, *imprinted]])
     a_ideal = rec_ideal.absorbed_at(t_window)
     rows = []
-    for k in slopes:
-        imprinted = two_stage_imprint(grid, params, k)
-        fid = fidelity(imprinted, ideal)
-        rec = evolve(imprinted, pot, params, config)
+    for k, psi, rec in zip(slopes, imprinted, recs):
         a_imp = rec.absorbed_at(t_window)
         penalty = a_imp / a_ideal if a_ideal > 0 else float("nan")
         rows.append(PreparationRow(
-            slope=k, slope_z0=k * params.z0, fidelity=fid,
+            slope=k, slope_z0=k * params.z0, fidelity=fidelity(psi, ideal),
             absorbed_imprinted=a_imp, absorbed_ideal=a_ideal, penalty=penalty,
         ))
     return rows

@@ -29,6 +29,10 @@ class EvolveConfig:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if self.t_final < self.dt:
             raise ConfigError("t_final must be at least one time step")
+        steps = self.t_final / self.dt
+        if abs(steps - round(steps)) > 1e-6:
+            raise ConfigError(f"t_final = {self.t_final!r} s is not a whole "
+                              f"number of steps of dt = {self.dt!r} s")
         if self.snapshot_stride < 0:
             raise ConfigError("snapshot_stride must be >= 0")
 

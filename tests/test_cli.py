@@ -203,6 +203,15 @@ class TestCompare:
         assert "# averaged_ratio: " in manifest
         assert "# ratio_average_note: " in manifest
 
+    def test_t_final_defaults_to_window(self, tmp_path):
+        cfg = COMPARE_CFG.replace("t_final = 20us\n", "")
+        code, out = run(tmp_path, ["compare"], cfg)
+        assert code == 0
+        manifest = parse_config_text((out / "compare_manifest.txt").read_text())
+        assert manifest["evolve"]["t_final"] == manifest["compare"]["t_average_window"]
+        rows = (out / "record_gaussian.csv").read_text().splitlines()
+        assert len(rows) == 1 + 101  # header, t = 0 and 100 steps of 0.2 us
+
 
 SWEEP_CFG = """\
 [sweep]
@@ -229,6 +238,21 @@ class TestSweep:
         assert "# workers: 1" in manifest
         assert "# failed_rows: 0" in manifest
 
+    @pytest.mark.parametrize("flag, env", [
+        (["--workers", "0"], None), ([], "abc"), ([], "0"), ([], "-3"),
+    ])
+    def test_bad_worker_count_exits_1(self, tmp_path, monkeypatch, capsys,
+                                      flag, env):
+        if env is None:
+            monkeypatch.delenv("QPOT_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("QPOT_WORKERS", env)
+        code, out = run(tmp_path, ["sweep", *flag], SWEEP_CFG)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"got {'0' if env is None else repr(env)}" in err
+        assert not out.exists()
 
     def test_failed_row_exits_nonzero(self, tmp_path, monkeypatch, capsys):
         def flaky(psi, potential, params, config):

@@ -1,5 +1,7 @@
 """Experiment-layer tests: ratio bookkeeping, sweeps, controls, imprinting."""
 
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -7,7 +9,13 @@ import pytest
 
 from qpot.core import Grid1D, PhysicalParams, default_grid
 from qpot.engineering import engineered_packet as real_engineered_packet
-from qpot.errors import ConfigError, ConstructionError, TruncationWarning
+from qpot.engineering import gaussian_packet, two_stage_imprint
+from qpot.errors import (
+    ConfigError,
+    ConstructionError,
+    NumericsError,
+    TruncationWarning,
+)
 from qpot.experiments import (
     ComparisonResult,
     SweepRow,
@@ -19,7 +27,8 @@ from qpot.experiments import (
     run_preparation_study,
     run_sweep,
 )
-from qpot.propagate import EvolveConfig, ExperimentRecord
+from qpot.potentials import total_potential
+from qpot.propagate import EvolveConfig, ExperimentRecord, evolve
 
 
 def fake_record(times, absorbed):
@@ -107,7 +116,18 @@ class TestResolveWorkers:
     def test_default_at_least_one(self, monkeypatch):
         monkeypatch.delenv("QPOT_WORKERS", raising=False)
         assert resolve_workers() >= 1
-        assert resolve_workers(0) == 1
+
+    @pytest.mark.parametrize("workers, env", [
+        (0, None), (-3, None), (None, "abc"), (None, "0"), (None, "-3"),
+    ])
+    def test_rejects_non_positive_or_non_integer(self, monkeypatch, workers, env):
+        if env is None:
+            monkeypatch.delenv("QPOT_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("QPOT_WORKERS", env)
+        value = repr(workers if env is None else env)
+        with pytest.raises(ConfigError, match=value):
+            resolve_workers(workers)
 
 
 class TestRunComparison:
@@ -128,6 +148,12 @@ class TestRunComparison:
         assert res.ratio_times.size == 0
         assert res.averaged_ratio is None
         assert res.crossover_time is None
+
+    def test_default_config_evolves_to_window(self):
+        res = run_comparison(PhysicalParams(), t_average_window=2e-5)
+        for rec in res.records.values():
+            assert rec.config == EvolveConfig(t_final=2e-5)
+            assert rec.times[-1] == pytest.approx(2e-5)
 
 
 class TestRunSweep:
@@ -286,3 +312,106 @@ class TestWindowPastRecord:
         res = run_comparison(PhysicalParams(), config=cfg,
                              t_average_window=2e-5)
         assert res.t_average_window == 2e-5
+
+
+class TestConcurrentEvolves:
+    """The packets of one comparison, fitted control or preparation study
+    evolve on threads: each record is bitwise the serial evolve, the
+    records keep their packet order, and a failing packet's exception
+    comes back unchanged."""
+
+    CFG = EvolveConfig(dt=1e-7, t_final=2e-5)
+
+    @staticmethod
+    def assert_serial(record, psi, params):
+        serial = evolve(psi, total_potential(psi.grid, params), params,
+                        record.config)
+        assert np.array_equal(record.times, serial.times)
+        assert np.array_equal(record.norms, serial.norms)
+        assert np.array_equal(record.absorbed_fraction, serial.absorbed_fraction)
+
+    @pytest.fixture
+    def threads(self):
+        before = threading.active_count()
+        yield
+        assert threading.active_count() == before
+
+    def test_comparison_matches_serial(self, threads):
+        params = PhysicalParams()
+        res = run_comparison(params, config=self.CFG, t_average_window=2e-5)
+        assert list(res.records) == ["engineered", "gaussian"]
+        grid = res.records["engineered"].grid
+        self.assert_serial(res.records["engineered"],
+                           real_engineered_packet(grid, params), params)
+        self.assert_serial(res.records["gaussian"],
+                           gaussian_packet(grid, params.z0, params.sigma), params)
+
+    def test_fitted_control_matches_serial(self, threads):
+        res = run_fitted_control(config=self.CFG, t_average_window=2e-5)
+        assert list(res.records) == ["engineered", "fitted_gaussian"]
+        grid = res.records["engineered"].grid
+        p_eng = PhysicalParams().replace(z0=1.43e-6, sigma=1e-6)
+        p_fit = PhysicalParams().replace(z0=2.3e-6, sigma=1e-6)
+        self.assert_serial(res.records["engineered"],
+                           real_engineered_packet(grid, p_eng), p_eng)
+        self.assert_serial(res.records["fitted_gaussian"],
+                           gaussian_packet(grid, p_fit.z0, p_fit.sigma), p_fit)
+
+    def test_preparation_study_matches_serial(self, threads):
+        params = PhysicalParams()
+        grid = default_grid(params)
+        pot = total_potential(grid, params)
+        slopes = (0.05 / params.z0, 1.0 / params.z0)
+        rows = run_preparation_study(params, slopes=slopes, config=self.CFG,
+                                     t_window=2e-5)
+        a_ideal = evolve(real_engineered_packet(grid, params), pot, params,
+                         self.CFG).absorbed_at(2e-5)
+        assert [row.slope for row in rows] == list(slopes)
+        for k, row in zip(slopes, rows):
+            psi = two_stage_imprint(grid, params, k)
+            assert row.absorbed_ideal == a_ideal
+            assert row.absorbed_imprinted == evolve(psi, pot, params,
+                                                    self.CFG).absorbed_at(2e-5)
+        assert rows[0].absorbed_imprinted != rows[1].absorbed_imprinted
+
+    @pytest.fixture
+    def gaussians(self, monkeypatch):
+        """The Gaussian packets the experiments build, by identity."""
+        made = []
+
+        def tracked(*args):
+            made.append(gaussian_packet(*args))
+            return made[-1]
+
+        monkeypatch.setattr("qpot.experiments.gaussian_packet", tracked)
+        return made
+
+    def test_records_in_packet_order_not_finish_order(self, threads,
+                                                      monkeypatch, gaussians):
+        def engineered_last(psi, potential, params, config):
+            if not any(psi is g for g in gaussians):
+                time.sleep(0.3)
+            return evolve(psi, potential, params, config)
+
+        monkeypatch.setattr("qpot.experiments.evolve", engineered_last)
+        params = PhysicalParams()
+        res = run_comparison(params, config=self.CFG, t_average_window=2e-5)
+        assert list(res.records) == ["engineered", "gaussian"]
+        grid = res.records["engineered"].grid
+        self.assert_serial(res.records["engineered"],
+                           real_engineered_packet(grid, params), params)
+
+    @pytest.mark.parametrize("error", [NumericsError("synthetic blow-up"),
+                                       ValueError("synthetic bug")])
+    def test_failing_packet_raises_its_exception(self, threads, monkeypatch,
+                                                 gaussians, error):
+        def flaky(psi, potential, params, config):
+            if any(psi is g for g in gaussians):
+                raise error
+            return evolve(psi, potential, params, config)
+
+        monkeypatch.setattr("qpot.experiments.evolve", flaky)
+        with pytest.raises(type(error), match=str(error)) as info:
+            run_comparison(PhysicalParams(), config=self.CFG,
+                           t_average_window=2e-5)
+        assert info.value is error

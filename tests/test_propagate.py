@@ -44,9 +44,19 @@ class TestEvolveConfig:
         with pytest.raises(ConfigError):
             EvolveConfig(**kwargs)
 
-    def test_n_steps_rounds_to_nearest(self):
-        assert EvolveConfig(dt=1e-7, t_final=1.04e-6).n_steps == 10
-        assert EvolveConfig(dt=1e-7, t_final=9.96e-7).n_steps == 10
+    @pytest.mark.parametrize("t_final", [1.04e-6, 9.96e-7])
+    def test_rejects_fractional_step_count(self, t_final):
+        with pytest.raises(ConfigError) as info:
+            EvolveConfig(dt=1e-7, t_final=t_final)
+        assert repr(t_final) in str(info.value)
+        assert "1e-07" in str(info.value)
+
+    @pytest.mark.parametrize("dt, t_final, n_steps", [
+        (1e-7, 1e-6, 10), (1e-7, 2e-5, 200), (1e-7, 2e-3, 20000),
+        (5e-8, 2e-3, 40000), (8e-7, 2e-3, 2500), (2e-7, 2e-5, 100),
+    ])
+    def test_whole_step_count_accepted(self, dt, t_final, n_steps):
+        assert EvolveConfig(dt=dt, t_final=t_final).n_steps == n_steps
 
 
 class TestStep:
