@@ -1,9 +1,8 @@
-"""Hydrodynamic decomposition and derived field quantities.
+"""Quantum potential of a density and its closed forms for the engineered packet.
 
-psi = sqrt(rho) exp(i S / hbar) gives a density rho, an action phase S and a
-velocity field u = (1/m) dS/dz. The quantum potential
-Q = -(hbar^2 / 2m) (sqrt(rho))'' / sqrt(rho) is stored per particle in
-joules so it compares directly with the other potential energies.
+The quantum potential Q = -(hbar^2 / 2m) (sqrt(rho))'' / sqrt(rho) of a
+density rho = |psi|^2 is stored per particle in joules so it compares
+directly with the other potential energies.
 
 Q diverges at nodes of the engineered profile. Every numerical Q comes with
 a validity mask: points where the amplitude is negligible or where the
@@ -11,56 +10,15 @@ finite-difference stencil is corrupted by a nearby node are flagged invalid,
 and a two-point guard band is eroded around them.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import HBAR, RealField
 from .engineering import ProfileSpec, engineered_profile, profile_derivative
-from .errors import (
-    DomainError,
-    EmptyFieldError,
-    GridError,
-    NodeSingularity,
-    TrajectoryLost,
-)
-
-QField = RealField
+from .errors import DomainError, EmptyFieldError, GridError, NodeSingularity
 
 AMPLITUDE_CUT = 1e-6  # relative sqrt(rho) threshold for masking
 CURVATURE_CUT = 0.05  # dimensionless curvature |d2(sqrt rho)| h^2 / sqrt(rho)
 GUARD_BAND = 2  # grid points eroded around every masked point
-
-
-@dataclass(frozen=True)
-class MadelungFields:
-    grid: object
-    density: np.ndarray  # m^-1
-    phase: np.ndarray  # J s, unwrapped
-    velocity: np.ndarray  # m/s
-    valid: np.ndarray
-
-
-def madelung_decompose(psi, mass):
-    """Split psi into density, unwrapped action phase and velocity field.
-
-    The velocity u = (hbar/m) d(arg psi)/dz uses central differences and is
-    masked wherever the density falls below 1e-12 of its peak (the phase is
-    meaningless there).
-    """
-    z = psi.grid.z
-    rho = psi.density()
-    peak = rho.max()
-    if peak == 0:
-        raise EmptyFieldError("cannot decompose the zero wavefunction")
-    valid = rho >= 1e-12 * peak
-    theta = np.unwrap(np.angle(psi.values))
-    phase = HBAR * theta
-    velocity = (HBAR / mass) * np.gradient(theta, z)
-    # derivative stencil needs valid neighbors on both sides
-    valid = valid & np.roll(valid, 1) & np.roll(valid, -1)
-    valid[0] = valid[-1] = False
-    return MadelungFields(psi.grid, rho, phase, velocity, valid)
 
 
 def _second_derivative(values, dz, spacing=1):
@@ -122,7 +80,7 @@ def quantum_potential(rho, mass, hbar=None, amplitude_cut=AMPLITUDE_CUT,
 
     q = np.zeros_like(vals)
     q[valid] = -(hbar**2 / (2 * mass)) * d2[valid] / amp[valid]
-    return QField(grid, q, valid)
+    return RealField(grid, q, valid)
 
 
 def residual_potential(z, params, spec=None, node_tol=1e-6):
@@ -266,111 +224,3 @@ def weighted_fields(grid, params, spec=None, support_cut=1e-6):
         RealField(grid, w_res, support),
         RealField(grid, rho, support),
     )
-
-
-@dataclass(frozen=True)
-class VelocityFieldSeries:
-    """Velocity snapshots u(z, t_k) with per-snapshot validity masks."""
-
-    grid: object
-    times: np.ndarray
-    velocities: np.ndarray  # shape (n_times, n_points)
-    valid: np.ndarray  # same shape, boolean
-
-    def __post_init__(self):
-        if self.velocities.shape != (len(self.times), self.grid.n_points):
-            raise GridError("velocity array shape mismatch")
-
-    @classmethod
-    def from_wavefunctions(cls, psis, times, mass):
-        fields = [madelung_decompose(p, mass) for p in psis]
-        grid = psis[0].grid
-        u = np.array([f.velocity for f in fields])
-        v = np.array([f.valid for f in fields])
-        return cls(grid, np.asarray(times, dtype=float), u, v)
-
-    def sample(self, z, t):
-        """Bilinear interpolation of u, raising TrajectoryLost outside the
-        valid region of the bracketing snapshots."""
-        times = self.times
-        if t <= times[0]:
-            i0 = i1 = 0
-            w = 0.0
-        elif t >= times[-1]:
-            i0 = i1 = len(times) - 1
-            w = 0.0
-        else:
-            i1 = int(np.searchsorted(times, t))
-            i0 = i1 - 1
-            w = (t - times[i0]) / (times[i1] - times[i0])
-        zg = self.grid.z
-        for i in (i0, i1):
-            lo, hi = _valid_bounds(self.valid[i], zg)
-            if not (lo <= z <= hi):
-                raise TrajectoryLost(t, z)
-        u0 = np.interp(z, zg, self.velocities[i0])
-        u1 = np.interp(z, zg, self.velocities[i1])
-        return (1 - w) * u0 + w * u1
-
-
-def _valid_bounds(mask, z):
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        return np.inf, -np.inf
-    return z[idx[0]], z[idx[-1]]
-
-
-def trajectory_integrate(series, z_start, t_span=None, substeps=1):
-    """Integrate dz/dt = u(z, t) with classical 4th-order steps.
-
-    The velocity field is interpolated linearly in z and t between stored
-    snapshots. Returns (times, positions). Raises TrajectoryLost when the
-    path leaves the valid region.
-    """
-    times = series.times
-    if t_span is not None:
-        t0, t1 = t_span
-        sel = (times >= t0 - 1e-30) & (times <= t1 + 1e-30)
-        times = times[sel]
-    if len(times) < 2:
-        raise GridError("need at least two snapshots to integrate")
-    path = [float(z_start)]
-    zc = float(z_start)
-    for k in range(len(times) - 1):
-        ta, tb = times[k], times[k + 1]
-        h = (tb - ta) / substeps
-        for j in range(substeps):
-            t = ta + j * h
-            k1 = series.sample(zc, t)
-            k2 = series.sample(zc + 0.5 * h * k1, t + 0.5 * h)
-            k3 = series.sample(zc + 0.5 * h * k2, t + 0.5 * h)
-            k4 = series.sample(zc + h * k3, t + h)
-            zc = zc + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        path.append(zc)
-    return times, np.array(path)
-
-
-def continuity_residual(fields_a, fields_b, dt, z_exclude_below=0.0):
-    """Check d(rho)/dt + d(rho u)/dz = 0 between two stored snapshots.
-
-    Both derivatives are formed at the midpoint in time (centered in t,
-    central differences in z). Returns the max residual over the commonly
-    valid points with z >= z_exclude_below, normalized by max |d rho/dt|.
-    The identity only holds where the evolution is unitary, so the absorber
-    region must be excluded by the caller.
-    """
-    grid = fields_a.grid
-    z = grid.z
-    drho_dt = (fields_b.density - fields_a.density) / dt
-    flux = 0.5 * (
-        fields_a.density * fields_a.velocity + fields_b.density * fields_b.velocity
-    )
-    dflux_dz = np.gradient(flux, z)
-    ok = fields_a.valid & fields_b.valid & (z >= z_exclude_below)
-    ok[:1] = ok[-1:] = False
-    if not np.any(ok):
-        raise EmptyFieldError("no commonly valid points for the continuity check")
-    scale = np.abs(drho_dt[ok]).max()
-    if scale == 0:
-        return 0.0
-    return float(np.abs(drho_dt[ok] + dflux_dz[ok]).max() / scale)

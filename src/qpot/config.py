@@ -95,8 +95,6 @@ _SCHEMA = {
         "c4": parse_quantity,
         "z0": parse_quantity,
         "sigma": parse_quantity,
-        "c1": parse_quantity,
-        "c2": parse_quantity,
         "delta": parse_quantity,
         "absorber_strength": parse_quantity,
         "trap_omega": parse_quantity,
@@ -192,11 +190,7 @@ def params_from(cfg):
 
 
 def grid_from(cfg, params=None):
-    section = cfg.get("grid")
-    if not section:
-        return default_grid(params)
-    if "z_max" in section and "n_points" in section:
-        return Grid1D(z_max=section["z_max"], n_points=section["n_points"])
+    section = cfg.get("grid", {})
     base = default_grid(params)
     return Grid1D(
         z_max=section.get("z_max", base.z_max),

@@ -34,8 +34,6 @@ class PhysicalParams:
     c4: float = DEFAULT_C4
     z0: float = 2.3e-6
     sigma: float = 1.0e-6
-    c1: float = 1.0
-    c2: float = 0.0
     delta: float = DEFAULT_DELTA
     absorber_strength: float | None = None
     trap_omega: float | None = None
@@ -56,8 +54,6 @@ class PhysicalParams:
             raise ConfigError(
                 f"z0 = {self.z0} must exceed the absorber edge delta = {self.delta}"
             )
-        if self.c1 == 0 and self.c2 == 0:
-            raise ConfigError("profile coefficients (c1, c2) must not both vanish")
         if self.hbar <= 0:
             raise ConfigError("hbar must be positive")
         if self.absorber_strength is None:

@@ -41,14 +41,5 @@ class NumericsError(QpotError):
     """A linear solve or time step produced non-finite values."""
 
 
-class TrajectoryLost(QpotError):
-    """A trajectory left the region where the velocity field is valid."""
-
-    def __init__(self, t, z=None):
-        self.t = t
-        self.z = z
-        super().__init__(f"trajectory left the valid region at t = {t!r}")
-
-
 class TruncationWarning(UserWarning):
     """Non-negligible probability mass falls outside the grid."""

@@ -79,11 +79,10 @@ def absorption_ratio_series(record_num, record_den, floor=RATIO_FLOOR,
     Returns (times, ratios, averaged_ratio, crossover_time). The average is
     taken over retained times <= t_window (the whole series when None); the
     crossover is the first retained time where the ratio drops to 1 or
-    below, scanned over the full record.
+    below, scanned over the full record. Both records must carry the same
+    times exactly, as two evolves under one EvolveConfig do.
     """
-    if len(record_num.times) != len(record_den.times) or not np.allclose(
-        record_num.times, record_den.times
-    ):
+    if not np.array_equal(record_num.times, record_den.times):
         raise ConfigError("records were not taken on matching time grids")
     a_num = record_num.absorbed_fraction
     a_den = record_den.absorbed_fraction

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import zgttrf, zgttrs
 
-from .core import Grid1D, Wavefunction
+from .core import Grid1D, default_grid
 from .errors import ConfigError, GridError, NumericsError
 
 
@@ -228,8 +228,6 @@ def convergence_report(make_state, make_potential, params, t_final=2e-3,
     ladder starts coarse: order estimates from increments near the floor are
     reported but flagged.
     """
-    from .core import default_grid
-
     if base_grid is None:
         base_grid = default_grid(params)
 

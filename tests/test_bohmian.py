@@ -2,33 +2,16 @@ import numpy as np
 import pytest
 
 from qpot.bohmian import (
-    VelocityFieldSeries,
-    continuity_residual,
-    madelung_decompose,
     profile_node_mask,
     quantum_potential,
     residual_potential,
     residual_potential_expanded,
-    trajectory_integrate,
     weighted_fields,
 )
-from qpot.core import (
-    Grid1D,
-    PhysicalParams,
-    RealField,
-    Wavefunction,
-    default_grid,
-    normalize,
-)
-from qpot.engineering import ProfileSpec, engineered_profile, gaussian_packet
-from qpot.errors import (
-    DomainError,
-    EmptyFieldError,
-    NodeSingularity,
-    TrajectoryLost,
-)
+from qpot.core import Grid1D, PhysicalParams, RealField, default_grid
+from qpot.engineering import ProfileSpec, engineered_profile
+from qpot.errors import DomainError, EmptyFieldError, NodeSingularity
 from qpot.potentials import casimir_polder
-from qpot.propagate import EvolveConfig, evolve
 
 
 @pytest.fixture
@@ -39,44 +22,6 @@ def params():
 @pytest.fixture
 def grid():
     return default_grid()
-
-
-class TestMadelung:
-    def test_real_positive_state(self, grid):
-        psi = gaussian_packet(grid, 5e-6, 1e-6)
-        f = madelung_decompose(psi, 1.44e-25)
-        assert np.all(f.phase[f.valid] == 0.0)
-        assert np.all(f.velocity[f.valid] == 0.0)
-        assert np.all(f.density >= 0)
-
-    def test_plane_wave_velocity(self, grid, params):
-        k = 1e6  # m^-1
-        base = gaussian_packet(grid, 5e-6, 1e-6)
-        psi = normalize(base.with_values(base.values * np.exp(1j * k * grid.z)))
-        f = madelung_decompose(psi, params.mass)
-        expected = params.hbar * k / params.mass
-        assert expected == pytest.approx(7.3234e-4, rel=1e-4)  # 0.73 um/ms
-        bulk = f.valid & (np.abs(grid.z - 5e-6) < 2e-6)
-        assert np.allclose(f.velocity[bulk], expected, rtol=1e-9)
-
-    def test_global_phase_irrelevant(self, grid, params):
-        psi = gaussian_packet(grid, 5e-6, 1e-6)
-        shifted = psi.with_values(psi.values * np.exp(1j * 0.817))
-        fa = madelung_decompose(psi, params.mass)
-        fb = madelung_decompose(shifted, params.mass)
-        assert np.array_equal(fa.valid, fb.valid)
-        # angle() leaves ~1e-16 rad of rounding jitter in the low-density
-        # tails; the gradient turns that into a few 1e-17 m/s of noise.
-        # 1e-12 m/s is still nine orders below the plane-wave scale.
-        assert np.allclose(fa.velocity[fa.valid], fb.velocity[fb.valid],
-                           atol=1e-12)
-
-    def test_tails_masked(self, grid, params):
-        psi = gaussian_packet(grid, 5e-6, 0.3e-6)
-        f = madelung_decompose(psi, params.mass)
-        assert not f.valid[0]
-        assert not f.valid[-1]
-        assert f.valid[grid.index_of(5e-6)]
 
 
 class TestQuantumPotential:
@@ -242,84 +187,3 @@ class TestWeightedFields:
         with pytest.raises(EmptyFieldError):
             weighted_fields(tiny, params, spec)
 
-
-def _free_series(t_final, stride):
-    grid = Grid1D(z_max=20e-6, n_points=4096)
-    params = PhysicalParams(z0=10e-6, sigma=1e-6, c4=0.0,
-                            absorber_strength=0.0)
-    psi = gaussian_packet(grid, 10e-6, 1e-6)
-    from qpot.potentials import ComplexPotential
-
-    zeros = np.zeros(grid.n_points)
-    pot = ComplexPotential(grid, zeros, zeros)
-    cfg = EvolveConfig(dt=1e-7, t_final=t_final, snapshot_stride=stride,
-                       store_wavefunctions=True)
-    rec = evolve(psi, pot, params, cfg)
-    psis = [Wavefunction(grid, v) for _, v in rec.psi_snapshots]
-    times = np.array([t for t, _ in rec.psi_snapshots])
-    series = VelocityFieldSeries.from_wavefunctions(psis, times, params.mass)
-    return grid, params, rec, series
-
-
-@pytest.fixture(scope="module")
-def free_flow():
-    # 1 ms of free spreading, velocity fields every 0.1 ms
-    return _free_series(t_final=1e-3, stride=1000)
-
-
-class TestTrajectories:
-    def test_free_spreading_flow(self, free_flow):
-        grid, params, rec, series = free_flow
-        tau = params.hbar * 1e-3 / (2 * params.mass * params.sigma**2)
-        stretch = np.sqrt(1 + tau**2)
-        t, path = trajectory_integrate(series, 11e-6, substeps=4)
-        # the spreading flow carries each point outward affinely
-        assert np.all(np.diff(path) > 0)
-        assert path[-1] - 10e-6 == pytest.approx(1e-6 * stretch, rel=1e-2)
-        t, down = trajectory_integrate(series, 9e-6, substeps=4)
-        assert np.all(np.diff(down) < 0)
-
-    def test_non_crossing(self, free_flow):
-        grid, params, rec, series = free_flow
-        _, p1 = trajectory_integrate(series, 10.5e-6, substeps=4)
-        _, p2 = trajectory_integrate(series, 11.5e-6, substeps=4)
-        assert np.all(p2 - p1 > 0)
-
-    def test_stationary_state_stays_put(self):
-        grid = Grid1D(z_max=20e-6, n_points=1024)
-        psi = gaussian_packet(grid, 10e-6, 1e-6)
-        series = VelocityFieldSeries.from_wavefunctions(
-            [psi, psi], np.array([0.0, 1e-4]), 1.44e-25
-        )
-        _, path = trajectory_integrate(series, 10.5e-6)
-        assert np.all(path == 10.5e-6)
-
-    def test_lost_outside_support(self, free_flow):
-        grid, params, rec, series = free_flow
-        with pytest.raises(TrajectoryLost):
-            trajectory_integrate(series, 19.9e-6)
-
-
-class TestContinuity:
-    def test_stationary_trivial(self):
-        grid = Grid1D(z_max=20e-6, n_points=1024)
-        psi = gaussian_packet(grid, 10e-6, 1e-6)
-        f = madelung_decompose(psi, 1.44e-25)
-        assert continuity_residual(f, f, 1e-7) == 0.0
-
-    def test_free_spreading_satisfies_continuity(self):
-        # consecutive stored steps, 1e-4 ms apart, mid-evolution
-        grid, params, rec, series = _free_series(t_final=2e-5, stride=1)
-        k = 100
-        psis = rec.psi_snapshots
-        fa = madelung_decompose(Wavefunction(grid, psis[k][1]), params.mass)
-        fb = madelung_decompose(Wavefunction(grid, psis[k + 1][1]), params.mass)
-        dt = psis[k + 1][0] - psis[k][0]
-        assert continuity_residual(fa, fb, dt) < 1e-2
-
-    def test_all_excluded(self):
-        grid = Grid1D(z_max=20e-6, n_points=1024)
-        psi = gaussian_packet(grid, 10e-6, 1e-6)
-        f = madelung_decompose(psi, 1.44e-25)
-        with pytest.raises(EmptyFieldError):
-            continuity_residual(f, f, 1e-7, z_exclude_below=30e-6)

@@ -1,10 +1,15 @@
 """End-to-end command-line runs on small configurations."""
 
 import filecmp
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qpot
 from qpot import config as cfgmod
 from qpot.cli import _COMMANDS, main
 from qpot.config import evolve_from, grid_from, params_from, parse_config_text
@@ -80,6 +85,8 @@ class TestErrors:
         ("fitted", "[params]\nz0 = 3um\n", "[params] z0"),
         ("fitted", "[params]\nsigma = 0.5um\n", "[params] sigma"),
         ("fitted", "[params]\ntrap_omega = 100\n", "[params] trap_omega"),
+        ("profile", "[params]\nc1 = 0\n", "'c1'"),
+        ("profile", "[params]\nc2 = 1\n", "'c2'"),
     ])
     def test_unread_section_or_key_exits_1(self, tmp_path, capsys, command,
                                            text, fragment):
@@ -386,3 +393,33 @@ class TestManifestReplay:
         assert names == sorted(path.name for path in again.iterdir())
         for name in names:  # the replayed manifest is the same text, too
             assert filecmp.cmp(out / name, again / name, shallow=False), name
+
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+# Run in a fresh interpreter so that only what `import qpot.cli` loads counts.
+TRACER_LOOKUPS = """
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+import qpot.cli
+missing = [f"qpot.{m}" for m in tracer.LAYERS if f"qpot.{m}" not in sys.modules]
+missing += [f"qpot.{m}.{n}" for m, names in tracer.EXTRA.items() for n in names
+            if not hasattr(sys.modules[f"qpot.{m}"], n)]
+missing += [f"qpot.{m}.{c}.{n}" for m, classes in tracer.METHODS.items()
+            for c, names in classes.items() for n in names
+            if not hasattr(getattr(sys.modules[f"qpot.{m}"], c, None), n)]
+print("\\n".join(missing))
+"""
+
+
+def test_tracer_finds_every_name_it_wraps():
+    """perfbench's tracer wraps qpot by module, function and method name; a
+    name it no longer finds silently empties that layer's --trace metrics."""
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(qpot.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", TRACER_LOOKUPS, str(TRACER)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""

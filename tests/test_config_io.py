@@ -146,6 +146,9 @@ class TestBuilders:
         assert g2.n_points == 1024
         assert g2.z_max == default_grid(PhysicalParams()).z_max
         assert grid_from({}, PhysicalParams()) == default_grid(PhysicalParams())
+        assert grid_from({"grid": {}}, PhysicalParams()) == default_grid(PhysicalParams())
+        # both keys set: the params' wider default box does not leak in
+        assert grid_from(cfg, PhysicalParams(z0=20e-6)) == Grid1D(z_max=8e-6, n_points=512)
 
     def test_evolve_from_pops_run_keys(self):
         cfg = parse_config_text(SAMPLE)

@@ -55,7 +55,6 @@ class TestPhysicalParams:
             {"z0": -1e-6},
             {"z0": 0.1e-6},  # below the absorber edge
             {"delta": 0.0},
-            {"c1": 0.0, "c2": 0.0},
             {"absorber_strength": -1.0},
             {"trap_omega": 0.0},
             {"c4": -1e-56},

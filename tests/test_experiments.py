@@ -68,10 +68,16 @@ class TestAbsorptionRatioSeries:
         assert cross is None
 
     def test_mismatched_time_grids_rejected(self):
-        num = fake_record([0, 1, 2], [0, 1e-6, 2e-6])
-        den = fake_record([0, 1, 2.5], [0, 1e-6, 2e-6])
-        with pytest.raises(ConfigError):
-            absorption_ratio_series(num, den)
+        absorbed = [0, 1e-6, 2e-6, 3e-6, 4e-6, 5e-6]
+        for num_times, den_times in (
+            ([0, 1, 2], [0, 1, 2.5]),
+            # dt = 1 ns against 2 ns: gaps of at most 5 ns are still another grid
+            (np.arange(6) * 1e-9, np.arange(6) * 2e-9),
+        ):
+            num = fake_record(num_times, absorbed[:len(num_times)])
+            den = fake_record(den_times, absorbed[:len(den_times)])
+            with pytest.raises(ConfigError):
+                absorption_ratio_series(num, den)
 
     def test_window_limits_average_but_not_crossover(self):
         times = [0, 1.0, 2.0, 3.0, 4.0]
