@@ -29,6 +29,15 @@ def _second_derivative(values, dz, spacing=1):
     return out
 
 
+def _widen(bad, guard):
+    """bad widened by `guard` points on each side; it does not wrap around."""
+    out = bad.copy()
+    for k in range(1, guard + 1):
+        out[k:] |= bad[:-k]
+        out[:-k] |= bad[k:]
+    return out
+
+
 def quantum_potential(rho, mass, hbar=None, amplitude_cut=AMPLITUDE_CUT,
                       curvature_cut=CURVATURE_CUT, guard=GUARD_BAND):
     """Q = -(hbar^2/2m) (sqrt rho)''/sqrt(rho) with node-aware masking.
@@ -68,12 +77,7 @@ def quantum_potential(rho, mass, hbar=None, amplitude_cut=AMPLITUDE_CUT,
     valid &= ~junk
     valid &= np.isfinite(d2)
     valid[:2] = valid[-2:] = False
-
-    if guard > 0:
-        bad = ~valid
-        for _ in range(guard):
-            bad = bad | np.roll(bad, 1) | np.roll(bad, -1)
-        valid = ~bad
+    valid = ~_widen(~valid, guard)
 
     if not np.any(valid):
         raise EmptyFieldError("all points masked in quantum_potential")
@@ -172,10 +176,7 @@ def profile_node_mask(grid, params, spec=None, rel_tol=1e-6, guard=GUARD_BAND):
     p[pos] = engineered_profile(z[pos], params, spec)
     ok = np.abs(p) >= rel_tol * np.abs(p).max()
     ok[~pos] = False
-    bad = ~ok
-    for _ in range(guard):
-        bad = bad | np.roll(bad, 1) | np.roll(bad, -1)
-    return ~bad
+    return ~_widen(~ok, guard)
 
 
 def weighted_fields(grid, params, spec=None, support_cut=1e-6):

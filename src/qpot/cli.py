@@ -193,6 +193,11 @@ def cmd_sweep(run):
 def cmd_fitted(run):
     params = _packet_free_params(run)
     run.fitted = _settings(run_fitted_control, run.section)
+    if run.fitted["auto_fit"]:  # the fit places the Gaussian
+        for key in ("gaussian_z0", "gaussian_sigma"):
+            if key in run.section:
+                raise ConfigError(f"[fitted] {key} is unread with auto_fit = true")
+            del run.fitted[key]
     run.evolve = _evolve_config(run, run.fitted["t_average_window"])
     result = run_fitted_control(params, config=run.evolve, **run.fitted)
     return _Output(

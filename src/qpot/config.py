@@ -113,7 +113,6 @@ _SCHEMA = {
         "z0_values": parse_list(parse_quantity),
         "sigma_rule": parse_rule,
         "t_average_window": parse_quantity,
-        "variants": parse_list(parse_word),
     },
     "compare": {
         "t_average_window": parse_quantity,

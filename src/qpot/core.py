@@ -17,6 +17,7 @@ HBAR = 1.054571817e-34  # J s
 DEFAULT_MASS = 1.44e-25  # kg
 DEFAULT_C4 = 9.1e-56  # J m^4
 DEFAULT_DELTA = 0.15e-6  # m
+MAX_DEFAULT_POINTS = 2**20  # largest box default_grid widens to
 
 
 @dataclass(frozen=True)
@@ -127,11 +128,14 @@ class Grid1D:
 def default_grid(params=None, z_max=10e-6, n_points=4096):
     """Default box: [0, 10 um] with 4096 points (dz about 2.4 nm), enough for
     ten points per profile cycle at the absorber edge. For packets sitting
-    far out the box is widened to keep z0 + 6 sigma inside."""
+    far out the box widens to hold z0 + 6 sigma, to MAX_DEFAULT_POINTS."""
     if params is not None:
         z_max = max(z_max, params.z0 + 6 * params.sigma)
         base_dz = 10e-6 / (4096 - 1)
         n_points = max(n_points, int(np.ceil(z_max / base_dz)) + 1)
+        if n_points > MAX_DEFAULT_POINTS:
+            raise ConfigError(f"z0 + 6 sigma = {z_max!r} m needs {n_points} grid "
+                              f"points, over {MAX_DEFAULT_POINTS}; check the units")
     return Grid1D(z_max=z_max, n_points=n_points)
 
 

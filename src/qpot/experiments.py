@@ -10,7 +10,7 @@ over the retained times inside the averaging window.
 
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,7 +39,6 @@ class SweepSpec:
     z0_values: tuple = tuple(z * 1e-6 for z in (1.5, 2.0, 2.5, 3.0, 3.5, 4.0))
     sigma_rule: tuple = ("ratio", 0.5)
     t_average_window: float = 2e-3
-    variants: tuple = ("engineered", "gaussian")
 
     def __post_init__(self):
         object.__setattr__(self, "z0_values", tuple(float(v) for v in self.z0_values))
@@ -51,9 +50,6 @@ class SweepSpec:
         if kind == "fixed" and value <= 0:
             raise ConfigError("fixed sigma must be positive")
         object.__setattr__(self, "sigma_rule", (kind, float(value)))
-        for v in self.variants:
-            if v not in ("engineered", "gaussian", "fitted_gaussian"):
-                raise ConfigError(f"unknown packet variant {v!r}")
         if self.t_average_window <= 0:
             raise ConfigError("t_average_window must be positive")
 
@@ -64,7 +60,7 @@ class SweepSpec:
 
 @dataclass
 class ComparisonResult:
-    records: dict  # variant name -> ExperimentRecord
+    records: dict  # packet name -> ExperimentRecord
     ratio_times: np.ndarray  # retained times
     ratios: np.ndarray  # benchmark absorbed / engineered absorbed
     averaged_ratio: float | None
@@ -98,31 +94,16 @@ def absorption_ratio_series(record_num, record_den, floor=RATIO_FLOOR,
     return t, r, avg, crossover
 
 
-def _check_window(config, window, name):
-    """Reject an averaging window that ends after the last evolved step."""
+def _window_config(config, window, name):
+    """The run's evolve config, by default one that evolves to `window`; a
+    window that ends after the last evolved step is rejected."""
+    if config is None:
+        config = EvolveConfig(t_final=window)
     t_end = config.n_steps * config.dt
     if window - t_end > 1e-6 * config.dt:  # beyond n_steps * dt rounding
         raise ConfigError(
             f"{name} = {window!r} s ends after the evolved time {t_end!r} s")
-
-
-def _ratio_result(records, t_average_window):
-    """The ratio of the first benchmark record to the engineered one; no
-    ratio when the engineered packet is the only record."""
-    bench = [rec for name, rec in records.items() if name != "engineered"]
-    t = r = np.empty(0)
-    avg = cross = None
-    if bench:
-        t, r, avg, cross = absorption_ratio_series(
-            bench[0], records["engineered"], t_window=t_average_window)
-    return ComparisonResult(
-        records=records,
-        ratio_times=t,
-        ratios=r,
-        averaged_ratio=avg,
-        crossover_time=cross,
-        t_average_window=t_average_window,
-    )
+    return config
 
 
 def _evolve_each(jobs):
@@ -139,19 +120,14 @@ def _evolve_each(jobs):
         return list(pool.map(evolve, *zip(*jobs)))
 
 
-def _compare(params, grid, config, variants, t_average_window):
-    """Evolve the engineered packet and each named benchmark variant under
-    one potential stack, one evolve call per packet."""
-    pot = total_potential(grid, params)
-    eng = engineered_packet(grid, params)
-    packets = {"engineered": eng}
-    if "gaussian" in variants:
-        packets["gaussian"] = gaussian_packet(grid, params.z0, params.sigma)
-    if "fitted_gaussian" in variants:
-        mean, std, _ = moments(eng)
-        packets["fitted_gaussian"] = gaussian_packet(grid, mean, std)
-    records = _evolve_each([(psi, pot, params, config) for psi in packets.values()])
-    return _ratio_result(dict(zip(packets, records)), t_average_window)
+def _compare(name, engineered_job, benchmark_job, t_average_window):
+    """Evolve the engineered job and the benchmark job `name`, each an
+    evolve(psi, potential, params, config) call, and form the benchmark /
+    engineered absorption ratio."""
+    rec_eng, rec_bench = _evolve_each([engineered_job, benchmark_job])
+    series = absorption_ratio_series(rec_bench, rec_eng, t_window=t_average_window)
+    return ComparisonResult({"engineered": rec_eng, name: rec_bench}, *series,
+                            t_average_window)
 
 
 def run_comparison(params, grid=None, config=None, t_average_window=2e-3):
@@ -159,10 +135,12 @@ def run_comparison(params, grid=None, config=None, t_average_window=2e-3):
     envelope parameters under identical potential stacks."""
     if grid is None:
         grid = default_grid(params)
-    if config is None:
-        config = EvolveConfig(t_final=t_average_window)
-    _check_window(config, t_average_window, "t_average_window")
-    return _compare(params, grid, config, ("gaussian",), t_average_window)
+    config = _window_config(config, t_average_window, "t_average_window")
+    pot = total_potential(grid, params)
+    eng = engineered_packet(grid, params)
+    gauss = gaussian_packet(grid, params.z0, params.sigma)
+    return _compare("gaussian", (eng, pot, params, config),
+                    (gauss, pot, params, config), t_average_window)
 
 
 @dataclass
@@ -171,7 +149,6 @@ class SweepRow:
     sigma: float
     averaged_ratio: float | None = None
     crossover_time: float | None = None
-    absorbed: dict = field(default_factory=dict)  # variant -> fraction at window end
     failed: bool = False
     error: str = ""
 
@@ -180,34 +157,27 @@ def _sweep_point(args):
     """One sweep point; module-level so worker processes can import it."""
     params, sweep, config = args
     try:
-        result = _compare(params, default_grid(params), config,
-                          sweep.variants, sweep.t_average_window)
+        result = run_comparison(params, config=config,
+                                t_average_window=sweep.t_average_window)
     except QpotError as exc:  # a failed point must not sink the sweep
         return SweepRow(z0=params.z0, sigma=params.sigma, failed=True,
                         error=f"{type(exc).__name__}: {exc}")
-    return SweepRow(
-        z0=params.z0, sigma=params.sigma,
-        averaged_ratio=result.averaged_ratio,
-        crossover_time=result.crossover_time,
-        absorbed={name: rec.absorbed_at(sweep.t_average_window)
-                  for name, rec in result.records.items()},
-    )
+    return SweepRow(z0=params.z0, sigma=params.sigma,
+                    averaged_ratio=result.averaged_ratio,
+                    crossover_time=result.crossover_time)
 
 
 def resolve_workers(workers=None):
-    """The sweep's worker processes: the argument, else QPOT_WORKERS, else
-    the core count. A value that is not a positive integer is rejected."""
-    name = "workers"
+    """The sweep's worker processes: the argument, else the core count. A
+    value that is not a positive integer is rejected."""
     if workers is None:
-        name, workers = "QPOT_WORKERS", os.environ.get("QPOT_WORKERS")
-        if not workers:
-            return os.cpu_count() or 1
+        return os.cpu_count() or 1
     try:
         count = int(workers)
     except ValueError:
         count = 0
     if count < 1:
-        raise ConfigError(f"{name} must be a positive integer, got {workers!r}")
+        raise ConfigError(f"workers must be a positive integer, got {workers!r}")
     return count
 
 
@@ -227,9 +197,7 @@ def run_sweep(params_base, sweep, config=None, workers=None):
                 f"sweep z0 = {z0} does not clear the absorber edge "
                 f"{params_base.delta}"
             )
-    if config is None:
-        config = EvolveConfig(t_final=sweep.t_average_window)
-    _check_window(config, sweep.t_average_window, "t_average_window")
+    config = _window_config(config, sweep.t_average_window, "t_average_window")
     point_config = replace(config, snapshot_stride=0, store_wavefunctions=False)
     points = [params_base.replace(z0=z0, sigma=sweep.sigma_for(z0))
               for z0 in sweep.z0_values]
@@ -269,22 +237,17 @@ def run_fitted_control(params=None, grid=None, config=None, auto_fit=False,
     if grid is None:
         placed = (p_eng,) if auto_fit else (p_eng, p_fit)
         grid = default_grid(max(placed, key=lambda p: p.z0 + 6 * p.sigma))
-    if config is None:
-        config = EvolveConfig(t_final=t_average_window)
-    _check_window(config, t_average_window, "t_average_window")
+    config = _window_config(config, t_average_window, "t_average_window")
 
     eng = engineered_packet(grid, p_eng)
     if auto_fit:
         mean, std, _ = moments(eng)
         p_fit = params.replace(z0=mean, sigma=std)
     fit = gaussian_packet(grid, p_fit.z0, p_fit.sigma)
-
-    rec_eng, rec_fit = _evolve_each([
-        (eng, total_potential(grid, p_eng), p_eng, config),
-        (fit, total_potential(grid, p_fit), p_fit, config),
-    ])
-    return _ratio_result({"engineered": rec_eng, "fitted_gaussian": rec_fit},
-                         t_average_window)
+    return _compare("fitted_gaussian",
+                    (eng, total_potential(grid, p_eng), p_eng, config),
+                    (fit, total_potential(grid, p_fit), p_fit, config),
+                    t_average_window)
 
 
 @dataclass
@@ -309,9 +272,7 @@ def run_preparation_study(params, slopes=None, grid=None, config=None,
         grid = default_grid(params)
     if slopes is None:
         slopes = tuple(kz0 / params.z0 for kz0 in (0.05, 0.1, 0.3, 1.0))
-    if config is None:
-        config = EvolveConfig(t_final=t_window)
-    _check_window(config, t_window, "t_window")
+    config = _window_config(config, t_window, "t_window")
     pot = total_potential(grid, params)
     ideal = engineered_packet(grid, params)
     imprinted = [two_stage_imprint(grid, params, k) for k in slopes]

@@ -86,6 +86,13 @@ class TestQuantumPotential:
         assert rel.max() < 1e-3
 
 
+class TestProfileNodeMask:
+    def test_surface_band_does_not_wrap(self, params):
+        ok = profile_node_mask(default_grid(params), params)
+        assert not ok[:3].any()  # z = 0 and its two-point guard band
+        assert ok[-3:].all()  # the far end, where |P| is largest
+
+
 class TestResidualPotential:
     def test_center_value(self, params):
         # at the envelope center only the constant term survives

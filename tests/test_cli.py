@@ -1,9 +1,14 @@
 """End-to-end command-line runs on small configurations."""
 
+import contextlib
 import filecmp
+import functools
+import io
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +92,11 @@ class TestErrors:
         ("fitted", "[params]\ntrap_omega = 100\n", "[params] trap_omega"),
         ("profile", "[params]\nc1 = 0\n", "'c1'"),
         ("profile", "[params]\nc2 = 1\n", "'c2'"),
+        ("sweep", "[sweep]\nvariants = engineered, gaussian\n", "'variants'"),
+        ("fitted", "[fitted]\nauto_fit = true\ngaussian_z0 = 5um\n",
+         "[fitted] gaussian_z0"),
+        ("fitted", "[fitted]\nauto_fit = true\ngaussian_sigma = 0.2um\n",
+         "[fitted] gaussian_sigma"),
     ])
     def test_unread_section_or_key_exits_1(self, tmp_path, capsys, command,
                                            text, fragment):
@@ -95,6 +105,13 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert fragment in err
+        assert not out.exists()
+
+    def test_unit_slip_in_the_default_box_exits_1(self, tmp_path, capsys):
+        # z0 = 3 m would need a default grid of 1.2e9 points
+        code, out = run(tmp_path, ["profile"], "[params]\nz0 = 3\n")
+        assert code == 1
+        assert "z0 + 6 sigma" in capsys.readouterr().err
         assert not out.exists()
 
     def test_every_section_is_read_by_some_command(self):
@@ -245,20 +262,12 @@ class TestSweep:
         assert "# workers: 1" in manifest
         assert "# failed_rows: 0" in manifest
 
-    @pytest.mark.parametrize("flag, env", [
-        (["--workers", "0"], None), ([], "abc"), ([], "0"), ([], "-3"),
-    ])
-    def test_bad_worker_count_exits_1(self, tmp_path, monkeypatch, capsys,
-                                      flag, env):
-        if env is None:
-            monkeypatch.delenv("QPOT_WORKERS", raising=False)
-        else:
-            monkeypatch.setenv("QPOT_WORKERS", env)
-        code, out = run(tmp_path, ["sweep", *flag], SWEEP_CFG)
+    def test_bad_worker_count_exits_1(self, tmp_path, capsys):
+        code, out = run(tmp_path, ["sweep", "--workers", "0"], SWEEP_CFG)
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
-        assert f"got {'0' if env is None else repr(env)}" in err
+        assert "got 0" in err
         assert not out.exists()
 
     def test_failed_row_exits_nonzero(self, tmp_path, monkeypatch, capsys):
@@ -393,6 +402,136 @@ class TestManifestReplay:
         assert names == sorted(path.name for path in again.iterdir())
         for name in names:  # the replayed manifest is the same text, too
             assert filecmp.cmp(out / name, again / name, shallow=False), name
+
+
+# A config key is either honoured or rejected. Each case runs a command on
+# a config of a few steps, once as given and once with one key changed to
+# the value in CHANGED; the change must either make the run exit nonzero
+# naming the key or move a CSV byte, the stdout line or a manifest "#" line.
+HONOUR_CASES = {
+    "profile": (["profile"], {"grid": {"n_points": "1300"}}),
+    "fields": (["fields"], {"grid": {"n_points": "1300"}}),
+    "evolve": (["evolve"], {"grid": {"n_points": "1300"},
+                            "evolve": {"dt": "1us", "t_final": "3us"}}),
+    "compare": (["compare"], {"grid": {"n_points": "1300"},
+                              "evolve": {"dt": "1us"},
+                              "compare": {"t_average_window": "3us"}}),
+    # this point's ratio falls to 1 at 16 us, so a t_final past the 3 us
+    # window shows as a crossover time
+    "sweep": (["sweep", "--workers", "1"], {
+        "evolve": {"dt": "1us"},
+        "sweep": {"z0_values": "1um", "sigma_rule": "fixed 0.2um",
+                  "t_average_window": "3us"}}),
+    "fitted": (["fitted"], {"evolve": {"dt": "1us"},
+                            "fitted": {"t_average_window": "3us"}}),
+    "fitted auto_fit": (["fitted"], {
+        "evolve": {"dt": "1us"},
+        "fitted": {"auto_fit": "true", "t_average_window": "3us"}}),
+    "prepare": (["prepare"], {"grid": {"n_points": "1300"},
+                              "evolve": {"dt": "1us"},
+                              "prepare": {"slope_z0_values": "0.05",
+                                          "t_window": "3us"}}),
+    "converge": (["converge"], {
+        "grid": {"n_points": "1300"},
+        "converge": {"packet": "gaussian", "t_final": "3us",
+                     "dt_ladder": "1us, 0.5us", "n_refinements": "1"}}),
+}
+
+CHANGED = {
+    "params": {"mass": "1.5e-25kg", "c4": "1e-55J", "z0": "2.5um",
+               "sigma": "0.9um", "delta": "0.2um", "absorber_strength": "1e-28J",
+               "trap_omega": "100rad/s"},
+    "grid": {"z_max": "9um", "n_points": "1400"},
+    "evolve": {"dt": "0.5us", "t_final": "20us", "snapshot_stride": "2",
+               "packet": "gaussian"},
+    "sweep": {"z0_values": "1.2um", "sigma_rule": "fixed 0.3um",
+              "t_average_window": "2us"},
+    "compare": {"t_average_window": "2us"},
+    "fitted": {"engineered_z0": "1.5um", "engineered_sigma": "0.9um",
+               "gaussian_z0": "2.5um", "gaussian_sigma": "0.9um",
+               "auto_fit": "true", "t_average_window": "2us"},
+    "prepare": {"slopes": "3e4", "slope_z0_values": "0.1", "t_window": "2us"},
+    "fields": {"support_cut": "1e-3"},
+    "profile": {"use_abs": "true"},
+    "converge": {"t_final": "4us", "dt_ladder": "1us, 0.25us",
+                 "n_refinements": "2", "packet": "engineered"},
+}
+CHANGED_IN_CASE = {("fitted auto_fit", "fitted", "auto_fit"): "false"}
+
+# Keys a command accepts and records but does not act on; the run must
+# leave its output unchanged until the key is honoured or rejected.
+NOT_ACTED_ON = {
+    **{(case, "params", key): "builds no potential"
+       for case in ("profile", "fields")
+       for key in ("delta", "absorber_strength", "trap_omega")},
+    ("prepare", "evolve", "t_final"): "reads absorbed fractions at t_window",
+}
+
+
+def honour_pairs():
+    """(case, section, key) for every key of every section a case reads."""
+    return [(case, section, key) for case, (argv, _) in HONOUR_CASES.items()
+            for section in _COMMANDS[argv[0]][2] for key in cfgmod._SCHEMA[section]]
+
+
+def config_text(sections):
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for name, keys in sections.items())
+
+
+def outcome(case, text):
+    """Exit code, stderr, and the stdout line, CSV bytes and manifest "#"
+    lines of one in-process run."""
+    argv = HONOUR_CASES[case][0]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp, "run.cfg"), Path(tmp, "out")
+        cfg.write_text(text)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(argv + ["--config", str(cfg), "--out", str(out)])
+        files = {}
+        for path in sorted(out.iterdir()) if out.exists() else ():
+            data = path.read_bytes()
+            if path.name.endswith("_manifest.txt"):
+                data = [line for line in data.splitlines() if line.startswith(b"#")]
+            files[path.name] = data
+        return code, stderr.getvalue(), stdout.getvalue().replace(str(out), "OUT"), files
+
+
+@functools.cache
+def base_outcome(case):
+    return outcome(case, config_text(HONOUR_CASES[case][1]))
+
+
+def test_honour_table_covers_every_key():
+    """Every command has a case, and every key of the schema a changed
+    value, so a new key cannot go unchecked."""
+    assert {argv[0] for argv, _ in HONOUR_CASES.values()} == set(_COMMANDS)
+    keys = {(section, key) for section in cfgmod._SCHEMA
+            for key in cfgmod._SCHEMA[section]}
+    pairs = set(honour_pairs())
+    assert {(section, key) for _, section, key in pairs} == keys
+    assert {(section, key) for section in CHANGED for key in CHANGED[section]} == keys
+    assert set(NOT_ACTED_ON) | set(CHANGED_IN_CASE) <= pairs
+
+
+@pytest.mark.parametrize("case,section,key", honour_pairs())
+def test_every_key_is_honoured_or_rejected(case, section, key):
+    base = HONOUR_CASES[case][1]
+    value = CHANGED_IN_CASE.get((case, section, key), CHANGED[section][key])
+    assert base.get(section, {}).get(key) != value
+    code, _, *before = base_outcome(case)
+    assert code == 0
+    changed = {**base, section: {**base.get(section, {}), key: value}}
+    code, err, *after = outcome(case, config_text(changed))
+    if code:
+        assert key in err
+    elif (case, section, key) in NOT_ACTED_ON:
+        assert after == before
+    else:
+        assert after != before
 
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"

@@ -91,7 +91,6 @@ sigma = 1um
 [sweep]
 z0_values = 1.5um, 2um
 sigma_rule = ratio 0.5
-variants = engineered, gaussian
 
 [evolve]
 dt = 0.1us
@@ -109,7 +108,6 @@ class TestParseConfigText:
         assert cfg["params"]["z0"] == pytest.approx(2.3e-6)
         assert cfg["sweep"]["z0_values"] == (1.5e-6, 2e-6)
         assert cfg["sweep"]["sigma_rule"] == ("ratio", 0.5)
-        assert cfg["sweep"]["variants"] == ("engineered", "gaussian")
         assert cfg["evolve"]["dt"] == pytest.approx(1e-7)
         assert cfg["profile"]["use_abs"] is True
 
@@ -174,8 +172,7 @@ class TestRoundTrips:
     @pytest.mark.parametrize("spec", [
         SweepSpec(z0_values=(1.5e-6, 2.75e-6, 4e-6)),
         SweepSpec(z0_values=(2.3e-6,), sigma_rule=("fixed", 0.7e-6),
-                  t_average_window=1.5e-3,
-                  variants=("engineered", "fitted_gaussian")),
+                  t_average_window=1.5e-3),
         SweepSpec(z0_values=(1e-6 / 3,), sigma_rule=("ratio", 1 / 3)),
     ])
     def test_sweep_spec_survives_serialization(self, spec):
