@@ -10,16 +10,21 @@ and dt = 0.1 us. Every figure is the median of its repeats; the samples
 and the machine (perfbench's `environment`) are stored next to it.
 
 - L0 `factor_s`: `CrankNicolson(...)`, the zgttrf factorization.
-- L1 one step: `step_us` for `step_values`, split into `rhs_us` (the three
-  numpy operations of the right-hand side), `solve_us` (`zgttrs`) and
-  `norm_us` (`vdot`), each the mean over a batch of calls.
+- L1 one step: `step_us` for `step_values`, split into `update_us` (the
+  two element-wise operations of u' = 2 A^-1 u - u: 2u into a buffer, then
+  the buffer minus u into u), `solve_us` (`zgttrs` in place on that
+  buffer) and `norm_us` (`vdot`), each the mean over a batch of calls. The
+  split is built from the solver's `_factors` and raw numpy alone, so it
+  measures the same operations on any checkout.
 - L2 `evolve_2ms_s`: one 2 ms `evolve` (20,000 steps), no snapshots.
 - io: `write_record_csv_s` on that 20,001-row record, and
   `write_snapshots_csv_s` on a 2 ms record captured every 100 steps
   (201 captures).
 - L3: `run_comparison_s` over 2 ms with a 2 ms window;
   `run_fitted_control_s` (default pairing) and `run_preparation_study_s`
-  (default four slopes) over 0.2 ms; `run_sweep_1w_s` and
+  (default four slopes) over 0.2 ms; `convergence_report_s`, the
+  engineered packet over 0.2 ms on a dt ladder of 0.4, 0.2 and 0.1 us and
+  one dz refinement (4096 and 8191 points); `run_sweep_1w_s` and
   `run_sweep_2w_s` on perfbench's sweep points (six z0, 0.2 ms) with 1
   and 2 worker processes.
 - L4: wall time and peak memory of `qpot compare` and of the snapshots
@@ -77,7 +82,7 @@ def inner(repeats):
     )
     from qpot.io import write_record_csv, write_snapshots_csv
     from qpot.potentials import total_potential
-    from qpot.propagate import CrankNicolson, EvolveConfig, evolve
+    from qpot.propagate import CrankNicolson, EvolveConfig, convergence_report, evolve
 
     params = PhysicalParams(z0=Z0_UM * 1e-6, sigma=1e-6)
     grid = default_grid(params)
@@ -89,13 +94,13 @@ def inner(repeats):
 
     solver = CrankNicolson(grid, pot, params, dt)
     u = psi.values[1:-1].astype(complex)
-    bdiag, boff, factors = solver._bdiag, solver._boff, solver._factors
+    factors = solver._factors
+    b = np.empty((u.size, 1), dtype=complex, order="F")
+    v = np.empty_like(u)
 
-    def rhs():
-        b = bdiag * u
-        b[1:] += boff * u[:-1]
-        b[:-1] += boff * u[1:]
-        return b
+    def update():
+        np.multiply(u, 2.0, out=b[:, 0])
+        np.subtract(b[:, 0], u, out=v)
 
     def batch(fn):
         def run():
@@ -103,10 +108,12 @@ def inner(repeats):
                 fn()
         return [s / BATCH * 1e6 for s in _timed(run, repeats["step"])]
 
-    b = rhs()
-    out["step_us"] = (batch(lambda: solver.step_values(u)), "us")
-    out["rhs_us"] = (batch(rhs), "us")
-    out["solve_us"] = (batch(lambda: zgttrs(*factors, b[:, None])), "us")
+    # step_values may update u in place; every other figure reads only u
+    stepped = u.copy()
+    out["step_us"] = (batch(lambda: solver.step_values(stepped)), "us")
+    out["update_us"] = (batch(update), "us")
+    update()
+    out["solve_us"] = (batch(lambda: zgttrs(*factors, b, overwrite_b=1)), "us")
     out["norm_us"] = (batch(lambda: np.vdot(u, u)), "us")
 
     config = EvolveConfig(dt=dt, t_final=2e-3)
@@ -131,6 +138,10 @@ def inner(repeats):
             config=short, t_average_window=2e-4),
         "run_preparation_study_s": lambda: run_preparation_study(
             params, grid=grid, config=short, t_window=2e-4),
+        "convergence_report_s": lambda: convergence_report(
+            lambda g: engineered_packet(g, params),
+            lambda g: total_potential(g, params), params, t_final=2e-4,
+            base_grid=grid, dt_ladder=(4e-7, 2e-7, 1e-7), n_refinements=1),
     }
     sweep = workloads.PRODUCTION["sweep"]
     spec = SweepSpec(z0_values=tuple(z * 1e-6 for z in sweep.z0_um),

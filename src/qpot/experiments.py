@@ -266,13 +266,16 @@ def run_preparation_study(params, slopes=None, grid=None, config=None,
 
     For each imprint slope K the Gaussian is turned into
     sin(K z) cos(a/z) Gaussian, compared against the ideal engineered
-    packet, and both are evolved for t_window under the full stack.
+    packet, and both are evolved for t_window under the full stack; a
+    config that evolves a whole step past t_window is rejected.
     """
     if grid is None:
         grid = default_grid(params)
     if slopes is None:
         slopes = tuple(kz0 / params.z0 for kz0 in (0.05, 0.1, 0.3, 1.0))
     config = _window_config(config, t_window, "t_window")
+    if config.n_steps * config.dt - t_window >= (1 - 1e-6) * config.dt:
+        raise ConfigError(f"t_final = {config.t_final!r} s evolves past t_window")
     pot = total_potential(grid, params)
     ideal = engineered_packet(grid, params)
     imprinted = [two_stage_imprint(grid, params, k) for k in slopes]

@@ -1,12 +1,13 @@
 """Crank-Nicolson propagation under the complex potential stack.
 
-One step solves (1 + i dt H / 2 hbar) psi' = (1 - i dt H / 2 hbar) psi with
-H = -(hbar^2/2m) d^2/dz^2 + V_re - i |V_im|, on the interior points of the
-grid with psi = 0 pinned at both ends. The scheme is unconditionally stable,
-second order in dt and dz, exactly unitary for real V, and contractive when
-the imaginary part is absorbing.
+One step solves A psi' = (2 - A) psi, i.e. psi' = 2 A^-1 psi - psi, with
+A = 1 + i dt H / 2 hbar and H = -(hbar^2/2m) d^2/dz^2 + V_re - i |V_im|, on
+the interior points of the grid with psi = 0 pinned at both ends. The scheme
+is unconditionally stable, second order in dt and dz, exactly unitary for
+real V, and contractive when the imaginary part is absorbing.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -61,7 +62,8 @@ class ExperimentRecord:
 
 
 class CrankNicolson:
-    """LU factors of 1 + i dt H / 2 hbar, built once, and the explicit side."""
+    """LU factors of A = 1 + i dt H / 2 hbar, built once, and the buffer
+    each step solves in: one solver per thread, as each evolve builds its own."""
 
     def __init__(self, grid, potential, params, dt):
         if potential.grid is not grid and potential.grid != grid:
@@ -79,27 +81,23 @@ class CrankNicolson:
         if info != 0:
             raise NumericsError(f"singular Crank-Nicolson matrix (info {info})")
         self._factors = factors
-        self._bdiag = 1.0 - lam * diag
-        self._boff = -lam * off
+        self._buf = np.empty((n - 2, 1), dtype=complex, order="F")
+        self._col = self._buf[:, 0]
         self.grid = grid
         self.dt = dt
 
-    def step_values(self, interior):
-        """Advance the interior amplitudes by one dt into a new array."""
-        rhs = self._bdiag * interior
-        rhs[1:] += self._boff * interior[:-1]
-        rhs[:-1] += self._boff * interior[1:]
-        out, _ = zgttrs(*self._factors, rhs[:, None], overwrite_b=1)
-        return out[:, 0]
+    def step_values(self, u):
+        """Advance the interior amplitudes u by one dt in place; returns u."""
+        np.multiply(u, 2.0, out=self._col)  # exact: A y = 2u is bitwise 2 A^-1 u
+        zgttrs(*self._factors, self._buf, overwrite_b=1)
+        return np.subtract(self._col, u, out=u)
 
 
 def step(psi, potential, params, dt):
-    """Single Crank-Nicolson step; builds the factor pair each call.
-
-    For long runs use evolve, which reuses the factorization.
-    """
+    """One Crank-Nicolson step from psi, which is left unchanged; it factors
+    A on each call, so long runs use evolve."""
     solver = CrankNicolson(psi.grid, potential, params, dt)
-    interior = solver.step_values(psi.values[1:-1])
+    interior = solver.step_values(psi.values[1:-1].astype(complex))
     if not np.isfinite(np.vdot(interior, interior)):
         raise NumericsError("tridiagonal solve produced non-finite amplitudes")
     return psi.with_values(np.concatenate(([0.0], interior, [0.0])))
@@ -112,15 +110,14 @@ def evolve(psi0, potential, params, config):
     relative; the endpoints are pinned to zero throughout.
     """
     grid = psi0.grid
-    z = grid.z
     dz = grid.dz
     solver = CrankNicolson(grid, potential, params, config.dt)
-    u = psi0.values[1:-1].astype(complex).copy()
+    u = psi0.values[1:-1].astype(complex)
 
     def full_state():
         return np.concatenate(([0.0], u, [0.0]))
 
-    n0 = np.sqrt(np.trapezoid(np.abs(full_state()) ** 2, z))
+    n0 = np.sqrt(np.trapezoid(np.abs(full_state()) ** 2, grid.z))
     if n0 == 0:
         raise NumericsError("initial state has zero norm")
     u /= n0
@@ -138,9 +135,9 @@ def evolve(psi0, potential, params, config):
 
     t0 = time.perf_counter()
     for k in range(1, nsteps + 1):
-        u = solver.step_values(u)
-        norm = np.sqrt(dz * np.vdot(u, u).real)  # trapezoid: endpoints are 0
-        if not np.isfinite(norm):
+        solver.step_values(u)
+        norm = math.sqrt(dz * np.vdot(u, u).real)  # trapezoid: endpoints are 0
+        if not math.isfinite(norm):
             raise NumericsError(f"non-finite amplitudes at step {k}")
         norms[k] = norm
         if config.snapshot_stride and k % config.snapshot_stride == 0:
@@ -150,12 +147,11 @@ def evolve(psi0, potential, params, config):
                 psi_snaps.append((t, full_state()))
     wall = time.perf_counter() - t0
 
-    absorbed = 1.0 - norms**2
     return ExperimentRecord(
         grid=grid,
         times=times,
         norms=norms,
-        absorbed_fraction=absorbed,
+        absorbed_fraction=1.0 - norms**2,
         snapshots=snapshots,
         psi_snapshots=psi_snaps,
         params=params,

@@ -464,7 +464,6 @@ NOT_ACTED_ON = {
     **{(case, "params", key): "builds no potential"
        for case in ("profile", "fields")
        for key in ("delta", "absorber_strength", "trap_omega")},
-    ("prepare", "evolve", "t_final"): "reads absorbed fractions at t_window",
 }
 
 

@@ -269,6 +269,22 @@ class TestPreparationStudy:
         assert 0.0 <= row.absorbed_ideal <= 1.0
         assert 0.5 < row.penalty < 2.0
 
+    @pytest.mark.parametrize("t_window", [5e-7, 9e-7])
+    def test_steps_past_window_rejected(self, t_window):
+        params = PhysicalParams()
+        cfg = EvolveConfig(dt=1e-7, t_final=1e-6)
+        with pytest.raises(ConfigError, match="t_final"):
+            run_preparation_study(params, slopes=(0.05 / params.z0,),
+                                  config=cfg, t_window=t_window)
+
+    def test_window_inside_last_step_accepted(self):
+        # the last step is read to interpolate at 0.95 us
+        params = PhysicalParams()
+        cfg = EvolveConfig(dt=1e-7, t_final=1e-6)
+        [row] = run_preparation_study(params, slopes=(0.05 / params.z0,),
+                                      config=cfg, t_window=9.5e-7)
+        assert row.absorbed_ideal > 0
+
 
 class TestWindowPastRecord:
     """An averaging window that ends after the evolved time is rejected

@@ -117,9 +117,11 @@ class TestFactoredFastPath:
         psi = gaussian_packet(grid, params.z0, params.sigma)
         return grid, pot, params, psi
 
-    def test_bitwise_equal_to_banded_reference(self, stack):
-        grid, pot, params, psi = stack
-        dt = 1e-7
+    @staticmethod
+    def banded(stack, dt):
+        """A = 1 + i dt H / 2 hbar in solve_banded's layout, and the diagonals
+        of the explicit side 1 - i dt H / 2 hbar."""
+        grid, pot, params, _ = stack
         lam = 1j * dt / (2 * params.hbar)
         kin = params.hbar**2 / (2 * params.mass * grid.dz**2)
         diag = 2 * kin + pot.complex_values()[1:-1]
@@ -128,9 +130,25 @@ class TestFactoredFastPath:
         ab[0, 1:] = lam * off
         ab[1, :] = 1.0 + lam * diag
         ab[2, :-1] = lam * off
-        bdiag, boff = 1.0 - lam * diag, -lam * off
+        return ab, 1.0 - lam * diag, -lam * off
 
-        solver = CrankNicolson(grid, pot, params, dt)
+    def test_bitwise_equal_to_banded_reference(self, stack):
+        # u' = A^-1 (2 - A) u = 2 A^-1 u - u, with A^-1 applied to 2u
+        grid, pot, params, psi = stack
+        ab, _, _ = self.banded(stack, 1e-7)
+        solver = CrankNicolson(grid, pot, params, 1e-7)
+        u_ref = psi.values[1:-1].astype(complex)
+        u = u_ref.copy()
+        for _ in range(2000):
+            u_ref = solve_banded((1, 1), ab, 2 * u_ref, check_finite=False) - u_ref
+            solver.step_values(u)
+        assert np.array_equal(u, u_ref)
+
+    def test_matches_explicit_rhs_form(self, stack):
+        # the textbook step A u' = (1 - i dt H / 2 hbar) u, absorber on
+        grid, pot, params, psi = stack
+        ab, bdiag, boff = self.banded(stack, 1e-7)
+        solver = CrankNicolson(grid, pot, params, 1e-7)
         u_ref = psi.values[1:-1].astype(complex)
         u = u_ref.copy()
         for _ in range(2000):
@@ -138,19 +156,18 @@ class TestFactoredFastPath:
             rhs[1:] += boff * u_ref[:-1]
             rhs[:-1] += boff * u_ref[1:]
             u_ref = solve_banded((1, 1), ab, rhs, check_finite=False)
-            u = solver.step_values(u)
-        assert np.array_equal(u, u_ref)
+            solver.step_values(u)
+        assert np.abs(u - u_ref).max() <= 1e-12 * np.abs(u_ref).max()
 
-    def test_input_untouched_and_results_fresh(self, stack):
+    def test_steps_in_place_and_step_leaves_psi(self, stack):
         grid, pot, params, psi = stack
         solver = CrankNicolson(grid, pot, params, 1e-7)
-        u0 = psi.values[1:-1].astype(complex)
-        before = u0.copy()
-        u1 = solver.step_values(u0)
-        u2 = solver.step_values(u1)
-        assert np.array_equal(u0, before)
-        assert not np.shares_memory(u1, u0)
-        assert not np.shares_memory(u2, u1)
+        before = psi.values.copy()
+        expected = step(psi, pot, params, 1e-7).values[1:-1]
+        assert np.array_equal(psi.values, before)
+        u = psi.values[1:-1].copy()
+        assert solver.step_values(u) is u
+        assert np.array_equal(u, expected)
 
     def test_nan_potential_caught(self, stack):
         grid, pot, params, psi = stack
@@ -178,6 +195,25 @@ class TestFactoredFastPath:
         monkeypatch.setattr(CrankNicolson, "step_values", corrupting)
         with pytest.raises(NumericsError, match="step 5"):
             evolve(psi, pot, params, EvolveConfig(dt=1e-7, t_final=1e-6))
+
+    def test_snapshots_equal_shorter_runs(self, stack):
+        # each capture copies the state; a capture aliasing the stepped
+        # amplitudes would show the final state at every stride
+        grid, pot, params, psi = stack
+        cfg = EvolveConfig(dt=1e-7, t_final=2e-5, snapshot_stride=50,
+                           store_wavefunctions=True)
+        rec = evolve(psi, pot, params, cfg)
+        assert len(rec.psi_snapshots) == len(rec.snapshots) == 5
+        for k in (1, 2, 3):
+            short = evolve(psi, pot, params, EvolveConfig(
+                dt=1e-7, t_final=k * 5e-6, snapshot_stride=50,
+                store_wavefunctions=True))
+            assert short.config.n_steps == 50 * k
+            assert rec.psi_snapshots[k][0] == short.psi_snapshots[-1][0]
+            assert np.array_equal(rec.psi_snapshots[k][1],
+                                  short.psi_snapshots[-1][1])
+            assert np.array_equal(rec.snapshots[k][1], short.snapshots[-1][1])
+        assert not np.array_equal(rec.psi_snapshots[3][1], rec.psi_snapshots[4][1])
 
     def test_recorded_norm_is_the_trapezoid_norm(self, stack):
         grid, pot, params, psi = stack
