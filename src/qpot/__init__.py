@@ -6,138 +6,4 @@ Crank-Nicolson scheme under surface + trap + absorber, and measures how
 much less of it is absorbed than a Gaussian prepared at the same spot.
 """
 
-from .bohmian import (
-    profile_node_mask,
-    quantum_potential,
-    residual_potential,
-    residual_potential_expanded,
-    weighted_fields,
-)
-from .core import (
-    DEFAULT_C4,
-    DEFAULT_DELTA,
-    DEFAULT_MASS,
-    HBAR,
-    Grid1D,
-    PhysicalParams,
-    RealField,
-    Wavefunction,
-    default_grid,
-    moments,
-    normalize,
-)
-from .engineering import (
-    ImprintSpec,
-    ProfileSpec,
-    engineered_packet,
-    engineered_profile,
-    fidelity,
-    gaussian_packet,
-    imprint_sequence,
-    phase_imprint,
-    profile_derivative,
-    two_stage_imprint,
-    verify_profile_ode,
-)
-from .errors import (
-    ConfigError,
-    ConstructionError,
-    DomainError,
-    EmptyFieldError,
-    GridError,
-    NodeSingularity,
-    NormalizationError,
-    NumericsError,
-    QpotError,
-    TruncationWarning,
-)
-from .experiments import (
-    ComparisonResult,
-    SweepSpec,
-    absorption_ratio_series,
-    run_comparison,
-    run_fitted_control,
-    run_preparation_study,
-    run_sweep,
-)
-from .potentials import (
-    ComplexPotential,
-    absorber_field,
-    casimir_polder,
-    harmonic_field,
-    modified_cp_field,
-    total_potential,
-)
-from .propagate import (
-    ConvergenceReport,
-    CrankNicolson,
-    EvolveConfig,
-    ExperimentRecord,
-    convergence_report,
-    energy_expectation,
-    evolve,
-    step,
-)
 from .version import __version__
-
-__all__ = [
-    "__version__",
-    "HBAR",
-    "DEFAULT_MASS",
-    "DEFAULT_C4",
-    "DEFAULT_DELTA",
-    "PhysicalParams",
-    "Grid1D",
-    "default_grid",
-    "Wavefunction",
-    "RealField",
-    "normalize",
-    "moments",
-    "ComplexPotential",
-    "casimir_polder",
-    "modified_cp_field",
-    "absorber_field",
-    "harmonic_field",
-    "total_potential",
-    "ProfileSpec",
-    "ImprintSpec",
-    "engineered_profile",
-    "profile_derivative",
-    "verify_profile_ode",
-    "engineered_packet",
-    "gaussian_packet",
-    "phase_imprint",
-    "imprint_sequence",
-    "two_stage_imprint",
-    "fidelity",
-    "quantum_potential",
-    "residual_potential",
-    "residual_potential_expanded",
-    "profile_node_mask",
-    "weighted_fields",
-    "EvolveConfig",
-    "ExperimentRecord",
-    "CrankNicolson",
-    "step",
-    "evolve",
-    "energy_expectation",
-    "ConvergenceReport",
-    "convergence_report",
-    "SweepSpec",
-    "ComparisonResult",
-    "absorption_ratio_series",
-    "run_comparison",
-    "run_sweep",
-    "run_fitted_control",
-    "run_preparation_study",
-    "QpotError",
-    "DomainError",
-    "ConfigError",
-    "GridError",
-    "NormalizationError",
-    "ConstructionError",
-    "NodeSingularity",
-    "EmptyFieldError",
-    "NumericsError",
-    "TruncationWarning",
-]

@@ -111,8 +111,7 @@ def residual_potential(z, params, spec=None, node_tol=1e-6):
     if np.any(z <= 0):
         raise DomainError("residual_potential requires z > 0")
     _node_check(z, params, spec, node_tol)
-    z0 = spec.mean(params)
-    sig = spec.sigma(params)
+    z0, sig = params.z0, params.sigma
     s = z - z0
     p = engineered_profile(z, params, spec)
     dp = profile_derivative(z, params, spec)
@@ -138,8 +137,7 @@ def residual_potential_expanded(z, params, spec=None, node_tol=1e-6):
     if np.any(z <= 0):
         raise DomainError("residual_potential_expanded requires z > 0")
     _node_check(z, params, spec, node_tol)
-    z0 = spec.mean(params)
-    sig = spec.sigma(params)
+    z0, sig = params.z0, params.sigma
     a = params.profile_scale
     th = a / z
     alpha = spec.c1 * np.cos(th) + spec.c2 * np.sin(th)
@@ -196,8 +194,7 @@ def weighted_fields(grid, params, spec=None, support_cut=1e-6):
     if spec is None:
         spec = ProfileSpec()
     z = grid.z
-    z0 = spec.mean(params)
-    sig = spec.sigma(params)
+    z0, sig = params.z0, params.sigma
     pos = z > 0
 
     p = np.zeros_like(z)

@@ -2,14 +2,13 @@
 
 Every subcommand reads an optional config file, runs one experiment and
 writes CSV files plus a run-manifest into the output directory. A
-command's row in _COMMANDS lists the config sections it reads; its
-manifest records exactly those sections with the values the run used, so
-the manifest given back as --config replays the run. A [grid] or [evolve]
-section given to a command that does not read it is an error, and so are
-[evolve] packet and a nonzero snapshot_stride outside `qpot evolve`, and
-[params] z0, sigma and trap_omega for sweep and fitted, which set them per
-packet. Runs are fully deterministic; sweep's --workers only changes how
-points are scheduled, never the numbers.
+command's row in _COMMANDS lists the config sections and the [params]
+keys it reads; its manifest records exactly those with the values the run
+used, so the manifest given back as --config replays the run. A [grid] or
+[evolve] section or a [params] key given to a command that does not read
+it is an error, and so are [evolve] packet and a nonzero snapshot_stride
+outside `qpot evolve`. Runs are fully deterministic; sweep's --workers
+only changes how points are scheduled, never the numbers.
 """
 
 import argparse
@@ -88,19 +87,6 @@ def _evolve_config(run, window):
     return cfgmod.evolve_from(run.cfg, t_final=section.get("t_final", window))
 
 
-def _packet_free_params(run):
-    """The params for sweep and fitted, which set z0, sigma and trap_omega
-    per packet; [params] may not set them, and the manifest omits them."""
-    placed = ("z0", "sigma", "trap_omega")
-    for key in placed:
-        if key in run.cfg.get("params", {}):
-            raise ConfigError(f"[params] {key} is set per packet by "
-                              f"qpot {run.args.command}; remove it")
-    params = run.params
-    run.params = {k: v for k, v in vars(params).items() if k not in placed}
-    return params
-
-
 def _path(run, name):
     return os.path.join(run.args.out, name)
 
@@ -174,11 +160,10 @@ def cmd_compare(run):
 
 
 def cmd_sweep(run):
-    params = _packet_free_params(run)
     run.sweep = cfgmod.sweep_from(run.cfg)
     run.evolve = _evolve_config(run, run.sweep.t_average_window)
     workers = run.args.workers
-    rows = run_sweep(params, run.sweep, config=run.evolve, workers=workers)
+    rows = run_sweep(run.params, run.sweep, config=run.evolve, workers=workers)
     failed = [r for r in rows if r.failed]
     path = _path(run, "sweep.csv")
     return _Output(
@@ -191,7 +176,6 @@ def cmd_sweep(run):
 
 
 def cmd_fitted(run):
-    params = _packet_free_params(run)
     run.fitted = _settings(run_fitted_control, run.section)
     if run.fitted["auto_fit"]:  # the fit places the Gaussian
         for key in ("gaussian_z0", "gaussian_sigma"):
@@ -199,7 +183,7 @@ def cmd_fitted(run):
                 raise ConfigError(f"[fitted] {key} is unread with auto_fit = true")
             del run.fitted[key]
     run.evolve = _evolve_config(run, run.fitted["t_average_window"])
-    result = run_fitted_control(params, config=run.evolve, **run.fitted)
+    result = run_fitted_control(run.params, config=run.evolve, **run.fitted)
     return _Output(
         _comparison_csvs(run, "ratio_fitted.csv", result),
         {"averaged_ratio": repr(result.averaged_ratio)},
@@ -250,29 +234,35 @@ def cmd_converge(run):
 _WORKERS = (("--workers",), {"type": int, "default": None,
                              "help": "worker processes for sweep points"})
 
-# name: (command, help, config sections it reads in manifest order,
-# extra flags); the command sets run.<section> for each section but params
-# and grid
+# [params] keys a command reads: profile and fields build no potential,
+# sweep and fitted set z0, sigma and trap_omega per packet
+_PACKET_KEYS = ("mass", "c4", "z0", "sigma")
+_PLACED_KEYS = ("mass", "c4", "delta", "absorber_strength")
+_ALL_KEYS = _PACKET_KEYS + ("delta", "absorber_strength", "trap_omega")
+
+# name: (command, help, config sections it reads in manifest order, the
+# [params] keys it reads, extra flags); the command sets run.<section> for
+# each section but params and grid
 _COMMANDS = {
     "profile": (cmd_profile, "dump the engineered packet and its profile",
-                ("params", "grid", "profile"), ()),
+                ("params", "grid", "profile"), _PACKET_KEYS, ()),
     "fields": (cmd_fields, "density-weighted quantum potential and residual",
-               ("params", "grid", "fields"), ()),
+               ("params", "grid", "fields"), _PACKET_KEYS, ()),
     "evolve": (cmd_evolve, "evolve one packet under the full potential stack",
-               ("params", "grid", "evolve"), ()),
+               ("params", "grid", "evolve"), _ALL_KEYS, ()),
     "compare": (cmd_compare, "engineered vs Gaussian absorbed fractions",
-                ("params", "grid", "evolve", "compare"), ()),
+                ("params", "grid", "evolve", "compare"), _ALL_KEYS, ()),
     "sweep": (cmd_sweep, "averaged advantage across envelope positions",
-              ("params", "evolve", "sweep"), (_WORKERS,)),
+              ("params", "evolve", "sweep"), _PLACED_KEYS, (_WORKERS,)),
     "fitted": (cmd_fitted, "engineered packet vs position-matched Gaussian",
-               ("params", "evolve", "fitted"), ()),
+               ("params", "evolve", "fitted"), _PLACED_KEYS, ()),
     "prepare": (cmd_prepare, "two-pulse preparation fidelity and cost",
-                ("params", "grid", "evolve", "prepare"), ()),
+                ("params", "grid", "evolve", "prepare"), _ALL_KEYS, ()),
     "converge": (cmd_converge, "time-step and grid refinement ladders",
-                 ("params", "grid", "converge"), ()),
+                 ("params", "grid", "converge"), _ALL_KEYS, ()),
 }
 
-_listed = [name for _, _, sections, _ in _COMMANDS.values() for name in sections]
+_listed = [name for _, _, sections, _, _ in _COMMANDS.values() for name in sections]
 # sections more than one command reads; an unlisted one is rejected
 _SHARED = {name for name in _listed if _listed.count(name) > 1}
 
@@ -281,16 +271,18 @@ def _run(args):
     """Load and resolve the config, run the command, then write its CSVs,
     its manifest and its summary line.
 
-    A shared section the command's row does not list is rejected before
-    anything runs. Params and, where the row lists it, the grid are
-    resolved here; the command resolves its other sections into run.
+    A shared section or a [params] key the command's row does not list is
+    rejected before anything runs. Params and, where the row lists it, the
+    grid are resolved here; the command resolves its other sections into
+    run.
     """
-    fn, _, sections, _ = _COMMANDS[args.command]
+    fn, _, sections, keys, _ = _COMMANDS[args.command]
     cfg = cfgmod.load_config(args.config) if args.config else {}
-    unread = sorted(_SHARED.intersection(cfg).difference(sections))
+    unread = [f"[{name}]"
+              for name in sorted(_SHARED.intersection(cfg).difference(sections))]
+    unread += [f"[params] {key}" for key in cfg.get("params", {}) if key not in keys]
     if unread:
-        raise ConfigError(f"qpot {args.command} does not read "
-                          + ", ".join(f"[{name}]" for name in unread))
+        raise ConfigError(f"qpot {args.command} does not read " + ", ".join(unread))
     run = types.SimpleNamespace(args=args, cfg=cfg,
                                 section=cfg.get(args.command, {}),
                                 params=cfgmod.params_from(cfg))
@@ -300,9 +292,11 @@ def _run(args):
     os.makedirs(args.out, exist_ok=True)
     for path, write, *data in out.csvs:
         write(path, *data)
+    manifest = {name: getattr(run, name) for name in sections}
+    manifest["params"] = {key: getattr(run.params, key) for key in keys}
     iomod.write_manifest(
         _path(run, f"{args.command}_manifest.txt"),
-        cfgmod.config_to_text({name: getattr(run, name) for name in sections}),
+        cfgmod.config_to_text(manifest),
         extra={"command": args.command, **out.extra},
     )
     print(out.message)
@@ -319,7 +313,7 @@ def main(argv=None):
     parser.add_argument("--version", action="version",
                         version=f"qpot {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, _, flags) in _COMMANDS.items():
+    for name, (_, help_text, _, _, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="config file path")
         p.add_argument("--out", default=".", help="output directory")

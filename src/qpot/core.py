@@ -118,12 +118,6 @@ class Grid1D:
             return True
         return self.dz <= 2 * np.pi * params.delta**2 / scale / points_per_cycle
 
-    def index_of(self, z):
-        """Nearest grid index for a coordinate inside the grid."""
-        if not (self.z_min <= z <= self.z_max):
-            raise GridError(f"coordinate {z} outside grid [{self.z_min}, {self.z_max}]")
-        return int(round((z - self.z_min) / self.dz))
-
 
 def default_grid(params=None, z_max=10e-6, n_points=4096):
     """Default box: [0, 10 um] with 4096 points (dz about 2.4 nm), enough for

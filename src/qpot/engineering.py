@@ -30,31 +30,16 @@ from .errors import (
 
 @dataclass(frozen=True)
 class ProfileSpec:
-    """Profile coefficients and envelope parameters.
-
-    envelope_mean / envelope_sigma default to the values carried by the
-    PhysicalParams they are used with (None means inherit).
-    """
+    """Shape of the profile: its coefficients and whether to take |P|. The
+    envelope is the Gaussian of the PhysicalParams z0 and sigma."""
 
     c1: float = 1.0
     c2: float = 0.0
     use_abs: bool = False
-    envelope_mean: float | None = None
-    envelope_sigma: float | None = None
 
     def __post_init__(self):
         if self.c1 == 0 and self.c2 == 0:
             raise ConfigError("profile coefficients (c1, c2) must not both vanish")
-        if self.envelope_sigma is not None and self.envelope_sigma <= 0:
-            raise ConfigError("envelope_sigma must be positive")
-        if self.envelope_mean is not None and self.envelope_mean <= 0:
-            raise ConfigError("envelope_mean must be positive")
-
-    def mean(self, params):
-        return self.envelope_mean if self.envelope_mean is not None else params.z0
-
-    def sigma(self, params):
-        return self.envelope_sigma if self.envelope_sigma is not None else params.sigma
 
 
 @dataclass(frozen=True)
@@ -131,53 +116,6 @@ def profile_derivative(z, params, spec=None):
     return deriv if deriv.ndim else float(deriv)
 
 
-def verify_profile_ode(params, spec=None, z_samples=None, h=None, node_tol=1e-2):
-    """Max relative residual of P'' + (2 m c4 / hbar^2 z^4) P over samples.
-
-    P'' is formed by a central second difference at spacing h, so the
-    residual of an exact solution shrinks like h^2. By default h scales
-    with each sample (1e-4 z), which keeps the stencil clear of both the
-    truncation and the cancellation regimes across the whole range; a
-    scalar h applies the same spacing everywhere. Samples too close to a
-    node of the oscillating factor are excluded with a notice. Returns the
-    maximum relative residual over the retained samples.
-    """
-    if spec is None:
-        spec = ProfileSpec()
-    if z_samples is None:
-        z_samples = np.array([0.5e-6, 1e-6, 2e-6, 4e-6])
-    z = np.asarray(z_samples, dtype=float)
-    h = 1e-4 * z if h is None else np.broadcast_to(float(h), z.shape)
-    if np.any(z <= h):
-        raise DomainError("samples must stay positive after the stencil offset")
-
-    a = params.profile_scale
-    amp = np.hypot(spec.c1, spec.c2)
-    alpha = spec.c1 * np.cos(a / z) + spec.c2 * np.sin(a / z)
-    keep = np.abs(alpha) >= node_tol * amp
-    if not np.all(keep):
-        warnings.warn(
-            f"excluded {np.count_nonzero(~keep)} sample(s) within the node zone",
-            stacklevel=2,
-        )
-    z = z[keep]
-    h = h[keep]
-    if z.size == 0:
-        raise DomainError("all samples fell inside node zones")
-
-    plain = ProfileSpec(spec.c1, spec.c2, False)  # |P| has kinks; use signed P
-    p0 = engineered_profile(z, params, plain)
-    pp = engineered_profile(z + h, params, plain)
-    pm = engineered_profile(z - h, params, plain)
-    d2 = (pp - 2 * p0 + pm) / h**2
-    ode_term = (a**2 / z**4) * p0
-    scale = np.maximum(np.abs(d2), np.abs(ode_term))
-    resid = np.abs(d2 + ode_term)
-    # both terms vanish identically for the c4 = 0 linear profile
-    out = np.where(scale > 0, resid / np.where(scale > 0, scale, 1.0), 0.0)
-    return float(np.max(out))
-
-
 def engineered_packet(grid, params, spec=None):
     """Engineered profile times Gaussian envelope, normalized, psi(0) = 0."""
     if spec is None:
@@ -187,13 +125,11 @@ def engineered_packet(grid, params, spec=None):
             "grid spacing does not resolve the profile oscillation at the "
             f"absorber edge (dz = {grid.dz:.3e} m)"
         )
-    z0 = spec.mean(params)
-    sig = spec.sigma(params)
     z = grid.z
     vals = np.zeros(grid.n_points, dtype=complex)
     pos = z > 0
     vals[pos] = engineered_profile(z[pos], params, spec) * np.exp(
-        -((z[pos] - z0) ** 2) / (4 * sig**2)
+        -((z[pos] - params.z0) ** 2) / (4 * params.sigma**2)
     )
     psi = Wavefunction(grid, vals)
     if psi.norm() == 0:
@@ -233,12 +169,6 @@ def phase_imprint(psi, spec):
     return normalize(out)
 
 
-def imprint_sequence(psi, specs):
-    for spec in specs:
-        psi = phase_imprint(psi, spec)
-    return psi
-
-
 def two_stage_imprint(grid, params, slope, base=None):
     """The two-pulse preparation: start from the benchmark Gaussian, imprint
     sin(slope * z) (approximately linear in z for small slope), then imprint
@@ -247,16 +177,12 @@ def two_stage_imprint(grid, params, slope, base=None):
         base = gaussian_packet(grid, params.z0, params.sigma)
     linear = ImprintSpec(kind="linear", a=0.5, b=-0.5, slope=slope)
     inverse = ImprintSpec(kind="inverse", a=0.5, b=0.5, amplitude=params.profile_scale)
-    return imprint_sequence(base, [linear, inverse])
+    return phase_imprint(phase_imprint(base, linear), inverse)
 
 
 def fidelity(psi_a, psi_b):
     """|<a|b>|^2 by trapezoid quadrature; both states on the same grid."""
-    if psi_a.grid is not psi_b.grid and not (
-        psi_a.grid.n_points == psi_b.grid.n_points
-        and psi_a.grid.z_min == psi_b.grid.z_min
-        and psi_a.grid.z_max == psi_b.grid.z_max
-    ):
+    if psi_a.grid != psi_b.grid:
         raise GridError("fidelity requires both states on the same grid")
     overlap = np.trapezoid(np.conj(psi_a.values) * psi_b.values, psi_a.grid.z)
     return float(min(abs(overlap) ** 2, 1.0))

@@ -52,9 +52,9 @@ def modified_cp_field(grid, params):
     if not (grid.z_min <= params.delta <= grid.z_max):
         raise GridError("absorber edge delta lies outside the grid")
     z = grid.z
-    plateau = -params.c4 / params.delta**4
-    with np.errstate(divide="ignore"):
-        vals = np.where(z >= params.delta, -params.c4 / np.where(z > 0, z, 1.0) ** 4, plateau)
+    vals = np.full_like(z, casimir_polder(params.delta, params))
+    above = z >= params.delta
+    vals[above] = casimir_polder(z[above], params)
     return RealField(grid, vals)
 
 

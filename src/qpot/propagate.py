@@ -8,7 +8,6 @@ real V, and contractive when the imaginary part is absorbing.
 """
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,7 +53,6 @@ class ExperimentRecord:
     psi_snapshots: list = field(default_factory=list)  # (t, values) pairs
     params: object = None
     config: object = None
-    wall_time: float = 0.0
 
     def absorbed_at(self, t):
         """Absorbed fraction at time t by linear interpolation."""
@@ -66,7 +64,7 @@ class CrankNicolson:
     each step solves in: one solver per thread, as each evolve builds its own."""
 
     def __init__(self, grid, potential, params, dt):
-        if potential.grid is not grid and potential.grid != grid:
+        if potential.grid != grid:
             raise GridError("potential grid does not match the state grid")
         n = grid.n_points
         if n < 4:
@@ -91,16 +89,6 @@ class CrankNicolson:
         np.multiply(u, 2.0, out=self._col)  # exact: A y = 2u is bitwise 2 A^-1 u
         zgttrs(*self._factors, self._buf, overwrite_b=1)
         return np.subtract(self._col, u, out=u)
-
-
-def step(psi, potential, params, dt):
-    """One Crank-Nicolson step from psi, which is left unchanged; it factors
-    A on each call, so long runs use evolve."""
-    solver = CrankNicolson(psi.grid, potential, params, dt)
-    interior = solver.step_values(psi.values[1:-1].astype(complex))
-    if not np.isfinite(np.vdot(interior, interior)):
-        raise NumericsError("tridiagonal solve produced non-finite amplitudes")
-    return psi.with_values(np.concatenate(([0.0], interior, [0.0])))
 
 
 def evolve(psi0, potential, params, config):
@@ -133,7 +121,6 @@ def evolve(psi0, potential, params, config):
         if config.store_wavefunctions:
             psi_snaps.append((0.0, full_state()))
 
-    t0 = time.perf_counter()
     for k in range(1, nsteps + 1):
         solver.step_values(u)
         norm = math.sqrt(dz * np.vdot(u, u).real)  # trapezoid: endpoints are 0
@@ -145,7 +132,6 @@ def evolve(psi0, potential, params, config):
             snapshots.append((t, np.abs(full_state()) ** 2))
             if config.store_wavefunctions:
                 psi_snaps.append((t, full_state()))
-    wall = time.perf_counter() - t0
 
     return ExperimentRecord(
         grid=grid,
@@ -156,22 +142,7 @@ def evolve(psi0, potential, params, config):
         psi_snapshots=psi_snaps,
         params=params,
         config=config,
-        wall_time=wall,
     )
-
-
-def energy_expectation(psi, potential, params):
-    """<H> via central differences, for conservation checks (real part)."""
-    z = psi.grid.z
-    dz = psi.grid.dz
-    vals = psi.values
-    lap = np.zeros_like(vals)
-    lap[1:-1] = (vals[2:] - 2 * vals[1:-1] + vals[:-2]) / dz**2
-    hpsi = -(params.hbar**2 / (2 * params.mass)) * lap
-    hpsi += potential.complex_values() * vals
-    num = np.trapezoid(np.conj(vals) * hpsi, z)
-    den = np.trapezoid(np.abs(vals) ** 2, z)
-    return complex(num / den)
 
 
 @dataclass

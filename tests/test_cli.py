@@ -90,6 +90,10 @@ class TestErrors:
         ("fitted", "[params]\nz0 = 3um\n", "[params] z0"),
         ("fitted", "[params]\nsigma = 0.5um\n", "[params] sigma"),
         ("fitted", "[params]\ntrap_omega = 100\n", "[params] trap_omega"),
+        ("profile", "[params]\ndelta = 0.2um\n", "[params] delta"),
+        ("fields", "[params]\nabsorber_strength = 0\n",
+         "[params] absorber_strength"),
+        ("fields", "[params]\ntrap_omega = 100\n", "[params] trap_omega"),
         ("profile", "[params]\nc1 = 0\n", "'c1'"),
         ("profile", "[params]\nc2 = 1\n", "'c2'"),
         ("sweep", "[sweep]\nvariants = engineered, gaussian\n", "'variants'"),
@@ -115,7 +119,7 @@ class TestErrors:
         assert not out.exists()
 
     def test_every_section_is_read_by_some_command(self):
-        read = {name for _, _, sections, _ in _COMMANDS.values()
+        read = {name for _, _, sections, _, _ in _COMMANDS.values()
                 for name in sections}
         assert read == set(cfgmod._SCHEMA)
 
@@ -386,6 +390,7 @@ class TestManifestReplay:
         text = (out / f"{command}_manifest.txt").read_text()
         replay = parse_config_text(text)
         params = params_from(replay)
+        assert tuple(replay["params"]) == _COMMANDS[command][3]
         replayed = {
             "params": lambda: params,
             "grid": lambda: grid_from(replay, params),
@@ -458,15 +463,6 @@ CHANGED = {
 }
 CHANGED_IN_CASE = {("fitted auto_fit", "fitted", "auto_fit"): "false"}
 
-# Keys a command accepts and records but does not act on; the run must
-# leave its output unchanged until the key is honoured or rejected.
-NOT_ACTED_ON = {
-    **{(case, "params", key): "builds no potential"
-       for case in ("profile", "fields")
-       for key in ("delta", "absorber_strength", "trap_omega")},
-}
-
-
 def honour_pairs():
     """(case, section, key) for every key of every section a case reads."""
     return [(case, section, key) for case, (argv, _) in HONOUR_CASES.items()
@@ -513,7 +509,7 @@ def test_honour_table_covers_every_key():
     pairs = set(honour_pairs())
     assert {(section, key) for _, section, key in pairs} == keys
     assert {(section, key) for section in CHANGED for key in CHANGED[section]} == keys
-    assert set(NOT_ACTED_ON) | set(CHANGED_IN_CASE) <= pairs
+    assert set(CHANGED_IN_CASE) <= pairs
 
 
 @pytest.mark.parametrize("case,section,key", honour_pairs())
@@ -527,8 +523,6 @@ def test_every_key_is_honoured_or_rejected(case, section, key):
     code, err, *after = outcome(case, config_text(changed))
     if code:
         assert key in err
-    elif (case, section, key) in NOT_ACTED_ON:
-        assert after == before
     else:
         assert after != before
 

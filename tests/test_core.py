@@ -104,13 +104,6 @@ class TestGrid1D:
         with pytest.raises(ValueError):
             g.z[0] = 1.0
 
-    def test_index_of(self):
-        g = Grid1D(z_max=10e-6, n_points=101)
-        assert g.index_of(0.0) == 0
-        assert g.index_of(5e-6) == 50
-        with pytest.raises(GridError):
-            g.index_of(11e-6)
-
     def test_validation(self):
         with pytest.raises(GridError):
             Grid1D(z_max=1e-6, n_points=1)

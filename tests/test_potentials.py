@@ -23,6 +23,11 @@ def grid():
     return default_grid()
 
 
+def nearest_index(grid, z):
+    """Index of the grid point nearest z."""
+    return int(np.argmin(np.abs(grid.z - z)))
+
+
 def test_casimir_polder_value(params):
     # -c4/z^4 at the absorber edge
     v = casimir_polder(0.15e-6, params)
@@ -49,13 +54,29 @@ def test_modified_cp_plateau(grid, params):
     below = grid.z < params.delta
     assert np.all(field.values[below] == edge)
     # continuous across the edge
-    i = grid.index_of(params.delta)
+    i = nearest_index(grid, params.delta)
     assert field.values[i] == pytest.approx(edge, rel=1e-6)
     # plain attraction further out
-    far = grid.index_of(2e-6)
+    far = nearest_index(grid, 2e-6)
     assert field.values[far] == pytest.approx(
         casimir_polder(grid.z[far], params), rel=1e-12
     )
+
+
+@pytest.mark.parametrize("z0, delta, c4", [
+    (2.3e-6, 0.15e-6, 9.1e-56), (3e-6, 0.2e-6, 5e-56),
+    (1.5e-6, 0.1e-6, 1.3e-55), (5e-6, 0.37e-6, 9.1e-56),
+])
+def test_modified_cp_is_the_quartic_formula_bitwise(z0, delta, c4):
+    # built on casimir_polder, the field is bitwise the one-line formula
+    # with the plateau -c4/delta^4 below delta
+    params = PhysicalParams(z0=z0, delta=delta, c4=c4)
+    for grid in (default_grid(params), Grid1D(z_max=7e-6, n_points=333)):
+        z = grid.z
+        with np.errstate(divide="ignore"):
+            formula = np.where(z >= delta, -c4 / np.where(z > 0, z, 1.0) ** 4,
+                               -c4 / delta**4)
+        assert np.array_equal(modified_cp_field(grid, params).values, formula)
 
 
 def test_modified_cp_edge_outside_grid(params):
@@ -69,7 +90,7 @@ def test_absorber_ramp(grid, params):
     w = params.absorber_strength
     assert field.values[0] == pytest.approx(w, rel=1e-12)
     assert np.all(field.values[grid.z >= params.delta] == 0.0)
-    mid = grid.index_of(params.delta / 2)
+    mid = nearest_index(grid, params.delta / 2)
     expected = w * (1 - grid.z[mid] / params.delta)
     assert field.values[mid] == pytest.approx(expected, rel=1e-12)
     assert np.all(field.values >= 0)
@@ -82,13 +103,13 @@ def test_absorber_zero_strength(grid, params):
 
 def test_harmonic_minimum_and_curvature(grid, params):
     field = harmonic_field(grid, params)
-    i0 = grid.index_of(params.z0)
+    i0 = nearest_index(grid, params.z0)
     # the grid point nearest z0 sits within dz/2 of the minimum
     quarter = 0.5 * params.mass * params.trap_omega**2 * (grid.dz / 2) ** 2
     assert 0.0 <= field.values[i0] <= quarter * 1.01
     # half m omega^2 sigma^2 one sigma away; with the matched trap this is
     # hbar^2 / (8 m sigma^2)
-    i1 = grid.index_of(params.z0 + params.sigma)
+    i1 = nearest_index(grid, params.z0 + params.sigma)
     expected = params.hbar**2 / (8 * params.mass * params.sigma**2)
     assert field.values[i1] == pytest.approx(expected, rel=1e-3)
     assert expected == pytest.approx(9.6538e-33, rel=1e-4)
