@@ -12,10 +12,11 @@ and the machine (perfbench's `environment`) are stored next to it.
 - L0 `factor_s`: `CrankNicolson(...)`, the zgttrf factorization.
 - L1 one step: `step_us` for `step_values`, split into `update_us` (the
   two element-wise operations of u' = 2 A^-1 u - u: 2u into a buffer, then
-  the buffer minus u into u), `solve_us` (`zgttrs` in place on that
-  buffer) and `norm_us` (`vdot`), each the mean over a batch of calls. The
-  split is built from the solver's `_factors` and raw numpy alone, so it
-  measures the same operations on any checkout.
+  the buffer minus u into u), `solve_us` (`qpot.propagate.zgttrs`, the
+  routine the step calls, in place on that buffer) and `norm_us` (`vdot`),
+  each the mean over a batch of calls. The split is built from the
+  solver's `_factors` and raw numpy alone, so it measures the same
+  operations on any checkout.
 - L2 `evolve_2ms_s`: one 2 ms `evolve` (20,000 steps), no snapshots.
 - io: `write_record_csv_s` on that 20,001-row record, and
   `write_snapshots_csv_s` on a 2 ms record captured every 100 steps
@@ -28,8 +29,10 @@ and the machine (perfbench's `environment`) are stored next to it.
   `run_sweep_2w_s` on perfbench's sweep points (six z0, 0.2 ms) with 1
   and 2 worker processes.
 - L4: wall time and peak memory of `qpot compare` and of the snapshots
-  `qpot evolve`, run as perfbench's production configs with z0 = 3 um,
-  and `tier1_s`, one run of the Tier-1 suite (`pytest` over `tests/`).
+  `qpot evolve`, run as perfbench's production configs with z0 = 3 um;
+  `cli_import_s`, the start-up every command pays: a fresh
+  `python -c "import qpot.cli"`, median of 7 runs; and `tier1_s`, one run
+  of the Tier-1 suite (`pytest` over `tests/`).
 
 The in-process layers run in a child with perfbench's `child_env` (BLAS
 threads pinned to 1); the parent never imports numpy or qpot.
@@ -55,6 +58,7 @@ from run import child_env, environment  # noqa: E402
 
 Z0_UM = 3.0
 BATCH = 500  # calls per L1 sample
+IMPORT_RUNS = 7  # fresh interpreters behind cli_import_s
 
 
 def _timed(fn, repeats):
@@ -69,7 +73,6 @@ def _timed(fn, repeats):
 def inner(repeats):
     """The in-process layers; prints {name: (samples, unit)} as JSON."""
     import numpy as np
-    from scipy.linalg.lapack import zgttrs
 
     from qpot.core import PhysicalParams, default_grid
     from qpot.engineering import engineered_packet
@@ -82,7 +85,13 @@ def inner(repeats):
     )
     from qpot.io import write_record_csv, write_snapshots_csv
     from qpot.potentials import total_potential
-    from qpot.propagate import CrankNicolson, EvolveConfig, convergence_report, evolve
+    from qpot.propagate import (
+        CrankNicolson,
+        EvolveConfig,
+        convergence_report,
+        evolve,
+        zgttrs,
+    )
 
     params = PhysicalParams(z0=Z0_UM * 1e-6, sigma=1e-6)
     grid = default_grid(params)
@@ -157,8 +166,8 @@ def inner(repeats):
 
 
 def cli_layers(env, repeats):
-    """L4: the perfbench production compare and snapshots configs, and one
-    run of the Tier-1 suite."""
+    """L4: the perfbench production compare and snapshots configs, the
+    import of `qpot.cli` and one run of the Tier-1 suite."""
     out = {}
     work = ROOT / ".bench_build" / "layers"
     for name in ("compare", "snapshots"):
@@ -181,6 +190,9 @@ def cli_layers(env, repeats):
                 rss.append(proc.peak_rss_mb)
         out[f"cli_{name}_wall_s"] = (walls, "s")
         out[f"cli_{name}_peak_rss_mb"] = (rss, "MB")
+    out["cli_import_s"] = (_timed(lambda: subprocess.run(
+        [sys.executable, "-c", "import qpot.cli"], env=env, check=True),
+        IMPORT_RUNS), "s")
     t0 = time.perf_counter()
     tier1 = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",

@@ -12,11 +12,11 @@ construction that approximates the engineered packet from a Gaussian, and a
 quadrature fidelity measure.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .core import Wavefunction, normalize
 from .errors import (
@@ -144,7 +144,7 @@ def gaussian_packet(grid, z0, sigma):
     """
     if z0 <= 0 or sigma <= 0:
         raise ConfigError("gaussian_packet requires z0 > 0 and sigma > 0")
-    tail = 0.5 * erfc((grid.z_max - z0) / (np.sqrt(2) * sigma))
+    tail = 0.5 * math.erfc((grid.z_max - z0) / (math.sqrt(2) * sigma))
     if tail > 1e-6:
         warnings.warn(
             f"{tail:.2e} of the packet mass lies beyond z_max = {grid.z_max:.2e} m",

@@ -9,7 +9,7 @@ over the retained times inside the averaging window.
 """
 
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent import futures  # ProcessPoolExecutor (multiprocessing) loads on use
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -116,7 +116,8 @@ def _evolve_each(jobs):
     rebound qpot.experiments.evolve takes effect. The first failing job's
     exception is raised unchanged.
     """
-    with ThreadPoolExecutor(max_workers=min(len(jobs), os.cpu_count() or 1)) as pool:
+    nthreads = min(len(jobs), os.cpu_count() or 1)
+    with futures.ThreadPoolExecutor(max_workers=nthreads) as pool:
         return list(pool.map(evolve, *zip(*jobs)))
 
 
@@ -208,7 +209,7 @@ def run_sweep(params_base, sweep, config=None, workers=None):
     if nworkers <= 1 or len(jobs) <= 1:
         rows = [_sweep_point(j) for j in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=min(nworkers, len(jobs))) as pool:
+        with futures.ProcessPoolExecutor(max_workers=min(nworkers, len(jobs))) as pool:
             rows = list(pool.map(_sweep_point, jobs))
     rows.sort(key=lambda r: r.z0)
     return rows

@@ -7,14 +7,45 @@ is unconditionally stable, second order in dt and dz, exactly unitary for
 real V, and contractive when the imaginary part is absorbing.
 """
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .core import Grid1D, default_grid
 from .errors import ConfigError, GridError, NumericsError
+
+
+def _load_flapack():
+    """scipy's f2py LAPACK module, executed without the scipy package inits.
+
+    `scipy.linalg.lapack` re-exports this module's routines, but importing it
+    runs `scipy/__init__` and `scipy/linalg/__init__`, which through scipy's
+    vendored array_api_compat load numpy.testing, numpy.f2py, numpy.ma,
+    numpy.random and more: about 0.3 s and 28 MB per command for two
+    routines. The module is registered under its own name, so a later
+    `import scipy.linalg` reuses it and its routines are the same objects.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")  # top level: does not import it
+    spec = scipy and importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(d, "linalg") for d in scipy.submodule_search_locations])
+    if spec is None:
+        raise ImportError(f"cannot find {name}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+zgttrf, zgttrs = _flapack.zgttrf, _flapack.zgttrs
 
 
 @dataclass(frozen=True)
@@ -106,8 +137,9 @@ def evolve(psi0, potential, params, config):
         return np.concatenate(([0.0], u, [0.0]))
 
     n0 = np.sqrt(np.trapezoid(np.abs(full_state()) ** 2, grid.z))
-    if n0 == 0:
-        raise NumericsError("initial state has zero norm")
+    if not (n0 > 0 and math.isfinite(n0)):  # also catches NaN
+        raise NumericsError(f"initial state has norm {float(n0)}; "
+                            "it must be finite and nonzero")
     u /= n0
 
     nsteps = config.n_steps

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import qpot
 
 SRC = Path(qpot.__file__).resolve().parent
@@ -21,20 +23,86 @@ from qpot import config
 print(callable(config.load_config))
 """
 
+# What `import qpot.cli` must leave out: the scipy package inits (and the
+# numpy.testing and numpy.f2py they pull in) and, until a sweep starts its
+# process pool, multiprocessing.
+IMPORT_CLI = """
+import sys
+import qpot.cli
+print(sorted(m for m in sys.argv[1:] if m in sys.modules),
+      "scipy.linalg._flapack" in sys.modules)
+"""
+NOT_LOADED_BY_CLI = ("scipy.linalg", "scipy.special", "numpy.testing", "numpy.f2py",
+                     "multiprocessing")
+
+# Imports the modules named on the command line in that order and counts the
+# times scipy's LAPACK extension module is created.
+ONE_FLAPACK = """
+import importlib
+import sys
+from importlib.machinery import ExtensionFileLoader
+
+created = []
+create = ExtensionFileLoader.create_module
+
+
+def counting(self, spec):
+    if spec.name == "scipy.linalg._flapack":
+        created.append(spec.name)
+    return create(self, spec)
+
+
+ExtensionFileLoader.create_module = counting
+for name in sys.argv[1:]:
+    importlib.import_module(name)
+from qpot import propagate
+from scipy.linalg import lapack
+print(propagate.zgttrf is lapack.zgttrf, propagate.zgttrs is lapack.zgttrs,
+      len(created))
+"""
+
 # Library results the acceptance checks call; no command reads them.
 CHECKED_BY_ACCEPTANCE = {"quantum_potential", "residual_potential",
                          "residual_potential_expanded", "profile_node_mask"}
 
 
-def test_import_qpot_loads_only_the_version():
+def _fresh(code, *args):
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    proc = subprocess.run([sys.executable, "-c", IMPORT_QPOT], capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    first, second = proc.stdout.splitlines()
+    return proc.stdout.strip()
+
+
+def test_import_qpot_loads_only_the_version():
+    first, second = _fresh(IMPORT_QPOT).splitlines()
     assert first == (f"['qpot', 'qpot.version'] ['version'] False "
                      f"{qpot.__version__}")
     assert second == "True"
+
+
+def test_cli_import_loads_no_scipy_package_init():
+    assert _fresh(IMPORT_CLI, *NOT_LOADED_BY_CLI) == "[] True"
+
+
+@pytest.mark.parametrize("order", [("qpot.propagate", "scipy.linalg.lapack"),
+                                   ("scipy.linalg.lapack", "qpot.propagate")])
+def test_one_lapack_module_whatever_the_import_order(order):
+    assert _fresh(ONE_FLAPACK, *order) == "True True 1"
+
+
+def test_missing_lapack_module_is_an_import_error(tmp_path):
+    # a scipy without linalg/_flapack: no fallback to another LAPACK path
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text("", encoding="utf-8")
+    code = ("import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "try:\n"
+            "    import qpot.propagate\n"
+            "except ImportError as exc:\n"
+            "    print(exc, '|', exc.name)\n")
+    assert _fresh(code, str(tmp_path)) == ("cannot find scipy.linalg._flapack | "
+                                           "scipy.linalg._flapack")
 
 
 def test_every_public_name_has_a_caller_in_src():

@@ -1,5 +1,7 @@
 """Stepper tests: stability, dispersion, reversibility, absorption records."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
@@ -119,12 +121,26 @@ class TestStep:
             CrankNicolson(grid, free_potential(grid), params, 1e-7)
 
     def test_nonfinite_input_caught(self, grid, params):
+        # named as the initial state before the renormalization divides by
+        # its norm, so no step runs and numpy does not warn
         psi = gaussian_packet(grid, 5e-6, 1e-6)
-        vals = psi.values.copy()
-        vals[2000] = np.nan
         cfg = EvolveConfig(dt=1e-7, t_final=1e-7)
-        with pytest.raises(NumericsError), np.errstate(invalid="ignore"):
-            evolve(psi.with_values(vals), free_potential(grid), params, cfg)
+        for value, shown in ((np.nan, "nan"), (np.inf, "inf")):
+            vals = psi.values.copy()
+            vals[2000] = value
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericsError) as info:
+                    evolve(psi.with_values(vals), free_potential(grid), params, cfg)
+            assert str(info.value) == (f"initial state has norm {shown}; "
+                                       "it must be finite and nonzero")
+
+    def test_zero_initial_norm_caught(self, grid, params):
+        psi = gaussian_packet(grid, 5e-6, 1e-6)
+        zero = psi.with_values(np.zeros_like(psi.values))
+        with pytest.raises(NumericsError, match="initial state has norm 0.0;"):
+            evolve(zero, free_potential(grid), params,
+                   EvolveConfig(dt=1e-7, t_final=1e-7))
 
 
 class TestFactoredFastPath:
