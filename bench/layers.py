@@ -9,7 +9,12 @@ the default grid (4096 points on [0, 10 um]) with z0 = 3 um, sigma = 1 um
 and dt = 0.1 us. Every figure is the median of its repeats; the samples
 and the machine (perfbench's `environment`) are stored next to it.
 
-- L0 `factor_s`: `CrankNicolson(...)`, the zgttrf factorization.
+- L0 `factor_s`: `CrankNicolson(...)`, the zgttrf factorization, timed
+  in 5 fresh processes with every sample kept. Whether the factors'
+  temporaries page-fault in (a process's first call, or a heap top that
+  glibc has trimmed) changes a sample by about 2x, and differs from one
+  process to the next; timed in one process, that would move the median
+  instead of showing as spread.
 - L1 one step: `step_us` for `step_values`, split into `update_us` (the
   two element-wise operations of u' = 2 A^-1 u - u: 2u into a buffer, then
   the buffer minus u into u), `solve_us` (`qpot.propagate.zgttrs`, the
@@ -27,9 +32,11 @@ and the machine (perfbench's `environment`) are stored next to it.
   engineered packet over 0.2 ms on a dt ladder of 0.4, 0.2 and 0.1 us and
   one dz refinement (4096 and 8191 points); `run_sweep_1w_s` and
   `run_sweep_2w_s` on perfbench's sweep points (six z0, 0.2 ms) with 1
-  and 2 worker processes.
-- L4: wall time and peak memory of `qpot compare` and of the snapshots
-  `qpot evolve`, run as perfbench's production configs with z0 = 3 um;
+  and 2 lanes.
+- L4: wall time and peak memory of `qpot compare`, the `qpot sweep` on
+  2 lanes and the snapshots `qpot evolve`, run as perfbench's production
+  configs (z0 = 3 um where the command takes one); peak memory is summed
+  over the process tree by perfbench's `launch.run`, as perfbench does;
   `cli_import_s`, the start-up every command pays: a fresh
   `python -c "import qpot.cli"`, median of 7 runs; and `tier1_s`, one run
   of the Tier-1 suite (`pytest` over `tests/`).
@@ -57,8 +64,10 @@ import workloads  # noqa: E402
 from run import child_env, environment  # noqa: E402
 
 Z0_UM = 3.0
+DT = 1e-7  # s
 BATCH = 500  # calls per L1 sample
 IMPORT_RUNS = 7  # fresh interpreters behind cli_import_s
+FACTOR_PROCESSES = 5  # fresh processes behind factor_s
 
 
 def _timed(fn, repeats):
@@ -70,11 +79,29 @@ def _timed(fn, repeats):
     return samples
 
 
+def _case():
+    """The default-grid case: (params, grid, potential)."""
+    from qpot.core import PhysicalParams, default_grid
+    from qpot.potentials import total_potential
+
+    params = PhysicalParams(z0=Z0_UM * 1e-6, sigma=1e-6)
+    grid = default_grid(params)
+    return params, grid, total_potential(grid, params)
+
+
+def factor(repeats):
+    """L0 in this process: prints the timings of `repeats` factorizations."""
+    from qpot.propagate import CrankNicolson
+
+    params, grid, pot = _case()
+    print(json.dumps(_timed(lambda: CrankNicolson(grid, pot, params, DT), repeats)))
+
+
 def inner(repeats):
-    """The in-process layers; prints {name: (samples, unit)} as JSON."""
+    """The in-process layers but L0; prints {name: (samples, unit)} as JSON."""
     import numpy as np
 
-    from qpot.core import PhysicalParams, default_grid
+    from qpot.core import PhysicalParams
     from qpot.engineering import engineered_packet
     from qpot.experiments import (
         SweepSpec,
@@ -93,15 +120,11 @@ def inner(repeats):
         zgttrs,
     )
 
-    params = PhysicalParams(z0=Z0_UM * 1e-6, sigma=1e-6)
-    grid = default_grid(params)
-    pot = total_potential(grid, params)
+    params, grid, pot = _case()
     psi = engineered_packet(grid, params)
-    dt = 1e-7
-    out = {"factor_s": (_timed(lambda: CrankNicolson(grid, pot, params, dt),
-                               repeats["factor"]), "s")}
+    out = {}
 
-    solver = CrankNicolson(grid, pot, params, dt)
+    solver = CrankNicolson(grid, pot, params, DT)
     u = psi.values[1:-1].astype(complex)
     factors = solver._factors
     b = np.empty((u.size, 1), dtype=complex, order="F")
@@ -125,11 +148,11 @@ def inner(repeats):
     out["solve_us"] = (batch(lambda: zgttrs(*factors, b, overwrite_b=1)), "us")
     out["norm_us"] = (batch(lambda: np.vdot(u, u)), "us")
 
-    config = EvolveConfig(dt=dt, t_final=2e-3)
+    config = EvolveConfig(dt=DT, t_final=2e-3)
     records = []
     out["evolve_2ms_s"] = (_timed(lambda: records.append(evolve(psi, pot, params, config)),
                                   repeats["evolve"]), "s")
-    snap = evolve(psi, pot, params, EvolveConfig(dt=dt, t_final=2e-3,
+    snap = evolve(psi, pot, params, EvolveConfig(dt=DT, t_final=2e-3,
                                                   snapshot_stride=100))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "out.csv")
@@ -139,7 +162,7 @@ def inner(repeats):
             _timed(lambda: write_snapshots_csv(path, snap), repeats["io"]), "s")
     del records, snap
 
-    short = EvolveConfig(dt=dt, t_final=2e-4)
+    short = EvolveConfig(dt=DT, t_final=2e-4)
     l3 = {
         "run_comparison_s": lambda: run_comparison(
             params, grid, config, t_average_window=2e-3),
@@ -166,11 +189,11 @@ def inner(repeats):
 
 
 def cli_layers(env, repeats):
-    """L4: the perfbench production compare and snapshots configs, the
-    import of `qpot.cli` and one run of the Tier-1 suite."""
+    """L4: the perfbench production compare, sweep and snapshots configs,
+    the import of `qpot.cli` and one run of the Tier-1 suite."""
     out = {}
     work = ROOT / ".bench_build" / "layers"
-    for name in ("compare", "snapshots"):
+    for name in ("compare", "sweep", "snapshots"):
         spec = workloads.PRODUCTION[name]
         walls, rss = [], []
         for k in range(repeats + 1):  # the first run warms the caches
@@ -220,6 +243,7 @@ def main(argv=None):
     parser.add_argument("--repeats", type=int, default=5,
                         help="repeats of each layer (evolve, L3 and the CLI: 3)")
     parser.add_argument("--inner", help=argparse.SUPPRESS)
+    parser.add_argument("--factor", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     few = max(1, min(3, args.repeats))
     repeats = {"factor": 4 * args.repeats, "step": args.repeats,
@@ -227,11 +251,21 @@ def main(argv=None):
     if args.inner:
         inner(json.loads(args.inner))
         return 0
+    if args.factor:
+        factor(args.factor)
+        return 0
     label = args.label or describe()
     env = child_env()
-    child = subprocess.run([sys.executable, __file__, "--inner", json.dumps(repeats)],
-                           env=env, capture_output=True, text=True, check=True)
-    layers = json.loads(child.stdout.splitlines()[-1])
+
+    def child(*flags):
+        proc = subprocess.run([sys.executable, __file__, *flags], env=env,
+                              capture_output=True, text=True, check=True)
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    per_process = -(-repeats["factor"] // FACTOR_PROCESSES)
+    layers = {"factor_s": ([s for _ in range(FACTOR_PROCESSES)
+                            for s in child("--factor", str(per_process))], "s")}
+    layers.update(child("--inner", json.dumps(repeats)))
     layers.update(cli_layers(env, few))
     result = {
         "label": label,

@@ -231,8 +231,9 @@ def cmd_converge(run):
     )
 
 
-_WORKERS = (("--workers",), {"type": int, "default": None,
-                             "help": "worker processes for sweep points"})
+_WORKERS = (("--workers",), {"type": int, "default": None, "metavar": "N",
+                             "help": "sweep lanes, this process and N-1 pool "
+                                     "processes (default: one lane per core)"})
 
 # [params] keys a command reads: profile and fields build no potential,
 # sweep and fitted set z0, sigma and trap_omega per packet

@@ -168,8 +168,14 @@ def _sweep_point(args):
                     crossover_time=result.crossover_time)
 
 
+def _pool_lane(pool, first, pending):
+    """The rows of a lane on a pool process: `first`'s point, then each next
+    point of `pending`, handed over only once the last one is back."""
+    return [first.result()] + [pool.submit(_sweep_point, j).result() for j in pending]
+
+
 def resolve_workers(workers=None):
-    """The sweep's worker processes: the argument, else the core count. A
+    """The sweep's concurrent lanes: the argument, else the core count. A
     value that is not a positive integer is rejected."""
     if workers is None:
         return os.cpu_count() or 1
@@ -185,12 +191,13 @@ def resolve_workers(workers=None):
 def run_sweep(params_base, sweep, config=None, workers=None):
     """Averaged absorbed-fraction ratios across the z0 grid.
 
-    Points are independent and may run in a process pool, largest grid
-    first; the rows come back sorted by z0, so the output is identical for
-    any worker count. Rows with z0 at or below the absorber edge, and a
-    window longer than the evolved time, are rejected up front; a point
-    that fails with a QpotError during evolution is marked and the sweep
-    continues.
+    Points are independent and run in `workers` lanes, this process and a
+    pool of workers - 1 processes; each lane takes the next point, largest
+    grid first, once it is free. The rows come back sorted by z0, so the
+    output is identical for any lane count. Rows with z0 at or below the
+    absorber edge, and a window longer than the evolved time, are rejected
+    up front; a point that fails with a QpotError during evolution is
+    marked and the sweep continues.
     """
     for z0 in sweep.z0_values:
         if z0 <= params_base.delta:
@@ -205,12 +212,25 @@ def run_sweep(params_base, sweep, config=None, workers=None):
     # the largest grid goes first, so that it never starts last
     points.sort(key=lambda p: default_grid(p).n_points, reverse=True)
     jobs = [(params, sweep, point_config) for params in points]
-    nworkers = resolve_workers(workers)
-    if nworkers <= 1 or len(jobs) <= 1:
+    lanes = min(resolve_workers(workers), len(jobs))
+    if lanes <= 1:
         rows = [_sweep_point(j) for j in jobs]
     else:
-        with futures.ProcessPoolExecutor(max_workers=min(nworkers, len(jobs))) as pool:
-            rows = list(pool.map(_sweep_point, jobs))
+        # each lane takes the next point once it is free: this process runs
+        # it, a relay thread hands it to a pool process. The first submits
+        # (which, with fork, start all the pool's processes) precede any thread
+        pending = iter(jobs)  # shared by every lane; each next() is atomic
+        with futures.ProcessPoolExecutor(max_workers=lanes - 1) as pool, \
+                futures.ThreadPoolExecutor(max_workers=lanes - 1) as relay:
+            firsts = [pool.submit(_sweep_point, next(pending))
+                      for _ in range(lanes - 1)]
+            relays = [relay.submit(_pool_lane, pool, f, pending) for f in firsts]
+            try:
+                rows = [_sweep_point(j) for j in pending]
+                rows += [row for r in relays for row in r.result()]
+            except BaseException:  # a bug must not wait out the points left
+                list(pending)  # drains them
+                raise
     rows.sort(key=lambda r: r.z0)
     return rows
 

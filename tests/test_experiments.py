@@ -1,8 +1,13 @@
 """Experiment-layer tests: ratio bookkeeping, sweeps, controls, imprinting."""
 
+import multiprocessing
+import os
+import sys
 import threading
 import time
+import types
 import warnings
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -29,6 +34,10 @@ from qpot.experiments import (
 )
 from qpot.potentials import total_potential
 from qpot.propagate import EvolveConfig, ExperimentRecord, evolve
+
+# a pool process sees the test's monkeypatches only if it is forked
+FORK_ONLY = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                               reason="needs the fork start method")
 
 
 def fake_record(times, absorbed):
@@ -183,7 +192,8 @@ class TestRunSweep:
         assert submitted == [4e-6, 3.5e-6, 1.5e-6, 2e-6]
         assert [r.z0 for r in rows] == [1.5e-6, 2e-6, 3.5e-6, 4e-6]
 
-    def test_failed_point_marked_and_sweep_continues(self, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=FORK_ONLY)])
+    def test_failed_point_marked_and_sweep_continues(self, monkeypatch, workers):
         def flaky(grid, params, spec=None):
             if abs(params.z0 - 2.0e-6) < 1e-12:
                 raise ConstructionError("synthetic failure")
@@ -193,7 +203,7 @@ class TestRunSweep:
         params = PhysicalParams()
         cfg = EvolveConfig(dt=2e-7, t_final=2e-5)
         spec = SweepSpec(z0_values=(2.3e-6, 2.0e-6), t_average_window=2e-5)
-        rows = run_sweep(params, spec, config=cfg, workers=1)
+        rows = run_sweep(params, spec, config=cfg, workers=workers)
         assert [r.z0 for r in rows] == [2.0e-6, 2.3e-6]
         assert rows[0].failed
         assert rows[0].error.startswith("ConstructionError")
@@ -201,25 +211,91 @@ class TestRunSweep:
         assert not rows[1].failed
         assert rows[1].averaged_ratio is not None
 
-    def test_programming_error_propagates(self, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=FORK_ONLY)])
+    def test_programming_error_propagates(self, monkeypatch, workers):
         # only package errors mark a row; anything else is a bug and must
         # surface instead of turning into a quiet "failed" row
         def broken(grid, params, spec=None):
             raise ValueError("synthetic bug")
 
         monkeypatch.setattr("qpot.experiments.engineered_packet", broken)
-        spec = SweepSpec(z0_values=(2.0e-6,), t_average_window=2e-5)
+        spec = SweepSpec(z0_values=(2.0e-6, 2.5e-6), t_average_window=2e-5)
         cfg = EvolveConfig(dt=2e-7, t_final=2e-5)
         with pytest.raises(ValueError, match="synthetic bug"):
-            run_sweep(PhysicalParams(), spec, config=cfg, workers=1)
+            run_sweep(PhysicalParams(), spec, config=cfg, workers=workers)
 
-    def test_parallel_rows_match_serial(self):
+    @pytest.mark.parametrize("workers", [2, 3, 7])  # 7: more lanes than points
+    def test_parallel_rows_match_serial(self, workers):
         params = PhysicalParams()
         cfg = EvolveConfig(dt=2e-7, t_final=5e-5)
-        spec = SweepSpec(z0_values=(2.0e-6, 2.5e-6), t_average_window=5e-5)
+        spec = SweepSpec(z0_values=(2.0e-6, 2.5e-6, 3.0e-6), t_average_window=5e-5)
         serial = run_sweep(params, spec, config=cfg, workers=1)
-        parallel = run_sweep(params, spec, config=cfg, workers=2)
+        parallel = run_sweep(params, spec, config=cfg, workers=workers)
         assert serial == parallel
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_pool_holds_one_process_fewer_than_lanes(self, monkeypatch, workers):
+        built = []
+
+        class RecordingPool(futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                built.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr("qpot.experiments.futures.ProcessPoolExecutor",
+                            RecordingPool)
+        cfg = EvolveConfig(dt=2e-7, t_final=2e-5)
+        spec = SweepSpec(z0_values=(2.0e-6, 2.5e-6, 3.0e-6), t_average_window=2e-5)
+        rows = run_sweep(PhysicalParams(), spec, config=cfg, workers=workers)
+        assert built == ([workers - 1] if workers > 1 else [])
+        assert not any(r.failed for r in rows)
+
+    @FORK_ONLY
+    def test_calling_process_runs_one_lane(self, monkeypatch):
+        def pid_comparison(params, config=None, t_average_window=None):
+            # the largest grid, the pool's first point, takes longest
+            time.sleep(1.0 if params.z0 == 4e-6 else 0.1)
+            return types.SimpleNamespace(averaged_ratio=float(os.getpid()),
+                                         crossover_time=None)
+
+        monkeypatch.setattr("qpot.experiments.run_comparison", pid_comparison)
+        rows = run_sweep(PhysicalParams(), SweepSpec(), workers=2)
+        # a pool process busy with its first point holds no other one, so
+        # this process runs the five short points meanwhile
+        assert [r.z0 for r in rows if int(r.averaged_ratio) != os.getpid()] == [4e-6]
+
+    @FORK_ONLY
+    def test_lanes_share_the_points_without_loss_or_repeat(self, monkeypatch):
+        def instant(params, config=None, t_average_window=None):
+            return types.SimpleNamespace(averaged_ratio=1.0, crossover_time=None)
+
+        monkeypatch.setattr("qpot.experiments.run_comparison", instant)
+        z0s = tuple(1.5e-6 + 0.1e-6 * k for k in range(24))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # lanes race for the shared iterator
+        try:
+            rows = run_sweep(PhysicalParams(), SweepSpec(z0_values=z0s), workers=6)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r.z0 for r in rows] == sorted(z0s)
+
+    @FORK_ONLY
+    def test_bug_in_calling_lane_starts_no_further_point(self, monkeypatch, tmp_path):
+        caller = os.getpid()
+
+        def comparison(params, config=None, t_average_window=None):
+            if os.getpid() == caller:
+                raise ValueError("synthetic bug")
+            (tmp_path / f"{params.z0:.2e}").touch()
+            time.sleep(0.5)
+            return types.SimpleNamespace(averaged_ratio=1.0, crossover_time=None)
+
+        monkeypatch.setattr("qpot.experiments.run_comparison", comparison)
+        with pytest.raises(ValueError, match="synthetic bug"):
+            run_sweep(PhysicalParams(), SweepSpec(), workers=2)
+        # the pool's lane finishes the point it holds, and the four points
+        # after the caller's are never started
+        assert len(list(tmp_path.iterdir())) == 1
 
 
 class TestFittedControl:
