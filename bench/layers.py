@@ -3,6 +3,7 @@
 
     python3 bench/layers.py                  # label: `git describe --always --dirty`
     python3 bench/layers.py --label e7ceb22 --out BENCH_e7ceb22.json
+    python3 bench/layers.py --baseline ../parent   # and BENCH_<its describe>.json
 
 Measures the program in the checkout this file sits in (its `src/`), on
 the default grid (4096 points on [0, 10 um]) with z0 = 3 um, sigma = 1 um
@@ -24,8 +25,9 @@ and the machine (perfbench's `environment`) are stored next to it.
   operations on any checkout.
 - L2 `evolve_2ms_s`: one 2 ms `evolve` (20,000 steps), no snapshots.
 - io: `write_record_csv_s` on that 20,001-row record, and
-  `write_snapshots_csv_s` on a 2 ms record captured every 100 steps
-  (201 captures).
+  `write_snapshots_s`, the streaming snapshot writer (`begin_snapshots_csv`,
+  then `write_snapshot_rows` per capture) over the 201 states of a 2 ms
+  `evolve` captured every 100 steps, collected once through its `capture`.
 - L3: `run_comparison_s` over 2 ms with a 2 ms window;
   `run_fitted_control_s` (default pairing) and `run_preparation_study_s`
   (default four slopes) over 0.2 ms; `convergence_report_s`, the
@@ -43,6 +45,16 @@ and the machine (perfbench's `environment`) are stored next to it.
 
 The in-process layers run in a child with perfbench's `child_env` (BLAS
 threads pinned to 1); the parent never imports numpy or qpot.
+
+With `--baseline DIR` (another checkout, such as the parent commit) the
+same figures are measured for DIR too, each checkout by its own
+`bench/layers.py` and `src/`, and written to `BENCH_<DIR's describe>.json`
+at this checkout's root. The two sides alternate run by run, the side
+that goes first alternating as well: the L0 processes, the L4 command
+runs, the imports and the Tier-1 runs. So a drift of the host's speed
+during the run, which on a shared 2-vCPU host is often larger than the
+change being measured, falls on both sides alike instead of reading as a
+regression.
 """
 
 import argparse
@@ -110,7 +122,7 @@ def inner(repeats):
         run_preparation_study,
         run_sweep,
     )
-    from qpot.io import write_record_csv, write_snapshots_csv
+    from qpot.io import begin_snapshots_csv, write_record_csv, write_snapshot_rows
     from qpot.potentials import total_potential
     from qpot.propagate import (
         CrankNicolson,
@@ -152,15 +164,23 @@ def inner(repeats):
     records = []
     out["evolve_2ms_s"] = (_timed(lambda: records.append(evolve(psi, pot, params, config)),
                                   repeats["evolve"]), "s")
-    snap = evolve(psi, pot, params, EvolveConfig(dt=DT, t_final=2e-3,
-                                                  snapshot_stride=100))
+    captures = []
+    evolve(psi, pot, params, EvolveConfig(dt=DT, t_final=2e-3, snapshot_stride=100),
+           capture=lambda t, state: captures.append((t, state)))
+
+    def write_snapshots(path):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            z_cells = begin_snapshots_csv(fh, grid.z)
+            for t, state in captures:
+                write_snapshot_rows(fh, z_cells, t, state)
+
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "out.csv")
         out["write_record_csv_s"] = (
             _timed(lambda: write_record_csv(path, records[0]), repeats["io"]), "s")
-        out["write_snapshots_csv_s"] = (
-            _timed(lambda: write_snapshots_csv(path, snap), repeats["io"]), "s")
-    del records, snap
+        out["write_snapshots_s"] = (
+            _timed(lambda: write_snapshots(path), repeats["io"]), "s")
+    del records, captures
 
     short = EvolveConfig(dt=DT, t_final=2e-4)
     l3 = {
@@ -188,47 +208,65 @@ def inner(repeats):
     print(json.dumps(out))
 
 
-def cli_layers(env, repeats):
+def _sides(k, roots):
+    """The checkouts in the order of round k: the first side alternates."""
+    return roots if k % 2 == 0 else roots[::-1]
+
+
+def cli_layers(envs, repeats):
     """L4: the perfbench production compare, sweep and snapshots configs,
-    the import of `qpot.cli` and one run of the Tier-1 suite."""
-    out = {}
+    the import of `qpot.cli` and one run of the Tier-1 suite, for each
+    checkout in envs (root: environment), the checkouts alternating run by
+    run. Returns {root: {name: (samples, unit)}}."""
+    roots = list(envs)
+    out = {root: {} for root in roots}
     work = ROOT / ".bench_build" / "layers"
     for name in ("compare", "sweep", "snapshots"):
         spec = workloads.PRODUCTION[name]
-        walls, rss = [], []
-        for k in range(repeats + 1):  # the first run warms the caches
-            cwd = work / f"{name}-{k}"
-            cwd.mkdir(parents=True)
-            try:
-                (cwd / "run.cfg").write_text(spec.config_text(Z0_UM), encoding="utf-8")
-                argv = [sys.executable, "-m", "qpot.cli"] + spec.cli_args(
-                    "run.cfg", "out")
-                proc = launch.run(argv, cwd, env)
-                if proc.returncode != 0:
-                    raise SystemExit(f"qpot {spec.command} failed: {proc.stderr}")
-            finally:
-                shutil.rmtree(cwd, ignore_errors=True)
-            if k:
-                walls.append(proc.wall_s)
-                rss.append(proc.peak_rss_mb)
-        out[f"cli_{name}_wall_s"] = (walls, "s")
-        out[f"cli_{name}_peak_rss_mb"] = (rss, "MB")
-    out["cli_import_s"] = (_timed(lambda: subprocess.run(
-        [sys.executable, "-c", "import qpot.cli"], env=env, check=True),
-        IMPORT_RUNS), "s")
-    t0 = time.perf_counter()
-    tier1 = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "--continue-on-collection-errors", "tests"],
-        cwd=ROOT, env=env, capture_output=True, text=True)
-    out["tier1_s"] = ([time.perf_counter() - t0], "s")
-    print(tier1.stdout.strip().splitlines()[-1], file=sys.stderr)
+        walls = {root: [] for root in roots}
+        rss = {root: [] for root in roots}
+        for k in range(repeats + 1):  # the first round warms the caches
+            for i, root in enumerate(_sides(k, roots)):
+                cwd = work / f"{name}-{k}-{i}"
+                cwd.mkdir(parents=True)
+                try:
+                    (cwd / "run.cfg").write_text(spec.config_text(Z0_UM),
+                                                 encoding="utf-8")
+                    argv = [sys.executable, "-m", "qpot.cli"] + spec.cli_args(
+                        "run.cfg", "out")
+                    proc = launch.run(argv, cwd, envs[root])
+                    if proc.returncode != 0:
+                        raise SystemExit(f"qpot {spec.command} failed in {root}: "
+                                         f"{proc.stderr}")
+                finally:
+                    shutil.rmtree(cwd, ignore_errors=True)
+                if k:
+                    walls[root].append(proc.wall_s)
+                    rss[root].append(proc.peak_rss_mb)
+        for root in roots:
+            out[root][f"cli_{name}_wall_s"] = (walls[root], "s")
+            out[root][f"cli_{name}_peak_rss_mb"] = (rss[root], "MB")
+    imports = {root: [] for root in roots}
+    for k in range(IMPORT_RUNS):
+        for root in _sides(k, roots):
+            imports[root] += _timed(lambda: subprocess.run(
+                [sys.executable, "-c", "import qpot.cli"], env=envs[root],
+                check=True), 1)
+    for root in roots:
+        out[root]["cli_import_s"] = (imports[root], "s")
+        t0 = time.perf_counter()
+        tier1 = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             "--continue-on-collection-errors", "tests"],
+            cwd=root, env=envs[root], capture_output=True, text=True)
+        out[root]["tier1_s"] = ([time.perf_counter() - t0], "s")
+        print(f"{root}: {tier1.stdout.strip().splitlines()[-1]}", file=sys.stderr)
     return out
 
 
-def describe():
+def describe(root=ROOT):
     try:
-        return subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT,
+        return subprocess.run(["git", "describe", "--always", "--dirty"], cwd=root,
                               capture_output=True, text=True, check=True,
                               timeout=30).stdout.strip()
     except (OSError, subprocess.SubprocessError):
@@ -242,6 +280,9 @@ def main(argv=None):
                                       "at the checkout root)")
     parser.add_argument("--repeats", type=int, default=5,
                         help="repeats of each layer (evolve, L3 and the CLI: 3)")
+    parser.add_argument("--baseline", metavar="DIR",
+                        help="another checkout measured alongside, its runs "
+                             "alternating with this one's")
     parser.add_argument("--inner", help=argparse.SUPPRESS)
     parser.add_argument("--factor", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -254,32 +295,50 @@ def main(argv=None):
     if args.factor:
         factor(args.factor)
         return 0
-    label = args.label or describe()
     env = child_env()
+    roots = [ROOT] + ([Path(args.baseline).resolve()] if args.baseline else [])
+    if len(set(roots)) < len(roots):
+        parser.error("--baseline must be another checkout")
+    envs = {root: {**env, "PYTHONPATH": str(root / "src")} for root in roots}
+    labels = {root: describe(root) for root in roots}
+    labels[ROOT] = args.label or labels[ROOT]
+    outs = {root: ROOT / f"BENCH_{labels[root]}.json" for root in roots}
+    if args.out:
+        outs[ROOT] = Path(args.out)
 
-    def child(*flags):
-        proc = subprocess.run([sys.executable, __file__, *flags], env=env,
+    def child(root, *flags):
+        proc = subprocess.run([sys.executable, str(root / "bench" / "layers.py"),
+                               *flags], env=envs[root],
                               capture_output=True, text=True, check=True)
         return json.loads(proc.stdout.splitlines()[-1])
 
     per_process = -(-repeats["factor"] // FACTOR_PROCESSES)
-    layers = {"factor_s": ([s for _ in range(FACTOR_PROCESSES)
-                            for s in child("--factor", str(per_process))], "s")}
-    layers.update(child("--inner", json.dumps(repeats)))
-    layers.update(cli_layers(env, few))
-    result = {
-        "label": label,
-        "source": describe(),
-        "machine": environment(env),
-        "layers": {name: {"median": statistics.median(xs), "unit": unit,
-                          "n": len(xs), "samples": xs}
-                   for name, (xs, unit) in layers.items()},
-    }
-    out = Path(args.out) if args.out else ROOT / f"BENCH_{label}.json"
-    out.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    for name, entry in result["layers"].items():
-        print(f"{name:28s} {entry['median']:.6g} {entry['unit']} (n = {entry['n']})")
-    print(f"wrote {out}")
+    layers = {root: {"factor_s": ([], "s")} for root in roots}
+    for k in range(FACTOR_PROCESSES):
+        for root in _sides(k, roots):
+            layers[root]["factor_s"][0].extend(
+                child(root, "--factor", str(per_process)))
+    for root in roots:
+        layers[root].update(child(root, "--inner", json.dumps(repeats)))
+    for root, figures in cli_layers(envs, few).items():
+        layers[root].update(figures)
+    for root in roots:
+        result = {
+            "label": labels[root],
+            "source": describe(root),
+            "machine": environment(envs[root]),
+            "layers": {name: {"median": statistics.median(xs), "unit": unit,
+                              "n": len(xs), "samples": xs}
+                       for name, (xs, unit) in layers[root].items()},
+        }
+        if args.baseline:
+            result["alternated_with"] = labels[roots[1 - roots.index(root)]]
+        outs[root].write_text(json.dumps(result, indent=1, sort_keys=True) + "\n",
+                              encoding="utf-8")
+        for name, entry in result["layers"].items():
+            print(f"{name:28s} {entry['median']:.6g} {entry['unit']} "
+                  f"(n = {entry['n']})")
+        print(f"wrote {outs[root]}")
     return 0
 
 

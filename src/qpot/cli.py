@@ -23,6 +23,7 @@ import numpy as np
 from . import config as cfgmod
 from . import io as iomod
 from .bohmian import weighted_fields
+from .core import DEFAULT_DELTA
 from .engineering import (
     ProfileSpec,
     engineered_packet,
@@ -128,15 +129,35 @@ def cmd_evolve(run):
     name, make = _packet_maker(run.section)
     config = cfgmod.evolve_from(run.cfg)
     run.evolve = {**vars(config), "packet": name}
-    record = evolve(make(run.grid, run.params),
-                    total_potential(run.grid, run.params), run.params, config)
+    args = (make(run.grid, run.params), total_potential(run.grid, run.params),
+            run.params, config)
+    record = _evolve_streaming(run, *args) if config.snapshot_stride else evolve(*args)
     path = _path(run, "record.csv")
-    csvs = [(path, iomod.write_record_csv, record)]
-    if record.snapshots:
-        csvs.append((_path(run, "snapshots.csv"), iomod.write_snapshots_csv, record))
     absorbed = record.absorbed_fraction[-1]
-    return _Output(csvs, {"absorbed_final": repr(float(absorbed))},
+    return _Output([(path, iomod.write_record_csv, record)],
+                   {"absorbed_final": repr(float(absorbed))},
                    f"wrote {path} (absorbed {absorbed:.6e})")
+
+
+def _evolve_streaming(run, psi0, *args):
+    """evolve, each capture appended to snapshots.csv as it is taken; a failed
+    run removes the file, and --out too if this run made it."""
+    made = not os.path.isdir(run.args.out)
+    os.makedirs(run.args.out, exist_ok=True)
+    part = _path(run, "snapshots.csv.part")
+    fh = open(part, "w", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            z_cells = iomod.begin_snapshots_csv(fh, psi0.grid.z)
+            record = evolve(psi0, *args, capture=lambda t, psi: (
+                iomod.write_snapshot_rows(fh, z_cells, t, psi)))
+        os.replace(part, _path(run, "snapshots.csv"))
+    except BaseException:
+        os.remove(part)
+        if made:
+            os.rmdir(run.args.out)
+        raise
+    return record
 
 
 def cmd_compare(run):
@@ -284,6 +305,9 @@ def _run(args):
     unread += [f"[params] {key}" for key in cfg.get("params", {}) if key not in keys]
     if unread:
         raise ConfigError(f"qpot {args.command} does not read " + ", ".join(unread))
+    if "delta" not in keys and 0 < cfg.get("params", {}).get("z0", 1) <= DEFAULT_DELTA:
+        raise ConfigError(f"z0 must exceed the absorber edge delta = {DEFAULT_DELTA}, "
+                          f"which is fixed for qpot {args.command}")
     run = types.SimpleNamespace(args=args, cfg=cfg,
                                 section=cfg.get(args.command, {}),
                                 params=cfgmod.params_from(cfg))

@@ -206,7 +206,7 @@ def run_sweep(params_base, sweep, config=None, workers=None):
                 f"{params_base.delta}"
             )
     config = _window_config(config, sweep.t_average_window, "t_average_window")
-    point_config = replace(config, snapshot_stride=0, store_wavefunctions=False)
+    point_config = replace(config, snapshot_stride=0)
     points = [params_base.replace(z0=z0, sigma=sweep.sigma_for(z0))
               for z0 in sweep.z0_values]
     # the largest grid goes first, so that it never starts last

@@ -9,7 +9,7 @@ ever held in memory whole.
 """
 
 from dataclasses import astuple
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -69,12 +69,16 @@ def write_record_csv(path, record):
                _blocks(record.times, record.norms, record.absorbed_fraction))
 
 
-def write_snapshots_csv(path, record):
-    """Density snapshots in long form: t_s, z_m, density; one block per
-    capture, with the z column formatted once for all of them."""
-    z = list(_cells(record.grid.z))
-    blocks = ((repeat(_cell(t)), z, _cells(rho)) for t, rho in record.snapshots)
-    _write_csv(path, ("t_s", "z_m", "density"), blocks)
+def begin_snapshots_csv(fh, z):
+    """Write a snapshots CSV header; returns the z_m cells write_snapshot_rows takes."""
+    fh.write(_line(("t_s", "z_m", "density")))
+    return [cell + "," for cell in _cells(z)]
+
+
+def write_snapshot_rows(fh, z_cells, t, psi):
+    """Append one capture as t_s, z_m, density = |psi|^2 rows, in one write."""
+    rows = zip(repeat(_cell(t) + ","), z_cells, _cells(np.abs(psi) ** 2), repeat("\n"))
+    fh.write("".join(chain.from_iterable(rows)))
 
 
 def write_weighted_fields_csv(path, w_q, w_res, rho, hbar):

@@ -12,7 +12,7 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,8 +52,7 @@ zgttrf, zgttrs = _flapack.zgttrf, _flapack.zgttrs
 class EvolveConfig:
     dt: float = 1e-7  # s (0.1 us)
     t_final: float = 5e-3  # s
-    snapshot_stride: int = 0  # density snapshots every N steps; 0 = none
-    store_wavefunctions: bool = False
+    snapshot_stride: int = 0  # evolve's capture every N steps; 0 = none
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -74,14 +73,12 @@ class EvolveConfig:
 
 @dataclass
 class ExperimentRecord:
-    """Evolution history: norm decay and optional density snapshots."""
+    """Evolution history: norm decay and absorbed fraction."""
 
     grid: Grid1D
     times: np.ndarray  # s
     norms: np.ndarray  # relative to the initial norm
     absorbed_fraction: np.ndarray  # 1 - norm^2
-    snapshots: list = field(default_factory=list)  # (t, density) pairs
-    psi_snapshots: list = field(default_factory=list)  # (t, values) pairs
     params: object = None
     config: object = None
 
@@ -122,12 +119,16 @@ class CrankNicolson:
         return np.subtract(self._col, u, out=u)
 
 
-def evolve(psi0, potential, params, config):
+def evolve(psi0, potential, params, config, capture=None):
     """Propagate psi0 and record norm(t) and absorbed fraction 1 - norm^2.
 
     The state is renormalized once at t = 0 so the recorded norms are
-    relative; the endpoints are pinned to zero throughout.
+    relative; the endpoints are pinned to zero throughout. capture(t, psi)
+    gets a fresh full state at t = 0 and every config.snapshot_stride steps.
     """
+    stride = config.snapshot_stride
+    if bool(stride) != (capture is not None):
+        raise ConfigError(f"snapshot_stride = {stride} needs a capture and vice versa")
     grid = psi0.grid
     dz = grid.dz
     solver = CrankNicolson(grid, potential, params, config.dt)
@@ -146,12 +147,8 @@ def evolve(psi0, potential, params, config):
     times = np.arange(nsteps + 1) * config.dt
     norms = np.empty(nsteps + 1)
     norms[0] = 1.0
-    snapshots = []
-    psi_snaps = []
-    if config.snapshot_stride:
-        snapshots.append((0.0, np.abs(full_state()) ** 2))
-        if config.store_wavefunctions:
-            psi_snaps.append((0.0, full_state()))
+    if stride:
+        capture(0.0, full_state())
 
     for k in range(1, nsteps + 1):
         solver.step_values(u)
@@ -159,19 +156,14 @@ def evolve(psi0, potential, params, config):
         if not math.isfinite(norm):
             raise NumericsError(f"non-finite amplitudes at step {k}")
         norms[k] = norm
-        if config.snapshot_stride and k % config.snapshot_stride == 0:
-            t = k * config.dt
-            snapshots.append((t, np.abs(full_state()) ** 2))
-            if config.store_wavefunctions:
-                psi_snaps.append((t, full_state()))
+        if stride and k % stride == 0:
+            capture(k * config.dt, full_state())
 
     return ExperimentRecord(
         grid=grid,
         times=times,
         norms=norms,
         absorbed_fraction=1.0 - norms**2,
-        snapshots=snapshots,
-        psi_snapshots=psi_snaps,
         params=params,
         config=config,
     )

@@ -127,14 +127,15 @@ def test_criterion_3_propagator_spread_trap_unitarity_reversal():
     # free spreading, box wide enough that the pinned walls stay dark
     free = PhysicalParams(z0=12e-6, sigma=1e-6, c4=0.0)
     grid_f = Grid1D(z_max=24e-6, n_points=4096)
-    rec_f = evolve(
+    caps_f = []
+    evolve(
         gaussian_packet(grid_f, free.z0, free.sigma),
         total_potential(grid_f, free, include_trap=False, include_absorber=False),
         free,
-        EvolveConfig(dt=1e-7, t_final=2e-3, snapshot_stride=20000,
-                     store_wavefunctions=True),
+        EvolveConfig(dt=1e-7, t_final=2e-3, snapshot_stride=20000),
+        capture=lambda t, psi: caps_f.append((t, psi)),
     )
-    t_end, psi_end = rec_f.psi_snapshots[-1]
+    t_end, psi_end = caps_f[-1]
     _, std_end, _ = moments(Wavefunction(grid_f, psi_end))
     expected = free.sigma * np.sqrt(
         1.0 + (HBAR * t_end / (2 * free.mass * free.sigma**2)) ** 2
@@ -144,14 +145,16 @@ def test_criterion_3_propagator_spread_trap_unitarity_reversal():
     # trap ground state held for 1e4 steps
     trap = PhysicalParams(z0=7e-6, sigma=1e-6, c4=0.0)
     grid_t = Grid1D(z_max=14e-6, n_points=4096)
+    caps_t = []
     rec_t = evolve(
         gaussian_packet(grid_t, trap.z0, trap.sigma),
         total_potential(grid_t, trap, include_trap=True, include_absorber=False),
         trap,
         EvolveConfig(dt=1e-7, t_final=1e-3, snapshot_stride=10000),
+        capture=lambda t, psi: caps_t.append((t, np.abs(psi) ** 2)),
     )
-    rho0 = rec_t.snapshots[0][1]
-    rho1 = rec_t.snapshots[-1][1]
+    rho0 = caps_t[0][1]
+    rho1 = caps_t[-1][1]
     density_drift = float(np.abs(rho1 - rho0).max() / rho0.max())
     norm_drift = float(np.abs(rec_t.norms - 1.0).max())
 

@@ -18,7 +18,10 @@ import qpot
 from qpot import config as cfgmod
 from qpot.cli import _COMMANDS, main
 from qpot.config import evolve_from, grid_from, params_from, parse_config_text
+from qpot.engineering import gaussian_packet
 from qpot.errors import NumericsError
+from qpot.potentials import total_potential
+from qpot.propagate import CrankNicolson
 from qpot.propagate import evolve as real_evolve
 from qpot.version import __version__
 
@@ -118,6 +121,19 @@ class TestErrors:
         assert "z0 + 6 sigma" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, fixed", [
+        ("profile", True), ("fields", True), ("evolve", False)])
+    def test_z0_inside_the_absorber_edge_exits_1(self, tmp_path, capsys,
+                                                  command, fixed):
+        # profile and fields reject [params] delta, so the message must not
+        # point at it as the way out
+        code, out = run(tmp_path, [command], "[params]\nz0 = 0.1um\n")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "absorber edge" in err and "1.5e-07" in err
+        assert (f"fixed for qpot {command}" in err) == fixed
+        assert not out.exists()
+
     def test_every_section_is_read_by_some_command(self):
         read = {name for _, _, sections, _, _ in _COMMANDS.values()
                 for name in sections}
@@ -202,6 +218,60 @@ class TestEvolve:
         assert "# command: evolve" in manifest
         assert "# packet:" not in manifest  # [evolve] records it
         assert "\npacket = gaussian\n" in manifest[manifest.index("[evolve]"):]
+
+    def test_snapshots_are_the_captures(self, tmp_path):
+        # a stride of 30 does not divide the 100 steps: captures at 0, 30, 60, 90
+        text = EVOLVE_CFG.replace("snapshot_stride = 50", "snapshot_stride = 30")
+        code, out = run(tmp_path, ["evolve"], text)
+        assert code == 0
+        assert sorted(os.listdir(out)) == ["evolve_manifest.txt", "record.csv",
+                                           "snapshots.csv"]
+        cfg = parse_config_text(text)
+        params = params_from(cfg)
+        grid = grid_from(cfg, params)
+        caps = []
+        real_evolve(gaussian_packet(grid, params.z0, params.sigma),
+                    total_potential(grid, params), params, evolve_from(cfg),
+                    capture=lambda t, psi: caps.append((t, psi)))
+        assert len(caps) == 4
+        rows = [f"{float(t)!r},{z!r},{rho!r}\n" for t, psi in caps
+                for z, rho in zip(grid.z.tolist(), (np.abs(psi) ** 2).tolist())]
+        expected = "t_s,z_m,density\n" + "".join(rows)
+        assert (out / "snapshots.csv").read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_run_leaves_out_as_found(self, tmp_path, monkeypatch, capsys,
+                                            existing):
+        written = []
+        real_rows = qpot.io.write_snapshot_rows
+        real_step = CrankNicolson.step_values
+
+        def rows(fh, z_cells, t, psi):
+            written.append(t)
+            real_rows(fh, z_cells, t, psi)
+
+        def step(self, u):
+            real_step(self, u)
+            if len(written) == 2:
+                u[5] = np.nan
+            return u
+
+        monkeypatch.setattr(qpot.io, "write_snapshot_rows", rows)
+        monkeypatch.setattr(CrankNicolson, "step_values", step)
+        (tmp_path / "run.cfg").write_text(EVOLVE_CFG)
+        out = tmp_path / "out"
+        if existing:
+            out.mkdir()
+            (out / "keep.txt").write_text("x")
+        code = main(["evolve", "--config", str(tmp_path / "run.cfg"),
+                     "--out", str(out)])
+        assert code == 1
+        assert "non-finite amplitudes at step 51" in capsys.readouterr().err
+        assert len(written) == 2
+        if existing:
+            assert os.listdir(out) == ["keep.txt"]
+        else:
+            assert os.listdir(tmp_path) == ["run.cfg"]
 
 
 COMPARE_CFG = """\

@@ -24,13 +24,14 @@ from qpot.errors import ConfigError
 from qpot.experiments import SweepRow, SweepSpec
 from qpot.experiments import PreparationRow
 from qpot.io import (
+    begin_snapshots_csv,
     write_convergence_csv,
     write_manifest,
     write_preparation_csv,
     write_profile_csv,
     write_ratio_csv,
     write_record_csv,
-    write_snapshots_csv,
+    write_snapshot_rows,
     write_sweep_csv,
     write_weighted_fields_csv,
 )
@@ -215,6 +216,14 @@ def edge_column(shift=0):
     return np.roll(np.array(EDGES), shift)
 
 
+def write_captures(path, grid, captures):
+    """A snapshots CSV of (t, psi) captures, one streaming write each."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        z_cells = begin_snapshots_csv(fh, grid.z)
+        for t, psi in captures:
+            write_snapshot_rows(fh, z_cells, t, psi)
+
+
 def edge_cases():
     """(name, write, args, header, reference rows) for every CSV writer, on
     edge floats, float32 and longdouble arrays, numpy scalars, None, bools
@@ -223,9 +232,11 @@ def edge_cases():
     grid = Grid1D(z_max=1e-6, n_points=n)
     f32 = np.roll(EDGES_F32, 2)
     record = ExperimentRecord(
-        grid=grid, times=edge_column(), norms=f32, absorbed_fraction=edge_column(5),
-        snapshots=[(0.0, edge_column(1)), (np.float32(0.1), f32),
-                   (np.float64(5e-324), edge_column(4))])
+        grid=grid, times=edge_column(), norms=f32, absorbed_fraction=edge_column(5))
+    # |psi|^2 gives back the edge densities: float32 in the second capture
+    captures = [(0.0, np.sqrt(np.abs(edge_column(1)))),
+                (np.float32(0.1), np.sqrt(np.abs(f32))),
+                (np.float64(5e-324), np.sqrt(np.abs(edge_column(4))).astype(complex))]
     rho = SimpleNamespace(grid=grid, values=edge_column(3))
     mask = np.arange(n) % 3 != 0
     hbar = 1.0545718176461565e-34
@@ -257,8 +268,9 @@ def edge_cases():
          zip(record.times, record.norms, record.absorbed_fraction)),
         ("record_long", write_record_csv, (long,), ("t_s", "norm", "absorbed_fraction"),
          zip(long.times, long.norms, long.absorbed_fraction)),
-        ("snapshots", write_snapshots_csv, (record,), ("t_s", "z_m", "density"),
-         [(t, zi, ri) for t, d in record.snapshots for zi, ri in zip(grid.z, d)]),
+        ("snapshots", write_captures, (grid, captures), ("t_s", "z_m", "density"),
+         [(t, zi, ri) for t, psi in captures
+          for zi, ri in zip(grid.z, np.abs(psi) ** 2)]),
         ("fields", write_weighted_fields_csv, (w_q, w_res, rho, hbar),
          ("z_m", "density", "weighted_q_over_hbar", "weighted_residual_over_hbar"),
          zip(grid.z, rho.values, np.where(mask, w_q.values, 0.0) / hbar,
@@ -304,13 +316,10 @@ class TestColumnWriter:
         """201 captures of 4096 points, an 11 MB file, in under 2 MB."""
         grid = Grid1D(z_max=10e-6, n_points=4096)
         rng = np.random.default_rng(7)
-        record = ExperimentRecord(
-            grid=grid, times=np.zeros(1), norms=np.ones(1),
-            absorbed_fraction=np.zeros(1),
-            snapshots=[(k * 1e-5, rng.random(4096)) for k in range(201)])
+        captures = [(k * 1e-5, rng.random(4096)) for k in range(201)]
         tracemalloc.start()
         try:
-            write_snapshots_csv(tmp_path / "snapshots.csv", record)
+            write_captures(tmp_path / "snapshots.csv", grid, captures)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -325,7 +334,6 @@ def tiny_record():
     return ExperimentRecord(
         grid=grid, times=times, norms=norms,
         absorbed_fraction=1.0 - norms**2,
-        snapshots=[(0.0, np.ones(4)), (2e-7, np.zeros(4))],
     )
 
 
@@ -340,7 +348,8 @@ class TestRecordCsv:
 
     def test_snapshots_long_form(self, tmp_path):
         path = tmp_path / "snaps.csv"
-        write_snapshots_csv(path, tiny_record())
+        captures = [(0.0, np.ones(4)), (2e-7, np.zeros(4))]
+        write_captures(path, tiny_record().grid, captures)
         lines = path.read_text().splitlines()
         assert lines[0] == "t_s,z_m,density"
         assert len(lines) == 1 + 2 * 4

@@ -1,5 +1,6 @@
 """Stepper tests: stability, dispersion, reversibility, absorption records."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -46,7 +47,6 @@ class TestEvolveConfig:
         assert cfg.t_final == 5e-3
         assert cfg.n_steps == 50000
         assert cfg.snapshot_stride == 0
-        assert not cfg.store_wavefunctions
 
     @pytest.mark.parametrize("kwargs", [
         {"dt": 0.0},
@@ -87,12 +87,12 @@ class TestStep:
         # peak, so evolve's initial renormalization is a no-op here.
         psi = gaussian_packet(grid, 5e-6, 0.7e-6)
         pot = free_potential(grid)
-        cfg = EvolveConfig(dt=1e-7, t_final=1e-7, snapshot_stride=1,
-                           store_wavefunctions=True)
-        rec = evolve(psi, pot, params, cfg)
+        cfg = EvolveConfig(dt=1e-7, t_final=1e-7, snapshot_stride=1)
+        caps = []
+        evolve(psi, pot, params, cfg, capture=lambda t, psi: caps.append((t, psi)))
         u = psi.values[1:-1].copy()
         CrankNicolson(grid, pot, params, 1e-7).step_values(u)
-        stored = rec.psi_snapshots[-1][1]
+        stored = caps[-1][1]
         assert stored[0] == stored[-1] == 0.0
         assert np.allclose(u, stored[1:-1], rtol=0,
                            atol=1e-12 * np.abs(stored).max())
@@ -237,27 +237,27 @@ class TestFactoredFastPath:
         # each capture copies the state; a capture aliasing the stepped
         # amplitudes would show the final state at every stride
         grid, pot, params, psi = stack
-        cfg = EvolveConfig(dt=1e-7, t_final=2e-5, snapshot_stride=50,
-                           store_wavefunctions=True)
-        rec = evolve(psi, pot, params, cfg)
-        assert len(rec.psi_snapshots) == len(rec.snapshots) == 5
+        cfg = EvolveConfig(dt=1e-7, t_final=2e-5, snapshot_stride=50)
+        caps = []
+        evolve(psi, pot, params, cfg, capture=lambda t, psi: caps.append((t, psi)))
+        assert len(caps) == 5
         for k in (1, 2, 3):
+            short_caps = []
             short = evolve(psi, pot, params, EvolveConfig(
-                dt=1e-7, t_final=k * 5e-6, snapshot_stride=50,
-                store_wavefunctions=True))
+                dt=1e-7, t_final=k * 5e-6, snapshot_stride=50),
+                capture=lambda t, psi: short_caps.append((t, psi)))
             assert short.config.n_steps == 50 * k
-            assert rec.psi_snapshots[k][0] == short.psi_snapshots[-1][0]
-            assert np.array_equal(rec.psi_snapshots[k][1],
-                                  short.psi_snapshots[-1][1])
-            assert np.array_equal(rec.snapshots[k][1], short.snapshots[-1][1])
-        assert not np.array_equal(rec.psi_snapshots[3][1], rec.psi_snapshots[4][1])
+            assert caps[k][0] == short_caps[-1][0]
+            assert np.array_equal(caps[k][1], short_caps[-1][1])
+        assert not np.array_equal(caps[3][1], caps[4][1])
 
     def test_recorded_norm_is_the_trapezoid_norm(self, stack):
         grid, pot, params, psi = stack
-        cfg = EvolveConfig(dt=1e-7, t_final=2e-5, snapshot_stride=50,
-                           store_wavefunctions=True)
-        rec = evolve(psi, pot, params, cfg)
-        for t, vals in rec.psi_snapshots[1:]:
+        cfg = EvolveConfig(dt=1e-7, t_final=2e-5, snapshot_stride=50)
+        caps = []
+        rec = evolve(psi, pot, params, cfg,
+                     capture=lambda t, psi: caps.append((t, psi)))
+        for t, vals in caps[1:]:
             k = int(round(t / cfg.dt))
             trap = np.sqrt(np.trapezoid(np.abs(vals) ** 2, grid.z))
             assert rec.norms[k] == pytest.approx(trap, rel=1e-14, abs=0)
@@ -270,11 +270,12 @@ class TestFreeSpreading:
         grid = Grid1D(z_max=20e-6, n_points=4096)
         params = PhysicalParams(z0=10e-6, c4=0.0, absorber_strength=0.0)
         psi = gaussian_packet(grid, 10e-6, 1e-6)
-        cfg = EvolveConfig(dt=1e-7, t_final=1e-3, snapshot_stride=10000,
-                           store_wavefunctions=True)
+        cfg = EvolveConfig(dt=1e-7, t_final=1e-3, snapshot_stride=10000)
         assert cfg.n_steps == 10000
-        rec = evolve(psi, free_potential(grid), params, cfg)
-        t, final_vals = rec.psi_snapshots[-1]
+        caps = []
+        evolve(psi, free_potential(grid), params, cfg,
+               capture=lambda t, psi: caps.append((t, psi)))
+        t, final_vals = caps[-1]
         assert t == pytest.approx(1e-3)
         mean, std, _ = moments(psi.with_values(final_vals))
         expected = 1e-6 * np.sqrt(1.0 + (HBAR * 1e-3 / (2 * params.mass * 1e-12)) ** 2)
@@ -300,10 +301,10 @@ def trap_run():
     psi = gaussian_packet(grid, 7e-6, 1e-6)
     pot = total_potential(grid, params, include_trap=True,
                           include_absorber=False)
-    cfg = EvolveConfig(dt=1e-7, t_final=1e-3, snapshot_stride=10000,
-                       store_wavefunctions=True)
-    rec = evolve(psi, pot, params, cfg)
-    return params, psi, pot, rec
+    cfg = EvolveConfig(dt=1e-7, t_final=1e-3, snapshot_stride=10000)
+    caps = []
+    rec = evolve(psi, pot, params, cfg, capture=lambda t, psi: caps.append((t, psi)))
+    return params, psi, pot, rec, caps
 
 
 class TestTrapGroundState:
@@ -312,27 +313,27 @@ class TestTrapGroundState:
     at half a quantum."""
 
     def test_norm_drift_tiny_over_1e4_steps(self, trap_run):
-        _, _, _, rec = trap_run
+        _, _, _, rec, _ = trap_run
         assert rec.config.n_steps == 10000
         assert abs(rec.norms[-1] - 1.0) < 1e-8
 
     def test_density_stationary(self, trap_run):
-        _, psi, _, rec = trap_run
-        rho0 = rec.snapshots[0][1]
-        rho1 = rec.snapshots[-1][1]
+        *_, caps = trap_run
+        rho0 = np.abs(caps[0][1]) ** 2
+        rho1 = np.abs(caps[-1][1]) ** 2
         assert np.abs(rho1 - rho0).max() < 1e-3 * rho0.max()
 
     def test_energy_is_half_quantum(self, trap_run):
-        params, psi, pot, _ = trap_run
+        params, psi, pot, _, _ = trap_run
         e = energy_expectation(psi, pot, params).real
         assert e == pytest.approx(params.hbar * params.trap_omega / 2,
                                   rel=1e-3)
 
     def test_energy_conserved(self, trap_run):
         # compare within the propagated (endpoint-pinned) subspace
-        params, psi, pot, rec = trap_run
-        _, v0 = rec.psi_snapshots[0]
-        _, v1 = rec.psi_snapshots[-1]
+        params, psi, pot, _, caps = trap_run
+        _, v0 = caps[0]
+        _, v1 = caps[-1]
         e0 = energy_expectation(psi.with_values(v0), pot, params).real
         e1 = energy_expectation(psi.with_values(v1), pot, params).real
         assert abs(e1 - e0) < 1e-9 * abs(e0)
@@ -396,13 +397,43 @@ class TestSnapshots:
         params = PhysicalParams(c4=0.0, absorber_strength=0.0)
         psi = gaussian_packet(grid, 5e-6, 1e-6)
         cfg = EvolveConfig(dt=1e-7, t_final=1e-5, snapshot_stride=10)
-        rec = evolve(psi, free_potential(grid), params, cfg)
+        caps = []
+        rec = evolve(psi, free_potential(grid), params, cfg,
+                     capture=lambda t, psi: caps.append((t, psi)))
         assert cfg.n_steps == 100
         assert len(rec.times) == 101
-        assert len(rec.snapshots) == 11
-        assert rec.psi_snapshots == []
-        ts = [t for t, _ in rec.snapshots]
+        assert len(caps) == 11
+        ts = [t for t, _ in caps]
         assert ts == pytest.approx([k * 10 * 1e-7 for k in range(11)])
+        assert all(vals.shape == (512,) and vals[0] == vals[-1] == 0.0
+                   for _, vals in caps)
+
+    @pytest.mark.parametrize("stride, capture", [(10, None), (0, lambda t, psi: None)])
+    def test_stride_and_capture_go_together(self, stride, capture):
+        grid = Grid1D(z_max=10e-6, n_points=512)
+        psi = gaussian_packet(grid, 5e-6, 1e-6)
+        cfg = EvolveConfig(dt=1e-7, t_final=1e-5, snapshot_stride=stride)
+        with pytest.raises(ConfigError, match="snapshot_stride"):
+            evolve(psi, free_potential(grid), PhysicalParams(), cfg, capture=capture)
+
+    def test_captures_are_not_kept(self):
+        """201 captures of 4096 points through a discarding capture: the
+        run's traced peak stays below a quarter of the 6.6 MB their
+        densities would take if evolve kept them."""
+        grid = Grid1D(z_max=10e-6, n_points=4096)
+        params = PhysicalParams(c4=0.0, absorber_strength=0.0)
+        psi = gaussian_packet(grid, 5e-6, 1e-6)
+        cfg = EvolveConfig(dt=1e-7, t_final=2e-5, snapshot_stride=1)
+        count = []
+        tracemalloc.start()
+        try:
+            evolve(psi, free_potential(grid), params, cfg,
+                   capture=lambda t, psi: count.append(t))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(count) == 201
+        assert peak < 201 * grid.n_points * 8 / 4
 
     def test_zero_initial_state_rejected(self):
         grid = Grid1D(z_max=10e-6, n_points=512)
