@@ -24,10 +24,11 @@ and the machine (perfbench's `environment`) are stored next to it.
   solver's `_factors` and raw numpy alone, so it measures the same
   operations on any checkout.
 - L2 `evolve_2ms_s`: one 2 ms `evolve` (20,000 steps), no snapshots.
-- io: `write_record_csv_s` on that 20,001-row record, and
-  `write_snapshots_s`, the streaming snapshot writer (`begin_snapshots_csv`,
-  then `write_snapshot_rows` per capture) over the 201 states of a 2 ms
-  `evolve` captured every 100 steps, collected once through its `capture`.
+- io: `write_record_csv_s` on the 20,001-row record of a 2 ms `evolve`,
+  and `write_snapshots_s`, the streaming snapshot writer
+  (`begin_snapshots_csv`, then `write_snapshot_rows` per capture) over the
+  201 states of that `evolve`, captured every 100 steps and collected once
+  through its `capture`.
 - L3: `run_comparison_s` over 2 ms with a 2 ms window;
   `run_fitted_control_s` (default pairing) and `run_preparation_study_s`
   (default four slopes) over 0.2 ms; `convergence_report_s`, the
@@ -43,18 +44,21 @@ and the machine (perfbench's `environment`) are stored next to it.
   `python -c "import qpot.cli"`, median of 7 runs; and `tier1_s`, one run
   of the Tier-1 suite (`pytest` over `tests/`).
 
-The in-process layers run in a child with perfbench's `child_env` (BLAS
+Each in-process layer (L1, L2, io and each L3 function) is timed once per
+child process, a fresh child per repeat, with perfbench's `child_env` (BLAS
 threads pinned to 1); the parent never imports numpy or qpot.
 
 With `--baseline DIR` (another checkout, such as the parent commit) the
-same figures are measured for DIR too, each checkout by its own
-`bench/layers.py` and `src/`, and written to `BENCH_<DIR's describe>.json`
-at this checkout's root. The two sides alternate run by run, the side
-that goes first alternating as well: the L0 processes, the L4 command
-runs, the imports and the Tier-1 runs. So a drift of the host's speed
-during the run, which on a shared 2-vCPU host is often larger than the
-change being measured, falls on both sides alike instead of reading as a
-regression.
+same figures are measured for DIR too, by this file with DIR's `src/` on
+the path, and written to `BENCH_<DIR's describe>.json` at this checkout's
+root; so DIR must offer the qpot functions this file calls. The two sides
+alternate child by child and run by run, the side that goes first
+alternating as well: the L0 processes, each repeat of each in-process
+layer, the L4 command runs, the imports and the Tier-1 runs. So a drift of
+the host's speed, which on a shared 2-vCPU host is often larger than the
+change being measured, falls on both sides alike. Each file also gets `ratio_to_alternate`: per
+figure, the median and quartiles of the paired ratios, the file's k-th
+sample over the other side's.
 """
 
 import argparse
@@ -109,8 +113,15 @@ def factor(repeats):
     print(json.dumps(_timed(lambda: CrankNicolson(grid, pot, params, DT), repeats)))
 
 
-def inner(repeats):
-    """The in-process layers but L0; prints {name: (samples, unit)} as JSON."""
+# the in-process layers (L1-L3), each timed once per child process
+IN_PROCESS = ("step", "io", "evolve_2ms_s", "run_comparison_s",
+              "run_fitted_control_s", "run_preparation_study_s",
+              "convergence_report_s", "run_sweep_1w_s", "run_sweep_2w_s")
+
+
+def inner(layer):
+    """One sample of each figure of the in-process layer `layer`; prints
+    {name: [value, unit]} as JSON."""
     import numpy as np
 
     from qpot.core import PhysicalParams
@@ -134,56 +145,62 @@ def inner(repeats):
 
     params, grid, pot = _case()
     psi = engineered_packet(grid, params)
-    out = {}
-
-    solver = CrankNicolson(grid, pot, params, DT)
-    u = psi.values[1:-1].astype(complex)
-    factors = solver._factors
-    b = np.empty((u.size, 1), dtype=complex, order="F")
-    v = np.empty_like(u)
-
-    def update():
-        np.multiply(u, 2.0, out=b[:, 0])
-        np.subtract(b[:, 0], u, out=v)
-
-    def batch(fn):
-        def run():
-            for _ in range(BATCH):
-                fn()
-        return [s / BATCH * 1e6 for s in _timed(run, repeats["step"])]
-
-    # step_values may update u in place; every other figure reads only u
-    stepped = u.copy()
-    out["step_us"] = (batch(lambda: solver.step_values(stepped)), "us")
-    out["update_us"] = (batch(update), "us")
-    update()
-    out["solve_us"] = (batch(lambda: zgttrs(*factors, b, overwrite_b=1)), "us")
-    out["norm_us"] = (batch(lambda: np.vdot(u, u)), "us")
-
     config = EvolveConfig(dt=DT, t_final=2e-3)
-    records = []
-    out["evolve_2ms_s"] = (_timed(lambda: records.append(evolve(psi, pot, params, config)),
-                                  repeats["evolve"]), "s")
-    captures = []
-    evolve(psi, pot, params, EvolveConfig(dt=DT, t_final=2e-3, snapshot_stride=100),
-           capture=lambda t, state: captures.append((t, state)))
-
-    def write_snapshots(path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            z_cells = begin_snapshots_csv(fh, grid.z)
-            for t, state in captures:
-                write_snapshot_rows(fh, z_cells, t, state)
-
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "out.csv")
-        out["write_record_csv_s"] = (
-            _timed(lambda: write_record_csv(path, records[0]), repeats["io"]), "s")
-        out["write_snapshots_s"] = (
-            _timed(lambda: write_snapshots(path), repeats["io"]), "s")
-    del records, captures
-
     short = EvolveConfig(dt=DT, t_final=2e-4)
-    l3 = {
+
+    def once(fn):
+        return _timed(fn, 1)[0]
+
+    def step():
+        solver = CrankNicolson(grid, pot, params, DT)
+        u = psi.values[1:-1].astype(complex)
+        factors = solver._factors
+        b = np.empty((u.size, 1), dtype=complex, order="F")
+        v = np.empty_like(u)
+
+        def update():
+            np.multiply(u, 2.0, out=b[:, 0])
+            np.subtract(b[:, 0], u, out=v)
+
+        def batch(fn):
+            def run():
+                for _ in range(BATCH):
+                    fn()
+            return once(run) / BATCH * 1e6
+
+        # step_values may update u in place; every other figure reads only u
+        stepped = u.copy()
+        out = {"step_us": batch(lambda: solver.step_values(stepped)),
+               "update_us": batch(update)}
+        update()
+        out["solve_us"] = batch(lambda: zgttrs(*factors, b, overwrite_b=1))
+        out["norm_us"] = batch(lambda: np.vdot(u, u))
+        return {name: (value, "us") for name, value in out.items()}
+
+    def io():
+        captures = []
+        record = evolve(psi, pot, params,
+                        EvolveConfig(dt=DT, t_final=2e-3, snapshot_stride=100),
+                        capture=lambda t, state: captures.append((t, state)))
+
+        def write_snapshots(path):
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                z_cells = begin_snapshots_csv(fh, grid.z)
+                for t, state in captures:
+                    write_snapshot_rows(fh, z_cells, t, state)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "out.csv")
+            return {"write_record_csv_s": (once(lambda: write_record_csv(path, record)), "s"),
+                    "write_snapshots_s": (once(lambda: write_snapshots(path)), "s")}
+
+    sweep = workloads.PRODUCTION["sweep"]
+    spec = SweepSpec(z0_values=tuple(z * 1e-6 for z in sweep.z0_um),
+                     sigma_rule=("ratio", sweep.sigma_ratio),
+                     t_average_window=sweep.t_final)
+    sweep_config = EvolveConfig(dt=sweep.dt, t_final=sweep.t_final)
+    timed = {
+        "evolve_2ms_s": lambda: evolve(psi, pot, params, config),
         "run_comparison_s": lambda: run_comparison(
             params, grid, config, t_average_window=2e-3),
         "run_fitted_control_s": lambda: run_fitted_control(
@@ -194,18 +211,25 @@ def inner(repeats):
             lambda g: engineered_packet(g, params),
             lambda g: total_potential(g, params), params, t_final=2e-4,
             base_grid=grid, dt_ladder=(4e-7, 2e-7, 1e-7), n_refinements=1),
+        "run_sweep_1w_s": lambda: run_sweep(
+            PhysicalParams(), spec, config=sweep_config, workers=1),
+        "run_sweep_2w_s": lambda: run_sweep(
+            PhysicalParams(), spec, config=sweep_config, workers=2),
     }
-    sweep = workloads.PRODUCTION["sweep"]
-    spec = SweepSpec(z0_values=tuple(z * 1e-6 for z in sweep.z0_um),
-                     sigma_rule=("ratio", sweep.sigma_ratio),
-                     t_average_window=sweep.t_final)
-    sweep_config = EvolveConfig(dt=sweep.dt, t_final=sweep.t_final)
-    for workers in (1, 2):
-        l3[f"run_sweep_{workers}w_s"] = lambda w=workers: run_sweep(
-            PhysicalParams(), spec, config=sweep_config, workers=w)
-    for name, fn in l3.items():
-        out[name] = (_timed(fn, repeats["evolve"]), "s")
+    if layer == "step":
+        out = step()
+    elif layer == "io":
+        out = io()
+    else:
+        out = {layer: (once(timed[layer]), "s")}
     print(json.dumps(out))
+
+
+def _quartiles(xs):
+    """Median and quartiles of paired ratios; one ratio is all three."""
+    q1, median, q3 = (statistics.quantiles(xs, n=4, method="inclusive")
+                      if len(xs) > 1 else xs * 3)
+    return {"median": median, "q1": q1, "q3": q3, "n": len(xs)}
 
 
 def _sides(k, roots):
@@ -287,10 +311,8 @@ def main(argv=None):
     parser.add_argument("--factor", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     few = max(1, min(3, args.repeats))
-    repeats = {"factor": 4 * args.repeats, "step": args.repeats,
-               "evolve": few, "io": args.repeats}
     if args.inner:
-        inner(json.loads(args.inner))
+        inner(args.inner)
         return 0
     if args.factor:
         factor(args.factor)
@@ -307,19 +329,24 @@ def main(argv=None):
         outs[ROOT] = Path(args.out)
 
     def child(root, *flags):
-        proc = subprocess.run([sys.executable, str(root / "bench" / "layers.py"),
-                               *flags], env=envs[root],
+        # this file measures every checkout, so both run the same operations
+        proc = subprocess.run([sys.executable, __file__, *flags], env=envs[root],
                               capture_output=True, text=True, check=True)
         return json.loads(proc.stdout.splitlines()[-1])
 
-    per_process = -(-repeats["factor"] // FACTOR_PROCESSES)
+    factor_runs = -(-4 * args.repeats // FACTOR_PROCESSES)
     layers = {root: {"factor_s": ([], "s")} for root in roots}
     for k in range(FACTOR_PROCESSES):
         for root in _sides(k, roots):
             layers[root]["factor_s"][0].extend(
-                child(root, "--factor", str(per_process)))
-    for root in roots:
-        layers[root].update(child(root, "--inner", json.dumps(repeats)))
+                child(root, "--factor", str(factor_runs)))
+    runs = {layer: args.repeats if layer in ("step", "io") else few
+            for layer in IN_PROCESS}
+    for k in range(args.repeats):
+        for layer in (layer for layer in IN_PROCESS if k < runs[layer]):
+            for root in _sides(k, roots):
+                for name, (value, unit) in child(root, "--inner", layer).items():
+                    layers[root].setdefault(name, ([], unit))[0].append(value)
     for root, figures in cli_layers(envs, few).items():
         layers[root].update(figures)
     for root in roots:
@@ -332,12 +359,19 @@ def main(argv=None):
                        for name, (xs, unit) in layers[root].items()},
         }
         if args.baseline:
-            result["alternated_with"] = labels[roots[1 - roots.index(root)]]
+            other = roots[1 - roots.index(root)]
+            result["alternated_with"] = labels[other]
+            result["ratio_to_alternate"] = {
+                name: _quartiles([x / y for x, y in zip(xs, layers[other][name][0])])
+                for name, (xs, _) in layers[root].items()}
         outs[root].write_text(json.dumps(result, indent=1, sort_keys=True) + "\n",
                               encoding="utf-8")
         for name, entry in result["layers"].items():
+            ratio = result.get("ratio_to_alternate", {}).get(name)
             print(f"{name:28s} {entry['median']:.6g} {entry['unit']} "
-                  f"(n = {entry['n']})")
+                  f"(n = {entry['n']})" + (f"  x{ratio['median']:.3f} "
+                                           f"[{ratio['q1']:.3f}, {ratio['q3']:.3f}]"
+                                           if ratio else ""))
         print(f"wrote {outs[root]}")
     return 0
 

@@ -32,6 +32,7 @@ from .engineering import (
 )
 from .errors import ConfigError, QpotError
 from .experiments import (
+    FITTED_GAUSSIAN,
     run_comparison,
     run_fitted_control,
     run_preparation_study,
@@ -198,11 +199,8 @@ def cmd_sweep(run):
 
 def cmd_fitted(run):
     run.fitted = _settings(run_fitted_control, run.section)
-    if run.fitted["auto_fit"]:  # the fit places the Gaussian
-        for key in ("gaussian_z0", "gaussian_sigma"):
-            if key in run.section:
-                raise ConfigError(f"[fitted] {key} is unread with auto_fit = true")
-            del run.fitted[key]
+    if not run.fitted["auto_fit"]:
+        run.fitted = {**FITTED_GAUSSIAN, **run.fitted}
     run.evolve = _evolve_config(run, run.fitted["t_average_window"])
     result = run_fitted_control(run.params, config=run.evolve, **run.fitted)
     return _Output(
@@ -253,8 +251,8 @@ def cmd_converge(run):
 
 
 _WORKERS = (("--workers",), {"type": int, "default": None, "metavar": "N",
-                             "help": "sweep lanes, this process and N-1 pool "
-                                     "processes (default: one lane per core)"})
+                             "help": "sweep lanes, each a thread "
+                                     "(default: one lane per core)"})
 
 # [params] keys a command reads: profile and fields build no potential,
 # sweep and fitted set z0, sigma and trap_omega per packet

@@ -9,7 +9,7 @@ over the retained times inside the averaging window.
 """
 
 import os
-from concurrent import futures  # ProcessPoolExecutor (multiprocessing) loads on use
+from concurrent import futures
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -155,7 +155,7 @@ class SweepRow:
 
 
 def _sweep_point(args):
-    """One sweep point; module-level so worker processes can import it."""
+    """One sweep point, the unit a lane runs."""
     params, sweep, config = args
     try:
         result = run_comparison(params, config=config,
@@ -168,10 +168,15 @@ def _sweep_point(args):
                     crossover_time=result.crossover_time)
 
 
-def _pool_lane(pool, first, pending):
-    """The rows of a lane on a pool process: `first`'s point, then each next
-    point of `pending`, handed over only once the last one is back."""
-    return [first.result()] + [pool.submit(_sweep_point, j).result() for j in pending]
+def _lane(pending):
+    """The rows of one lane: each next point of the shared iterator `pending`,
+    taken once the last one is done. A bug drains `pending`, so that no lane
+    starts a further point, and is raised once this lane's point is back."""
+    try:
+        return [_sweep_point(job) for job in pending]
+    except BaseException:
+        list(pending)
+        raise
 
 
 def resolve_workers(workers=None):
@@ -191,13 +196,14 @@ def resolve_workers(workers=None):
 def run_sweep(params_base, sweep, config=None, workers=None):
     """Averaged absorbed-fraction ratios across the z0 grid.
 
-    Points are independent and run in `workers` lanes, this process and a
-    pool of workers - 1 processes; each lane takes the next point, largest
-    grid first, once it is free. The rows come back sorted by z0, so the
-    output is identical for any lane count. Rows with z0 at or below the
-    absorber edge, and a window longer than the evolved time, are rejected
-    up front; a point that fails with a QpotError during evolution is
-    marked and the sweep continues.
+    Points are independent and run in `workers` lanes, this thread and
+    workers - 1 pool threads; each lane takes the next point, largest grid
+    first, once it is free. The rows come back sorted by z0, so the output
+    is identical for any lane count. Rows with z0 at or below the absorber
+    edge, and a window longer than the evolved time, are rejected up front;
+    a point that fails with a QpotError during evolution is marked and the
+    sweep continues, while any other exception stops every lane after its
+    current point and is raised.
     """
     for z0 in sweep.z0_values:
         if z0 <= params_base.delta:
@@ -211,33 +217,24 @@ def run_sweep(params_base, sweep, config=None, workers=None):
               for z0 in sweep.z0_values]
     # the largest grid goes first, so that it never starts last
     points.sort(key=lambda p: default_grid(p).n_points, reverse=True)
-    jobs = [(params, sweep, point_config) for params in points]
-    lanes = min(resolve_workers(workers), len(jobs))
-    if lanes <= 1:
-        rows = [_sweep_point(j) for j in jobs]
-    else:
-        # each lane takes the next point once it is free: this process runs
-        # it, a relay thread hands it to a pool process. The first submits
-        # (which, with fork, start all the pool's processes) precede any thread
-        pending = iter(jobs)  # shared by every lane; each next() is atomic
-        with futures.ProcessPoolExecutor(max_workers=lanes - 1) as pool, \
-                futures.ThreadPoolExecutor(max_workers=lanes - 1) as relay:
-            firsts = [pool.submit(_sweep_point, next(pending))
-                      for _ in range(lanes - 1)]
-            relays = [relay.submit(_pool_lane, pool, f, pending) for f in firsts]
-            try:
-                rows = [_sweep_point(j) for j in pending]
-                rows += [row for r in relays for row in r.result()]
-            except BaseException:  # a bug must not wait out the points left
-                list(pending)  # drains them
-                raise
+    lanes = min(resolve_workers(workers), len(points))
+    pending = iter([(params, sweep, point_config) for params in points])
+    # each next() on the shared iterator is atomic; this thread runs one lane
+    with futures.ThreadPoolExecutor(max_workers=max(lanes - 1, 1)) as pool:
+        others = [pool.submit(_lane, pending) for _ in range(lanes - 1)]
+        rows = _lane(pending)
+    rows += [row for lane in others for row in lane.result()]
     rows.sort(key=lambda r: r.z0)
     return rows
 
 
+# where run_fitted_control places the Gaussian unless auto_fit or the caller does
+FITTED_GAUSSIAN = {"gaussian_z0": 2.3e-6, "gaussian_sigma": 1.0e-6}
+
+
 def run_fitted_control(params=None, grid=None, config=None, auto_fit=False,
                        engineered_z0=1.43e-6, engineered_sigma=1.0e-6,
-                       gaussian_z0=2.3e-6, gaussian_sigma=1.0e-6,
+                       gaussian_z0=None, gaussian_sigma=None,
                        t_average_window=2e-3):
     """Engineered packet close to the surface against a Gaussian placed at
     the engineered packet's apparent position farther out.
@@ -247,14 +244,22 @@ def run_fitted_control(params=None, grid=None, config=None, auto_fit=False,
     away from the surface, so this Gaussian tracks where the packet
     actually sits rather than where its envelope is centered. auto_fit
     instead matches the Gaussian to the measured mean and standard
-    deviation of the engineered packet. Each packet is evolved with the
-    trap matched to its own parameters. The default box holds z0 + 6 sigma
-    of each packet placed from these settings.
+    deviation of the engineered packet, and gaussian_z0 or gaussian_sigma
+    given with it is rejected. Each packet is evolved with the trap matched
+    to its own parameters. The default box holds z0 + 6 sigma of each
+    packet placed from these settings.
     """
+    given = {key: value for key, value in (("gaussian_z0", gaussian_z0),
+                                           ("gaussian_sigma", gaussian_sigma))
+             if value is not None}
+    if auto_fit and given:
+        raise ConfigError(f"{', '.join(given)} unread with auto_fit = true: "
+                          "the fit places the Gaussian")
     if params is None:
         params = PhysicalParams()
+    placed = {**FITTED_GAUSSIAN, **given}
     p_eng = params.replace(z0=engineered_z0, sigma=engineered_sigma)
-    p_fit = params.replace(z0=gaussian_z0, sigma=gaussian_sigma)
+    p_fit = params.replace(z0=placed["gaussian_z0"], sigma=placed["gaussian_sigma"])
     if grid is None:
         placed = (p_eng,) if auto_fit else (p_eng, p_fit)
         grid = default_grid(max(placed, key=lambda p: p.z0 + 6 * p.sigma))

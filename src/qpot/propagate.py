@@ -79,8 +79,6 @@ class ExperimentRecord:
     times: np.ndarray  # s
     norms: np.ndarray  # relative to the initial norm
     absorbed_fraction: np.ndarray  # 1 - norm^2
-    params: object = None
-    config: object = None
 
     def absorbed_at(self, t):
         """Absorbed fraction at time t by linear interpolation."""
@@ -159,14 +157,8 @@ def evolve(psi0, potential, params, config, capture=None):
         if stride and k % stride == 0:
             capture(k * config.dt, full_state())
 
-    return ExperimentRecord(
-        grid=grid,
-        times=times,
-        norms=norms,
-        absorbed_fraction=1.0 - norms**2,
-        params=params,
-        config=config,
-    )
+    return ExperimentRecord(grid=grid, times=times, norms=norms,
+                            absorbed_fraction=1.0 - norms**2)
 
 
 @dataclass

@@ -101,9 +101,9 @@ class TestErrors:
         ("profile", "[params]\nc2 = 1\n", "'c2'"),
         ("sweep", "[sweep]\nvariants = engineered, gaussian\n", "'variants'"),
         ("fitted", "[fitted]\nauto_fit = true\ngaussian_z0 = 5um\n",
-         "[fitted] gaussian_z0"),
+         "gaussian_z0 unread with auto_fit"),
         ("fitted", "[fitted]\nauto_fit = true\ngaussian_sigma = 0.2um\n",
-         "[fitted] gaussian_sigma"),
+         "gaussian_sigma unread with auto_fit"),
     ])
     def test_unread_section_or_key_exits_1(self, tmp_path, capsys, command,
                                            text, fragment):

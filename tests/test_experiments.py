@@ -1,17 +1,18 @@
 """Experiment-layer tests: ratio bookkeeping, sweeps, controls, imprinting."""
 
-import multiprocessing
 import os
+import subprocess
 import sys
 import threading
 import time
 import types
 import warnings
-from concurrent import futures
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qpot
 from qpot.core import Grid1D, PhysicalParams, default_grid
 from qpot.engineering import engineered_packet as real_engineered_packet
 from qpot.engineering import gaussian_packet, two_stage_imprint
@@ -34,11 +35,6 @@ from qpot.experiments import (
 )
 from qpot.potentials import total_potential
 from qpot.propagate import EvolveConfig, ExperimentRecord, evolve
-
-# a pool process sees the test's monkeypatches only if it is forked
-FORK_ONLY = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                               reason="needs the fork start method")
-
 
 def fake_record(times, absorbed):
     times = np.asarray(times, dtype=float)
@@ -153,9 +149,8 @@ class TestRunComparison:
 
     def test_default_config_evolves_to_window(self):
         res = run_comparison(PhysicalParams(), t_average_window=2e-5)
-        for rec in res.records.values():
-            assert rec.config == EvolveConfig(t_final=2e-5)
-            assert rec.times[-1] == pytest.approx(2e-5)
+        for rec in res.records.values():  # the default dt, up to the window
+            assert np.array_equal(rec.times, np.arange(201) * EvolveConfig().dt)
 
 
 class TestRunSweep:
@@ -192,7 +187,7 @@ class TestRunSweep:
         assert submitted == [4e-6, 3.5e-6, 1.5e-6, 2e-6]
         assert [r.z0 for r in rows] == [1.5e-6, 2e-6, 3.5e-6, 4e-6]
 
-    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=FORK_ONLY)])
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_failed_point_marked_and_sweep_continues(self, monkeypatch, workers):
         def flaky(grid, params, spec=None):
             if abs(params.z0 - 2.0e-6) < 1e-12:
@@ -211,7 +206,7 @@ class TestRunSweep:
         assert not rows[1].failed
         assert rows[1].averaged_ratio is not None
 
-    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=FORK_ONLY)])
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_programming_error_propagates(self, monkeypatch, workers):
         # only package errors mark a row; anything else is a bug and must
         # surface instead of turning into a quiet "failed" row
@@ -233,38 +228,6 @@ class TestRunSweep:
         parallel = run_sweep(params, spec, config=cfg, workers=workers)
         assert serial == parallel
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_pool_holds_one_process_fewer_than_lanes(self, monkeypatch, workers):
-        built = []
-
-        class RecordingPool(futures.ProcessPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                built.append(max_workers)
-                super().__init__(max_workers=max_workers, **kwargs)
-
-        monkeypatch.setattr("qpot.experiments.futures.ProcessPoolExecutor",
-                            RecordingPool)
-        cfg = EvolveConfig(dt=2e-7, t_final=2e-5)
-        spec = SweepSpec(z0_values=(2.0e-6, 2.5e-6, 3.0e-6), t_average_window=2e-5)
-        rows = run_sweep(PhysicalParams(), spec, config=cfg, workers=workers)
-        assert built == ([workers - 1] if workers > 1 else [])
-        assert not any(r.failed for r in rows)
-
-    @FORK_ONLY
-    def test_calling_process_runs_one_lane(self, monkeypatch):
-        def pid_comparison(params, config=None, t_average_window=None):
-            # the largest grid, the pool's first point, takes longest
-            time.sleep(1.0 if params.z0 == 4e-6 else 0.1)
-            return types.SimpleNamespace(averaged_ratio=float(os.getpid()),
-                                         crossover_time=None)
-
-        monkeypatch.setattr("qpot.experiments.run_comparison", pid_comparison)
-        rows = run_sweep(PhysicalParams(), SweepSpec(), workers=2)
-        # a pool process busy with its first point holds no other one, so
-        # this process runs the five short points meanwhile
-        assert [r.z0 for r in rows if int(r.averaged_ratio) != os.getpid()] == [4e-6]
-
-    @FORK_ONLY
     def test_lanes_share_the_points_without_loss_or_repeat(self, monkeypatch):
         def instant(params, config=None, t_average_window=None):
             return types.SimpleNamespace(averaged_ratio=1.0, crossover_time=None)
@@ -279,23 +242,45 @@ class TestRunSweep:
             sys.setswitchinterval(interval)
         assert [r.z0 for r in rows] == sorted(z0s)
 
-    @FORK_ONLY
-    def test_bug_in_calling_lane_starts_no_further_point(self, monkeypatch, tmp_path):
-        caller = os.getpid()
+    @pytest.mark.parametrize("bug_in_caller", [True, False])
+    def test_bug_in_any_lane_starts_no_further_point(self, monkeypatch,
+                                                     bug_in_caller):
+        started = []
+        both_hold_a_point = threading.Barrier(2, timeout=10)
 
         def comparison(params, config=None, t_average_window=None):
-            if os.getpid() == caller:
+            started.append(params.z0)
+            both_hold_a_point.wait()
+            in_caller = threading.current_thread() is threading.main_thread()
+            if in_caller == bug_in_caller:
                 raise ValueError("synthetic bug")
-            (tmp_path / f"{params.z0:.2e}").touch()
             time.sleep(0.5)
             return types.SimpleNamespace(averaged_ratio=1.0, crossover_time=None)
 
         monkeypatch.setattr("qpot.experiments.run_comparison", comparison)
         with pytest.raises(ValueError, match="synthetic bug"):
             run_sweep(PhysicalParams(), SweepSpec(), workers=2)
-        # the pool's lane finishes the point it holds, and the four points
-        # after the caller's are never started
-        assert len(list(tmp_path.iterdir())) == 1
+        # the other lane finishes the point it holds, and the four points
+        # after the two first are never started
+        assert len(started) == 2
+
+    def test_two_lanes_load_no_multiprocessing(self):
+        code = (
+            "import sys\n"
+            "from qpot.core import PhysicalParams\n"
+            "from qpot.experiments import SweepSpec, run_sweep\n"
+            "from qpot.propagate import EvolveConfig\n"
+            "spec = SweepSpec(z0_values=(2e-6, 3e-6), t_average_window=2e-6)\n"
+            "rows = run_sweep(PhysicalParams(), spec, workers=2,\n"
+            "                 config=EvolveConfig(dt=1e-6, t_final=2e-6))\n"
+            "print(len(rows), 'multiprocessing' in sys.modules)\n"
+        )
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(qpot.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["2", "False"]
 
 
 class TestFittedControl:
@@ -317,6 +302,22 @@ class TestFittedControl:
         assert res.ratios[0] > 1.0
         assert res.crossover_time is not None
         assert 1e-5 < res.crossover_time < 1e-4
+
+    @pytest.mark.parametrize("key, value", [("gaussian_z0", 5e-6),
+                                            ("gaussian_sigma", 0.2e-6)])
+    def test_auto_fit_rejects_a_placed_gaussian(self, key, value):
+        # the fit places the Gaussian, so a placement given with it is unread
+        cfg = EvolveConfig(dt=1e-7, t_final=1e-6)
+        with pytest.raises(ConfigError, match=f"^{key} unread with auto_fit"):
+            run_fitted_control(config=cfg, auto_fit=True, t_average_window=1e-6,
+                               **{key: value})
+
+    def test_default_placement_is_2_3_um_by_1_um(self):
+        cfg = EvolveConfig(dt=1e-7, t_final=2e-6)
+        default = run_fitted_control(config=cfg, t_average_window=2e-6)
+        placed = run_fitted_control(config=cfg, gaussian_z0=2.3e-6,
+                                    gaussian_sigma=1e-6, t_average_window=2e-6)
+        assert np.array_equal(default.ratios, placed.ratios)
 
     def test_default_box_holds_the_wider_gaussian(self):
         # z0 + 6 sigma of the Gaussian is 14.3 um, beyond the 10 um box
@@ -405,10 +406,8 @@ class TestConcurrentEvolves:
 
     CFG = EvolveConfig(dt=1e-7, t_final=2e-5)
 
-    @staticmethod
-    def assert_serial(record, psi, params):
-        serial = evolve(psi, total_potential(psi.grid, params), params,
-                        record.config)
+    def assert_serial(self, record, psi, params):
+        serial = evolve(psi, total_potential(psi.grid, params), params, self.CFG)
         assert np.array_equal(record.times, serial.times)
         assert np.array_equal(record.norms, serial.norms)
         assert np.array_equal(record.absorbed_fraction, serial.absorbed_fraction)

@@ -24,8 +24,7 @@ print(callable(config.load_config))
 """
 
 # What `import qpot.cli` must leave out: the scipy package inits (and the
-# numpy.testing and numpy.f2py they pull in) and, until a sweep starts its
-# process pool, multiprocessing.
+# numpy.testing and numpy.f2py they pull in) and multiprocessing.
 IMPORT_CLI = """
 import sys
 import qpot.cli

@@ -246,7 +246,7 @@ class TestFactoredFastPath:
             short = evolve(psi, pot, params, EvolveConfig(
                 dt=1e-7, t_final=k * 5e-6, snapshot_stride=50),
                 capture=lambda t, psi: short_caps.append((t, psi)))
-            assert short.config.n_steps == 50 * k
+            assert short.times.size == 50 * k + 1
             assert caps[k][0] == short_caps[-1][0]
             assert np.array_equal(caps[k][1], short_caps[-1][1])
         assert not np.array_equal(caps[3][1], caps[4][1])
@@ -314,7 +314,7 @@ class TestTrapGroundState:
 
     def test_norm_drift_tiny_over_1e4_steps(self, trap_run):
         _, _, _, rec, _ = trap_run
-        assert rec.config.n_steps == 10000
+        assert rec.times.size == 10001
         assert abs(rec.norms[-1] - 1.0) < 1e-8
 
     def test_density_stationary(self, trap_run):
@@ -361,13 +361,16 @@ class TestTimeReversal:
         assert np.abs(u - u0).max() < 1e-8
 
 
+ABSORBER_CONFIG = EvolveConfig(dt=1e-7, t_final=2e-4)
+
+
 @pytest.fixture(scope="module")
 def absorber_record():
     params = PhysicalParams(z0=1.5e-6, sigma=0.3e-6)
     grid = Grid1D(z_max=10e-6, n_points=4096)
     psi = gaussian_packet(grid, 1.5e-6, 0.3e-6)
     pot = total_potential(grid, params, include_trap=False)
-    return evolve(psi, pot, params, EvolveConfig(dt=1e-7, t_final=2e-4))
+    return evolve(psi, pot, params, ABSORBER_CONFIG)
 
 
 class TestAbsorberRecord:
@@ -385,7 +388,7 @@ class TestAbsorberRecord:
 
     def test_absorbed_at_interpolates(self, absorber_record):
         a = absorber_record.absorbed_fraction
-        dt = absorber_record.config.dt
+        dt = ABSORBER_CONFIG.dt
         mid = absorber_record.absorbed_at(1.5 * dt)
         assert mid == pytest.approx(0.5 * (a[1] + a[2]), rel=1e-12)
         assert absorber_record.absorbed_at(0.0) == 0.0
