@@ -334,12 +334,12 @@ def main(argv=None):
                               capture_output=True, text=True, check=True)
         return json.loads(proc.stdout.splitlines()[-1])
 
-    factor_runs = -(-4 * args.repeats // FACTOR_PROCESSES)
+    per_process = -(-4 * args.repeats // FACTOR_PROCESSES)
     layers = {root: {"factor_s": ([], "s")} for root in roots}
     for k in range(FACTOR_PROCESSES):
         for root in _sides(k, roots):
             layers[root]["factor_s"][0].extend(
-                child(root, "--factor", str(factor_runs)))
+                child(root, "--factor", str(per_process)))
     runs = {layer: args.repeats if layer in ("step", "io") else few
             for layer in IN_PROCESS}
     for k in range(args.repeats):

@@ -170,8 +170,8 @@ def _sweep_point(args):
 
 def _lane(pending):
     """The rows of one lane: each next point of the shared iterator `pending`,
-    taken once the last one is done. A bug drains `pending`, so that no lane
-    starts a further point, and is raised once this lane's point is back."""
+    taken once the last one is done. An exception drains `pending`, so that
+    no lane starts a further point, and is raised."""
     try:
         return [_sweep_point(job) for job in pending]
     except BaseException:
@@ -249,17 +249,17 @@ def run_fitted_control(params=None, grid=None, config=None, auto_fit=False,
     to its own parameters. The default box holds z0 + 6 sigma of each
     packet placed from these settings.
     """
-    given = {key: value for key, value in (("gaussian_z0", gaussian_z0),
-                                           ("gaussian_sigma", gaussian_sigma))
+    given = {key: value for key, value in {"gaussian_z0": gaussian_z0,
+                                           "gaussian_sigma": gaussian_sigma}.items()
              if value is not None}
     if auto_fit and given:
         raise ConfigError(f"{', '.join(given)} unread with auto_fit = true: "
                           "the fit places the Gaussian")
     if params is None:
         params = PhysicalParams()
-    placed = {**FITTED_GAUSSIAN, **given}
+    gaussian = {**FITTED_GAUSSIAN, **given}
     p_eng = params.replace(z0=engineered_z0, sigma=engineered_sigma)
-    p_fit = params.replace(z0=placed["gaussian_z0"], sigma=placed["gaussian_sigma"])
+    p_fit = params.replace(z0=gaussian["gaussian_z0"], sigma=gaussian["gaussian_sigma"])
     if grid is None:
         placed = (p_eng,) if auto_fit else (p_eng, p_fit)
         grid = default_grid(max(placed, key=lambda p: p.z0 + 6 * p.sigma))
