@@ -58,7 +58,10 @@ layer, the L4 command runs, the imports and the Tier-1 runs. So a drift of
 the host's speed, which on a shared 2-vCPU host is often larger than the
 change being measured, falls on both sides alike. Each file also gets `ratio_to_alternate`: per
 figure, the median and quartiles of the paired ratios, the file's k-th
-sample over the other side's.
+sample over the other side's, and `resolved`: false, printed as
+"unresolved", when either side's samples spread, (q3 - q1) / median, by
+more than MAX_SPREAD = 0.10, as heap-layout-bound figures can from one
+fresh child to the next; such a ratio cannot show a 10% change.
 """
 
 import argparse
@@ -84,6 +87,7 @@ DT = 1e-7  # s
 BATCH = 500  # calls per L1 sample
 IMPORT_RUNS = 7  # fresh interpreters behind cli_import_s
 FACTOR_PROCESSES = 5  # fresh processes behind factor_s
+MAX_SPREAD = 0.10  # a side's (q3 - q1) / median above which its ratio is unresolved
 
 
 def _timed(fn, repeats):
@@ -232,6 +236,19 @@ def _quartiles(xs):
     return {"median": median, "q1": q1, "q3": q3, "n": len(xs)}
 
 
+def _spread(xs):
+    """(q3 - q1) / median of one side's samples."""
+    q = _quartiles(xs)
+    return (q["q3"] - q["q1"]) / q["median"]
+
+
+def _ratio(xs, ys):
+    """The paired ratios xs[k] / ys[k], and whether both sides are tight
+    enough, (q3 - q1) / median at most MAX_SPREAD, for them to be read."""
+    return {**_quartiles([x / y for x, y in zip(xs, ys)]),
+            "resolved": max(_spread(xs), _spread(ys)) <= MAX_SPREAD}
+
+
 def _sides(k, roots):
     """The checkouts in the order of round k: the first side alternates."""
     return roots if k % 2 == 0 else roots[::-1]
@@ -362,16 +379,19 @@ def main(argv=None):
             other = roots[1 - roots.index(root)]
             result["alternated_with"] = labels[other]
             result["ratio_to_alternate"] = {
-                name: _quartiles([x / y for x, y in zip(xs, layers[other][name][0])])
+                name: _ratio(xs, layers[other][name][0])
                 for name, (xs, _) in layers[root].items()}
         outs[root].write_text(json.dumps(result, indent=1, sort_keys=True) + "\n",
                               encoding="utf-8")
         for name, entry in result["layers"].items():
+            line = (f"{name:28s} {entry['median']:.6g} {entry['unit']} "
+                    f"(n = {entry['n']})")
             ratio = result.get("ratio_to_alternate", {}).get(name)
-            print(f"{name:28s} {entry['median']:.6g} {entry['unit']} "
-                  f"(n = {entry['n']})" + (f"  x{ratio['median']:.3f} "
-                                           f"[{ratio['q1']:.3f}, {ratio['q3']:.3f}]"
-                                           if ratio else ""))
+            if ratio:
+                line += (f"  x{ratio['median']:.3f} "
+                         f"[{ratio['q1']:.3f}, {ratio['q3']:.3f}]")
+                line += "" if ratio["resolved"] else " unresolved"
+            print(line)
         print(f"wrote {outs[root]}")
     return 0
 

@@ -19,6 +19,7 @@ from .errors import DomainError, EmptyFieldError, GridError, NodeSingularity
 AMPLITUDE_CUT = 1e-6  # relative sqrt(rho) threshold for masking
 CURVATURE_CUT = 0.05  # dimensionless curvature |d2(sqrt rho)| h^2 / sqrt(rho)
 GUARD_BAND = 2  # grid points eroded around every masked point
+NODE_TOL = 1e-6  # |alpha| / hypot(c1, c2) closer than this to a node is rejected
 
 
 def _second_derivative(values, dz, spacing=1):
@@ -38,21 +39,18 @@ def _widen(bad, guard):
     return out
 
 
-def quantum_potential(rho, mass, hbar=None, amplitude_cut=AMPLITUDE_CUT,
-                      curvature_cut=CURVATURE_CUT, guard=GUARD_BAND):
+def quantum_potential(rho, mass):
     """Q = -(hbar^2/2m) (sqrt rho)''/sqrt(rho) with node-aware masking.
 
     The second derivative is a 3-point central stencil refined by one
     Richardson step (combining spacings h and 2h). A point is masked when
-    its amplitude is below amplitude_cut of the peak, or when the
+    its amplitude is below AMPLITUDE_CUT of the peak, or when the
     dimensionless curvature |d2 sqrt(rho)| h^2 / sqrt(rho) at either stencil
-    width exceeds curvature_cut: genuine packet structure varies on scales
+    width exceeds CURVATURE_CUT: genuine packet structure varies on scales
     far above the grid spacing, so a large value always indicates an
     unresolved node or numerical junk, not physics. A guard band is then
     eroded around every masked point.
     """
-    if hbar is None:
-        hbar = HBAR
     if isinstance(rho, RealField):
         grid, vals = rho.grid, rho.values
     else:
@@ -69,25 +67,25 @@ def quantum_potential(rho, mass, hbar=None, amplitude_cut=AMPLITUDE_CUT,
     d22 = _second_derivative(amp, dz, 2)
     d2 = (4.0 * d2h - d22) / 3.0
 
-    valid = amp >= amplitude_cut * peak
+    valid = amp >= AMPLITUDE_CUT * peak
     with np.errstate(invalid="ignore", divide="ignore"):
         curv_h = np.abs(d2h) * dz**2 / np.where(amp > 0, amp, 1.0)
         curv_2h = np.abs(d22) * (2 * dz) ** 2 / np.where(amp > 0, amp, 1.0)
-        junk = (curv_h > curvature_cut) | (curv_2h > curvature_cut)
+        junk = (curv_h > CURVATURE_CUT) | (curv_2h > CURVATURE_CUT)
     valid &= ~junk
     valid &= np.isfinite(d2)
     valid[:2] = valid[-2:] = False
-    valid = ~_widen(~valid, guard)
+    valid = ~_widen(~valid, GUARD_BAND)
 
     if not np.any(valid):
         raise EmptyFieldError("all points masked in quantum_potential")
 
     q = np.zeros_like(vals)
-    q[valid] = -(hbar**2 / (2 * mass)) * d2[valid] / amp[valid]
+    q[valid] = -(HBAR**2 / (2 * mass)) * d2[valid] / amp[valid]
     return RealField(grid, q, valid)
 
 
-def residual_potential(z, params, spec=None, node_tol=1e-6):
+def residual_potential(z, params, spec=None):
     """Closed-form net potential left over after the Gaussian truncation.
 
     For the packet P(z) exp(-(z-z0)^2/4 sigma^2) the quantum potential is
@@ -102,7 +100,7 @@ def residual_potential(z, params, spec=None, node_tol=1e-6):
     Setting P' = 0 recovers the pure-Gaussian quantum potential, a useful
     sanity anchor: Q_res(z0) = +hbar^2/(4 m sigma^2).
 
-    Raises NodeSingularity when any requested point sits within node_tol of
+    Raises NodeSingularity when any requested point sits within NODE_TOL of
     a node of the oscillating factor.
     """
     if spec is None:
@@ -110,7 +108,7 @@ def residual_potential(z, params, spec=None, node_tol=1e-6):
     z = np.asarray(z, dtype=float)
     if np.any(z <= 0):
         raise DomainError("residual_potential requires z > 0")
-    _node_check(z, params, spec, node_tol)
+    _node_check(z, params, spec)
     z0, sig = params.z0, params.sigma
     s = z - z0
     p = engineered_profile(z, params, spec)
@@ -120,7 +118,7 @@ def residual_potential(z, params, spec=None, node_tol=1e-6):
     return out if out.ndim else float(out)
 
 
-def residual_potential_expanded(z, params, spec=None, node_tol=1e-6):
+def residual_potential_expanded(z, params, spec=None):
     """Same residual written out through the oscillating factor alpha.
 
     With P = z alpha, alpha = c1 cos(theta) + c2 sin(theta):
@@ -136,7 +134,7 @@ def residual_potential_expanded(z, params, spec=None, node_tol=1e-6):
     z = np.asarray(z, dtype=float)
     if np.any(z <= 0):
         raise DomainError("residual_potential_expanded requires z > 0")
-    _node_check(z, params, spec, node_tol)
+    _node_check(z, params, spec)
     z0, sig = params.z0, params.sigma
     a = params.profile_scale
     th = a / z
@@ -150,14 +148,13 @@ def residual_potential_expanded(z, params, spec=None, node_tol=1e-6):
     return out if out.ndim else float(out)
 
 
-def _node_check(z, params, spec, node_tol):
-    amp = np.hypot(spec.c1, spec.c2)
-    th = np.where(z > 0, params.profile_scale / z, 0.0)
+def _node_check(z, params, spec):
+    """Raise NodeSingularity at the first z (all > 0) near a profile node."""
+    th = params.profile_scale / z
     alpha = spec.c1 * np.cos(th) + spec.c2 * np.sin(th)
-    near = np.abs(alpha) < node_tol * amp
+    near = np.abs(alpha) < NODE_TOL * np.hypot(spec.c1, spec.c2)
     if np.any(near):
-        zbad = np.asarray(z)[near]
-        raise NodeSingularity(float(np.atleast_1d(zbad)[0]))
+        raise NodeSingularity(float(z[near][0]))
 
 
 def profile_node_mask(grid, params, spec=None, rel_tol=1e-6, guard=GUARD_BAND):

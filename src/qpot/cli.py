@@ -33,6 +33,7 @@ from .engineering import (
 from .errors import ConfigError, QpotError
 from .experiments import (
     FITTED_GAUSSIAN,
+    RATIO_FLOOR,
     run_comparison,
     run_fitted_control,
     run_preparation_study,
@@ -173,7 +174,7 @@ def cmd_compare(run):
             "crossover_time_s": repr(result.crossover_time),
             "ratio_average_note": (
                 "averaged over retained times <= t_average_window; times where "
-                "either absorbed fraction is below 1e-12 are excluded"
+                f"either absorbed fraction is below {RATIO_FLOOR!r} are excluded"
             ),
         },
         f"averaged ratio {result.averaged_ratio}, "

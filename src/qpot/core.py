@@ -17,7 +17,9 @@ HBAR = 1.054571817e-34  # J s
 DEFAULT_MASS = 1.44e-25  # kg
 DEFAULT_C4 = 9.1e-56  # J m^4
 DEFAULT_DELTA = 0.15e-6  # m
+DEFAULT_Z_MAX, DEFAULT_POINTS = 10e-6, 4096  # default_grid's box: 10 um, 4096 points
 MAX_DEFAULT_POINTS = 2**20  # largest box default_grid widens to
+POINTS_PER_CYCLE = 10  # resolves_profile's points per profile cycle
 
 
 @dataclass(frozen=True)
@@ -110,22 +112,23 @@ class Grid1D:
     def dz(self):
         return (self.z_max - self.z_min) / (self.n_points - 1)
 
-    def resolves_profile(self, params, points_per_cycle=10):
-        """True when dz resolves the local profile wavelength at the
-        absorber edge: lambda(delta) = 2 pi delta^2 / (sqrt(2 m c4)/hbar)."""
+    def resolves_profile(self, params):
+        """True when dz puts POINTS_PER_CYCLE points in the local profile wavelength
+        at the absorber edge, lambda(delta) = 2 pi delta^2 / (sqrt(2 m c4)/hbar)."""
         scale = params.profile_scale
         if scale == 0:
             return True
-        return self.dz <= 2 * np.pi * params.delta**2 / scale / points_per_cycle
+        return self.dz <= 2 * np.pi * params.delta**2 / scale / POINTS_PER_CYCLE
 
 
-def default_grid(params=None, z_max=10e-6, n_points=4096):
-    """Default box: [0, 10 um] with 4096 points (dz about 2.4 nm), enough for
-    ten points per profile cycle at the absorber edge. For packets sitting
-    far out the box widens to hold z0 + 6 sigma, to MAX_DEFAULT_POINTS."""
+def default_grid(params=None):
+    """Default box: [0, DEFAULT_Z_MAX] with DEFAULT_POINTS points, dz about 2.4 nm.
+    For packets sitting far out the box widens at that dz to hold z0 + 6 sigma,
+    to MAX_DEFAULT_POINTS."""
+    z_max, n_points = DEFAULT_Z_MAX, DEFAULT_POINTS
     if params is not None:
         z_max = max(z_max, params.z0 + 6 * params.sigma)
-        base_dz = 10e-6 / (4096 - 1)
+        base_dz = DEFAULT_Z_MAX / (DEFAULT_POINTS - 1)
         n_points = max(n_points, int(np.ceil(z_max / base_dz)) + 1)
         if n_points > MAX_DEFAULT_POINTS:
             raise ConfigError(f"z0 + 6 sigma = {z_max!r} m needs {n_points} grid "

@@ -42,40 +42,6 @@ class ProfileSpec:
             raise ConfigError("profile coefficients (c1, c2) must not both vanish")
 
 
-@dataclass(frozen=True)
-class ImprintSpec:
-    """One phase-imprinting pulse: psi -> psi * (a e^{i phi} + b e^{-i phi}).
-
-    phi(z) is either linear, phi = slope * z, or inverse, phi = amplitude/z
-    + offset. With |a| = |b| the factor is a pure sinusoid of phi; the
-    relative phase of a and b selects which one: arg(a) - arg(b) = 0 gives
-    cos(phi), arg(a) - arg(b) = pi gives sin(phi) up to a global phase.
-    """
-
-    kind: str  # "linear" or "inverse"
-    a: complex = 0.5
-    b: complex = 0.5
-    slope: float = 0.0  # m^-1, linear profile
-    amplitude: float = 0.0  # m, inverse profile
-    offset: float = 0.0  # rad, inverse profile
-
-    def __post_init__(self):
-        if self.kind not in ("linear", "inverse"):
-            raise ConfigError(f"unknown phase profile kind {self.kind!r}")
-        if abs(self.a) ** 2 + abs(self.b) ** 2 == 0:
-            raise ConfigError("imprint amplitudes a, b must not both vanish")
-
-    def phase(self, z):
-        z = np.asarray(z, dtype=float)
-        if self.kind == "linear":
-            return self.slope * z
-        # inverse: guard the z = 0 endpoint; packets vanish there anyway
-        phi = np.zeros_like(z)
-        pos = z > 0
-        phi[pos] = self.amplitude / z[pos] + self.offset
-        return phi
-
-
 def _theta(z, params):
     return params.profile_scale / z
 
@@ -159,25 +125,28 @@ def gaussian_packet(grid, z0, sigma):
     return normalize(psi)
 
 
-def phase_imprint(psi, spec):
-    """Apply one imprint pulse and renormalize."""
-    phi = spec.phase(psi.grid.z)
-    factor = spec.a * np.exp(1j * phi) + spec.b * np.exp(-1j * phi)
+def phase_imprint(psi, phi, a, b):
+    """One imprint pulse psi -> psi (a e^{i phi} + b e^{-i phi}), renormalized.
+
+    phi is the imprinted phase on the grid. With |a| = |b| the factor is a
+    pure sinusoid of phi: a = b gives cos(phi), a = -b gives i sin(phi).
+    """
+    factor = a * np.exp(1j * phi) + b * np.exp(-1j * phi)
     out = psi.with_values(psi.values * factor)
     if out.norm() == 0:
         raise ConstructionError("phase imprint annihilated the packet")
     return normalize(out)
 
 
-def two_stage_imprint(grid, params, slope, base=None):
+def two_stage_imprint(grid, params, slope):
     """The two-pulse preparation: start from the benchmark Gaussian, imprint
     sin(slope * z) (approximately linear in z for small slope), then imprint
-    cos(a/z) to stamp the oscillating factor on."""
-    if base is None:
-        base = gaussian_packet(grid, params.z0, params.sigma)
-    linear = ImprintSpec(kind="linear", a=0.5, b=-0.5, slope=slope)
-    inverse = ImprintSpec(kind="inverse", a=0.5, b=0.5, amplitude=params.profile_scale)
-    return phase_imprint(phase_imprint(base, linear), inverse)
+    cos(a/z), taken as 0 at z = 0 where the packet vanishes, to stamp the
+    oscillating factor on."""
+    z = grid.z
+    base = gaussian_packet(grid, params.z0, params.sigma)
+    inverse = np.divide(params.profile_scale, z, out=np.zeros_like(z), where=z > 0)
+    return phase_imprint(phase_imprint(base, slope * z, 0.5, -0.5), inverse, 0.5, 0.5)
 
 
 def fidelity(psi_a, psi_b):

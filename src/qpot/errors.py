@@ -28,9 +28,9 @@ class ConstructionError(QpotError):
 class NodeSingularity(QpotError):
     """Evaluation requested too close to a node of the oscillating profile."""
 
-    def __init__(self, z, message=None):
+    def __init__(self, z):
         self.z = z
-        super().__init__(message or f"profile node too close to z = {z!r}")
+        super().__init__(f"profile node too close to z = {z!r}")
 
 
 class EmptyFieldError(QpotError):

@@ -8,6 +8,7 @@ a floor of 1e-12, guarding the 0/0 limit at t -> 0; averaged ratios run
 over the retained times inside the averaging window.
 """
 
+import operator
 import os
 from concurrent import futures
 from dataclasses import dataclass, replace
@@ -68,9 +69,8 @@ class ComparisonResult:
     t_average_window: float
 
 
-def absorption_ratio_series(record_num, record_den, floor=RATIO_FLOOR,
-                            t_window=None):
-    """Ratio of absorbed fractions where both exceed the floor.
+def absorption_ratio_series(record_num, record_den, t_window=None):
+    """Ratio of absorbed fractions where both reach RATIO_FLOOR.
 
     Returns (times, ratios, averaged_ratio, crossover_time). The average is
     taken over retained times <= t_window (the whole series when None); the
@@ -82,7 +82,7 @@ def absorption_ratio_series(record_num, record_den, floor=RATIO_FLOOR,
         raise ConfigError("records were not taken on matching time grids")
     a_num = record_num.absorbed_fraction
     a_den = record_den.absorbed_fraction
-    keep = (a_num >= floor) & (a_den >= floor)
+    keep = (a_num >= RATIO_FLOOR) & (a_den >= RATIO_FLOOR)
     t = record_num.times[keep]
     r = a_num[keep] / a_den[keep]
     if t.size == 0:
@@ -180,13 +180,13 @@ def _lane(pending):
 
 
 def resolve_workers(workers=None):
-    """The sweep's concurrent lanes: the argument, else the core count. A
-    value that is not a positive integer is rejected."""
+    """The sweep's concurrent lanes: the argument, else the core count. A value
+    that is not a positive integer or a string of one, a float too, is rejected."""
     if workers is None:
         return os.cpu_count() or 1
     try:
-        count = int(workers)
-    except ValueError:
+        count = int(workers) if isinstance(workers, str) else operator.index(workers)
+    except (TypeError, ValueError):
         count = 0
     if count < 1:
         raise ConfigError(f"workers must be a positive integer, got {workers!r}")
@@ -232,7 +232,7 @@ def run_sweep(params_base, sweep, config=None, workers=None):
 FITTED_GAUSSIAN = {"gaussian_z0": 2.3e-6, "gaussian_sigma": 1.0e-6}
 
 
-def run_fitted_control(params=None, grid=None, config=None, auto_fit=False,
+def run_fitted_control(params=None, config=None, auto_fit=False,
                        engineered_z0=1.43e-6, engineered_sigma=1.0e-6,
                        gaussian_z0=None, gaussian_sigma=None,
                        t_average_window=2e-3):
@@ -260,9 +260,8 @@ def run_fitted_control(params=None, grid=None, config=None, auto_fit=False,
     gaussian = {**FITTED_GAUSSIAN, **given}
     p_eng = params.replace(z0=engineered_z0, sigma=engineered_sigma)
     p_fit = params.replace(z0=gaussian["gaussian_z0"], sigma=gaussian["gaussian_sigma"])
-    if grid is None:
-        placed = (p_eng,) if auto_fit else (p_eng, p_fit)
-        grid = default_grid(max(placed, key=lambda p: p.z0 + 6 * p.sigma))
+    placed = (p_eng,) if auto_fit else (p_eng, p_fit)
+    grid = default_grid(max(placed, key=lambda p: p.z0 + 6 * p.sigma))
     config = _window_config(config, t_average_window, "t_average_window")
 
     eng = engineered_packet(grid, p_eng)

@@ -127,11 +127,10 @@ def write_convergence_csv(path, report):
                _blocks(*zip(*rows)))
 
 
-def write_manifest(path, cfg_text, extra=None):
-    """Echo the resolved configuration and code version next to the data."""
+def write_manifest(path, cfg_text, extra):
+    """Echo the code version, the `extra` header lines and the resolved
+    configuration (config_to_text's newline-terminated text) next to the data."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# qpot {__version__}\n")
-        fh.writelines(f"# {key}: {value}\n" for key, value in (extra or {}).items())
+        fh.writelines(f"# {key}: {value}\n" for key, value in extra.items())
         fh.write(cfg_text)
-        if not cfg_text.endswith("\n"):
-            fh.write("\n")

@@ -46,6 +46,7 @@ def _load_flapack():
 
 _flapack = _load_flapack()
 zgttrf, zgttrs = _flapack.zgttrf, _flapack.zgttrs
+ORDER_FLOOR = 1e-5  # relative increment under which an order estimate is noise
 
 
 @dataclass(frozen=True)
@@ -169,7 +170,6 @@ class ConvergenceReport:
     dz_orders: list
     dt_halving_change: float  # relative change under dt -> dt/2 at base dt
     dz_halving_change: float
-    floor: float
 
     def dt_order(self):
         return self.dt_orders[0][1] if self.dt_orders else float("nan")
@@ -178,18 +178,18 @@ class ConvergenceReport:
         return self.dz_orders[0][1] if self.dz_orders else float("nan")
 
 
-def _triplet_orders(values, steps, f_scale, floor):
+def _triplet_orders(values, steps, f_scale):
     """Richardson order estimates from consecutive refinement triplets.
 
-    A triplet is flagged floor-limited when its increments are so small,
-    relative to the observable, that the estimate measures discretization
+    A triplet is flagged floor-limited when its increments are under
+    ORDER_FLOOR of the observable: the estimate then measures discretization
     noise rather than the leading error term.
     """
     out = []
     for i in range(len(values) - 2):
         d1 = values[i] - values[i + 1]
         d2 = values[i + 1] - values[i + 2]
-        limited = max(abs(d1), abs(d2)) < floor * abs(f_scale)
+        limited = max(abs(d1), abs(d2)) < ORDER_FLOOR * abs(f_scale)
         if d2 == 0:
             order = float("inf") if d1 else 0.0
         else:
@@ -200,7 +200,7 @@ def _triplet_orders(values, steps, f_scale, floor):
 
 def convergence_report(make_state, make_potential, params, t_final=2e-3,
                        base_grid=None, dt_ladder=(8e-7, 4e-7, 2e-7, 1e-7, 5e-8),
-                       n_refinements=2, floor=1e-5):
+                       n_refinements=2):
     """Self-convergence of the absorbed fraction at t_final.
 
     make_state(grid) and make_potential(grid) rebuild the initial packet and
@@ -232,10 +232,10 @@ def convergence_report(make_state, make_potential, params, t_final=2e-3,
     f_ref = dz_rows[-1][2]
     dt_vals = [r[1] for r in dt_rows]
     dz_vals = [r[2] for r in dz_rows]
-    dt_orders = _triplet_orders(dt_vals, [r[0] for r in dt_rows], f_ref, floor)
-    dz_orders = _triplet_orders(dz_vals, [r[0] for r in dz_rows], f_ref, floor)
+    dt_orders = _triplet_orders(dt_vals, [r[0] for r in dt_rows], f_ref)
+    dz_orders = _triplet_orders(dz_vals, [r[0] for r in dz_rows], f_ref)
 
     dt_change = abs(dt_vals[-1] - dt_vals[-2]) / abs(dt_vals[-1])
     dz_change = abs(dz_vals[1] - dz_vals[0]) / abs(dz_vals[1])
     return ConvergenceReport(dt_rows, dz_rows, dt_orders, dz_orders,
-                             dt_change, dz_change, floor)
+                             dt_change, dz_change)

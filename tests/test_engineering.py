@@ -5,7 +5,6 @@ import pytest
 
 from qpot.core import Grid1D, PhysicalParams, default_grid, moments
 from qpot.engineering import (
-    ImprintSpec,
     ProfileSpec,
     engineered_packet,
     engineered_profile,
@@ -216,22 +215,10 @@ class TestGaussianPacket:
 
 
 class TestImprinting:
-    def test_phase_profiles(self):
-        lin = ImprintSpec(kind="linear", slope=2e6)
-        assert lin.phase(np.array([1e-6]))[0] == pytest.approx(2.0)
-        inv = ImprintSpec(kind="inverse", amplitude=3e-6, offset=0.5)
-        assert inv.phase(np.array([1e-6]))[0] == pytest.approx(3.5)
-        assert inv.phase(np.array([0.0]))[0] == 0.0  # guarded endpoint
-
-    def test_unknown_kind(self):
-        with pytest.raises(ConfigError):
-            ImprintSpec(kind="quadratic")
-
     def test_cos_factor(self, grid):
         # equal amplitudes, zero relative phase: factor = cos(phi)
         psi = gaussian_packet(grid, 3e-6, 0.8e-6)
-        spec = ImprintSpec(kind="linear", a=0.5, b=0.5, slope=1e6)
-        out = phase_imprint(psi, spec)
+        out = phase_imprint(psi, 1e6 * grid.z, 0.5, 0.5)
         expected = psi.values * np.cos(1e6 * grid.z)
         n = np.sqrt(np.trapezoid(np.abs(expected) ** 2, grid.z))
         assert np.allclose(out.values, expected / n, atol=1e-12)
@@ -239,23 +226,22 @@ class TestImprinting:
     def test_sin_factor(self, grid):
         # opposite amplitudes: factor = i sin(phi), a pure sine in magnitude
         psi = gaussian_packet(grid, 3e-6, 0.8e-6)
-        spec = ImprintSpec(kind="linear", a=0.5, b=-0.5, slope=1e6)
-        out = phase_imprint(psi, spec)
+        out = phase_imprint(psi, 1e6 * grid.z, 0.5, -0.5)
         expected = psi.values * 1j * np.sin(1e6 * grid.z)
         n = np.sqrt(np.trapezoid(np.abs(expected) ** 2, grid.z))
         assert np.allclose(out.values, expected / n, atol=1e-12)
 
     def test_pure_phase_keeps_density(self, grid):
         psi = gaussian_packet(grid, 3e-6, 0.8e-6)
-        spec = ImprintSpec(kind="linear", a=1.0, b=0.0, slope=5e5)
-        out = phase_imprint(psi, spec)
+        out = phase_imprint(psi, 5e5 * grid.z, 1.0, 0.0)
         assert np.allclose(out.density(), psi.density(), atol=1e-15)
 
     def test_annihilation_guard(self, grid):
+        # sin(0) and a vanishing pair of amplitudes both zero the packet
         psi = gaussian_packet(grid, 3e-6, 0.8e-6)
-        with pytest.raises(ConstructionError):
-            phase_imprint(psi, ImprintSpec(kind="linear", a=0.5, b=-0.5,
-                                           slope=0.0))
+        for a, b in ((0.5, -0.5), (0.0, 0.0)):
+            with pytest.raises(ConstructionError):
+                phase_imprint(psi, np.zeros_like(grid.z), a, b)
 
 
 class TestTwoStageImprint:
@@ -264,6 +250,13 @@ class TestTwoStageImprint:
         slope = 0.05 / params.z0
         psi = two_stage_imprint(grid, params, slope)
         assert fidelity(psi, target) > 0.99
+
+    def test_finite_and_zero_at_the_surface(self, grid, params):
+        # the 1/z pulse is taken as 0 at z = 0, where the packet vanishes
+        psi = two_stage_imprint(grid, params, 0.05 / params.z0)
+        assert grid.z[0] == 0.0
+        assert psi.values[0] == 0.0
+        assert np.all(np.isfinite(psi.values))
 
     def test_fidelity_degrades_with_slope(self, grid, params):
         target = engineered_packet(grid, params)
@@ -278,8 +271,7 @@ class TestTwoStageImprint:
         # oscillating factor; it never reaches the high-fidelity regime
         target = engineered_packet(grid, params)
         base = gaussian_packet(grid, params.z0, params.sigma)
-        linear_only = phase_imprint(
-            base, ImprintSpec(kind="linear", a=0.5, b=-0.5, slope=0.05 / params.z0))
+        linear_only = phase_imprint(base, 0.05 / params.z0 * grid.z, 0.5, -0.5)
         f_partial = fidelity(linear_only, target)
         f_full = fidelity(two_stage_imprint(grid, params, 0.05 / params.z0),
                           target)

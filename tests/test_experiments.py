@@ -1,6 +1,7 @@
 """Experiment-layer tests: ratio bookkeeping, sweeps, controls, imprinting."""
 
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -118,13 +119,14 @@ class TestSweepSpec:
 class TestResolveWorkers:
     def test_argument_wins(self):
         assert resolve_workers(2) == 2
+        assert resolve_workers("2") == 2
 
     def test_default_at_least_one(self):
         assert resolve_workers() >= 1
 
-    @pytest.mark.parametrize("workers", [0, -3, "abc"])
+    @pytest.mark.parametrize("workers", [0, -3, "abc", 2.7, [2]])
     def test_rejects_non_positive_or_non_integer(self, workers):
-        with pytest.raises(ConfigError, match=repr(workers)):
+        with pytest.raises(ConfigError, match=re.escape(repr(workers))):
             resolve_workers(workers)
 
 

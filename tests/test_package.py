@@ -4,13 +4,26 @@ import ast
 import os
 import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
 import qpot
+from qpot.config import _SCHEMA
 
 SRC = Path(qpot.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parents[1]
+
+# Where a call counts as a caller of a library option.
+CALLERS = [*sorted(SRC.glob("*.py")), ROOT / "tests" / "test_acceptance.py",
+           *sorted((ROOT / "bench").glob("*.py")),
+           *sorted((ROOT / "perfbench").glob("*.py"))]
+# Defaulted parameters kept although no caller sets them, with the reason.
+UNSET_BUT_KEPT = {
+    "spec": "the profile shape; every profile function takes the ProfileSpec "
+            "qpot profile builds, so a sine or |P| packet is one argument away",
+}
 
 # Run in a fresh interpreter so that only what `import qpot` loads counts.
 IMPORT_QPOT = """
@@ -129,3 +142,62 @@ def test_every_public_name_has_a_caller_in_src():
                       if fn not in used | CHECKED_BY_ACCEPTANCE)
     assert uncalled == []
     assert CHECKED_BY_ACCEPTANCE <= set(defined)
+
+
+def _options():
+    """(module:function, call name, parameter, position) for every parameter
+    with a default of a public function, or of a public class's public
+    method or __init__, in src/qpot. The call name is what a call spells (the
+    class for __init__); the position is the parameter's index among a
+    call's positional arguments, None when it is keyword-only."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if getattr(node, "name", "_").startswith("_"):
+                continue
+            if isinstance(node, ast.FunctionDef):
+                fns = [(node.name, node.name, node, 0)]
+            elif isinstance(node, ast.ClassDef):
+                fns = [(f"{node.name}.{fn.name}",
+                        node.name if fn.name == "__init__" else fn.name, fn, 1)
+                       for fn in node.body if isinstance(fn, ast.FunctionDef)
+                       and (fn.name == "__init__" or not fn.name.startswith("_"))]
+            else:
+                continue
+            for where, call, fn, skip in fns:
+                args = fn.args.posonlyargs + fn.args.args
+                first = len(args) - len(fn.args.defaults)
+                for i, arg in enumerate(args[first:], start=first):
+                    yield f"{path.stem}:{where}", call, arg.arg, i - skip
+                for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                    if default is not None:
+                        yield f"{path.stem}:{where}", call, arg.arg, None
+
+
+def _calls():
+    """Per call name: the keywords some call passes by name, and the most
+    positional arguments a call passes ahead of any * spread."""
+    named, positional = defaultdict(set), defaultdict(int)
+    for path in CALLERS:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            given = next((i for i, arg in enumerate(node.args)
+                          if isinstance(arg, ast.Starred)), len(node.args))
+            positional[name] = max(positional[name], given)
+            named[name].update(k.arg for k in node.keywords if k.arg is not None)
+    return named, positional
+
+
+def test_every_library_option_has_a_caller():
+    """A parameter with a default is set by some call in src/qpot, the
+    acceptance checks, bench/ or perfbench/ (by name or position; a **
+    spread does not count), or is a config key, or is kept on purpose;
+    otherwise it is a constant dressed as an option."""
+    named, positional = _calls()
+    config_keys = {key for section in _SCHEMA.values() for key in section}
+    unset = sorted(f"{where}({param})" for where, call, param, pos in _options()
+                   if param not in named[call]
+                   and (pos is None or positional[call] <= pos)
+                   and param not in config_keys | set(UNSET_BUT_KEPT))
+    assert not unset, f"options no caller sets: {', '.join(unset)}"
