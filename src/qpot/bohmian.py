@@ -13,7 +13,8 @@ and a two-point guard band is eroded around them.
 import numpy as np
 
 from .core import HBAR, RealField
-from .engineering import ProfileSpec, engineered_profile, profile_derivative
+from .engineering import (DEFAULT_PROFILE, engineered_profile, profile_derivative,
+                          profile_factor, profile_on_grid)
 from .errors import DomainError, EmptyFieldError, GridError, NodeSingularity
 
 AMPLITUDE_CUT = 1e-6  # relative sqrt(rho) threshold for masking
@@ -85,7 +86,7 @@ def quantum_potential(rho, mass):
     return RealField(grid, q, valid)
 
 
-def residual_potential(z, params, spec=None):
+def residual_potential(z, params, spec=DEFAULT_PROFILE):
     """Closed-form net potential left over after the Gaussian truncation.
 
     For the packet P(z) exp(-(z-z0)^2/4 sigma^2) the quantum potential is
@@ -103,8 +104,6 @@ def residual_potential(z, params, spec=None):
     Raises NodeSingularity when any requested point sits within NODE_TOL of
     a node of the oscillating factor.
     """
-    if spec is None:
-        spec = ProfileSpec()
     z = np.asarray(z, dtype=float)
     if np.any(z <= 0):
         raise DomainError("residual_potential requires z > 0")
@@ -118,7 +117,7 @@ def residual_potential(z, params, spec=None):
     return out if out.ndim else float(out)
 
 
-def residual_potential_expanded(z, params, spec=None):
+def residual_potential_expanded(z, params, spec=DEFAULT_PROFILE):
     """Same residual written out through the oscillating factor alpha.
 
     With P = z alpha, alpha = c1 cos(theta) + c2 sin(theta):
@@ -129,8 +128,6 @@ def residual_potential_expanded(z, params, spec=None):
     Algebraically identical to residual_potential; kept as an independent
     route for cross-checking.
     """
-    if spec is None:
-        spec = ProfileSpec()
     z = np.asarray(z, dtype=float)
     if np.any(z <= 0):
         raise DomainError("residual_potential_expanded requires z > 0")
@@ -150,31 +147,26 @@ def residual_potential_expanded(z, params, spec=None):
 
 def _node_check(z, params, spec):
     """Raise NodeSingularity at the first z (all > 0) near a profile node."""
-    th = params.profile_scale / z
-    alpha = spec.c1 * np.cos(th) + spec.c2 * np.sin(th)
+    alpha = profile_factor(z, params, spec)
     near = np.abs(alpha) < NODE_TOL * np.hypot(spec.c1, spec.c2)
     if np.any(near):
         raise NodeSingularity(float(z[near][0]))
 
 
-def profile_node_mask(grid, params, spec=None, rel_tol=1e-6, guard=GUARD_BAND):
+def profile_node_mask(grid, params, spec=DEFAULT_PROFILE, rel_tol=1e-6,
+                      guard=GUARD_BAND):
     """Boolean mask, True away from profile nodes.
 
     A grid point is inside the node zone when |P| < rel_tol * max |P| over
     the grid; the zone is widened by `guard` points on each side.
     """
-    if spec is None:
-        spec = ProfileSpec()
-    z = grid.z
-    p = np.zeros_like(z)
-    pos = z > 0
-    p[pos] = engineered_profile(z[pos], params, spec)
-    ok = np.abs(p) >= rel_tol * np.abs(p).max()
-    ok[~pos] = False
+    p = np.abs(profile_on_grid(grid, params, spec))
+    ok = p >= rel_tol * p.max()
+    ok[grid.z <= 0] = False
     return ~_widen(~ok, guard)
 
 
-def weighted_fields(grid, params, spec=None, support_cut=1e-6):
+def weighted_fields(grid, params, spec=DEFAULT_PROFILE, support_cut=1e-6):
     """Density-weighted fields of the truncated engineered packet.
 
     Returns (rho * Q, rho * (Q + V_surface), rho) as RealFields. The
@@ -188,15 +180,12 @@ def weighted_fields(grid, params, spec=None, support_cut=1e-6):
     the z = 0 endpoint is always masked (rho vanishes there exactly while Q
     grows without bound, so the product has no limit on the grid).
     """
-    if spec is None:
-        spec = ProfileSpec()
     z = grid.z
     z0, sig = params.z0, params.sigma
     pos = z > 0
 
-    p = np.zeros_like(z)
+    p = profile_on_grid(grid, params, spec)
     dp = np.zeros_like(z)
-    p[pos] = engineered_profile(z[pos], params, spec)
     dp[pos] = profile_derivative(z[pos], params, spec)
     env2 = np.exp(-((z - z0) ** 2) / (2 * sig**2))
     rho = env2 * p**2

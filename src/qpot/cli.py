@@ -18,18 +18,12 @@ import sys
 import types
 from typing import NamedTuple
 
-import numpy as np
-
 from . import config as cfgmod
 from . import io as iomod
 from .bohmian import weighted_fields
 from .core import DEFAULT_DELTA
-from .engineering import (
-    ProfileSpec,
-    engineered_packet,
-    engineered_profile,
-    gaussian_packet,
-)
+from .engineering import (ProfileSpec, engineered_packet, gaussian_packet,
+                          profile_on_grid)
 from .errors import ConfigError, QpotError
 from .experiments import (
     FITTED_GAUSSIAN,
@@ -104,12 +98,9 @@ def _comparison_csvs(run, ratio_name, result):
 def cmd_profile(run):
     run.profile = spec = ProfileSpec(**run.section)
     psi = engineered_packet(run.grid, run.params, spec)
-    z = run.grid.z
-    profile = np.zeros_like(z)
-    pos = z > 0
-    profile[pos] = engineered_profile(z[pos], run.params, spec)
+    profile = profile_on_grid(run.grid, run.params, spec)
     path = _path(run, "profile.csv")
-    return _Output([(path, iomod.write_profile_csv, z, profile, psi)], {},
+    return _Output([(path, iomod.write_profile_csv, run.grid.z, profile, psi)], {},
                    f"wrote {path}")
 
 

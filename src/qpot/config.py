@@ -14,21 +14,9 @@ from .errors import ConfigError
 from .experiments import SweepSpec
 from .propagate import EvolveConfig
 
-# longest-match first so "ms" wins over "m" and "us" over "s"
-_UNIT_FACTORS = [
-    ("rad/s", 1.0),
-    ("nm", 1e-9),
-    ("um", 1e-6),
-    ("mm", 1e-3),
-    ("ns", 1e-9),
-    ("us", 1e-6),
-    ("ms", 1e-3),
-    ("kg", 1.0),
-    ("Hz", 1.0),
-    ("m", 1.0),
-    ("s", 1.0),
-    ("J", 1.0),
-]
+_UNIT_FACTORS = {"rad/s": 1.0, "nm": 1e-9, "um": 1e-6, "mm": 1e-3, "ns": 1e-9,
+                 "us": 1e-6, "ms": 1e-3, "kg": 1.0, "Hz": 1.0, "m": 1.0, "s": 1.0,
+                 "J": 1.0}
 
 _NUMBER = re.compile(
     r"^\s*([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*([A-Za-z/]*)\s*$"
@@ -44,10 +32,9 @@ def parse_quantity(text):
     suffix = m.group(2)
     if not suffix:
         return value
-    for unit, factor in _UNIT_FACTORS:
-        if suffix == unit:
-            return value * factor
-    raise ConfigError(f"unknown unit suffix {suffix!r} in {text!r}")
+    if suffix not in _UNIT_FACTORS:
+        raise ConfigError(f"unknown unit suffix {suffix!r} in {text!r}")
+    return value * _UNIT_FACTORS[suffix]
 
 
 def parse_bool(text):

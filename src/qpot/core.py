@@ -26,6 +26,7 @@ POINTS_PER_CYCLE = 10  # resolves_profile's points per profile cycle
 class PhysicalParams:
     """Atom, surface and trap parameters, all SI.
 
+    hbar is the package's one constant HBAR, a class attribute, not a field.
     absorber_strength defaults to the magnitude of the surface potential at
     the absorber edge delta, which makes the absorption time below delta much
     shorter than the millisecond packet dynamics. trap_omega defaults to
@@ -40,7 +41,7 @@ class PhysicalParams:
     delta: float = DEFAULT_DELTA
     absorber_strength: float | None = None
     trap_omega: float | None = None
-    hbar: float = HBAR
+    hbar = HBAR
 
     def __post_init__(self):
         if self.mass <= 0:
@@ -57,8 +58,6 @@ class PhysicalParams:
             raise ConfigError(
                 f"z0 = {self.z0} must exceed the absorber edge delta = {self.delta}"
             )
-        if self.hbar <= 0:
-            raise ConfigError("hbar must be positive")
         if self.absorber_strength is None:
             object.__setattr__(self, "absorber_strength", self.c4 / self.delta**4)
         elif self.absorber_strength < 0:

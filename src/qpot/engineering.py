@@ -42,62 +42,63 @@ class ProfileSpec:
             raise ConfigError("profile coefficients (c1, c2) must not both vanish")
 
 
-def _theta(z, params):
-    return params.profile_scale / z
+DEFAULT_PROFILE = ProfileSpec()  # P(z) = z cos(a/z)
 
 
-def engineered_profile(z, params, spec=None):
+def profile_factor(z, params, spec):
+    """The oscillating factor alpha = c1 cos(a/z) + c2 sin(a/z) of P = z alpha."""
+    th = params.profile_scale / z
+    return spec.c1 * np.cos(th) + spec.c2 * np.sin(th)
+
+
+def engineered_profile(z, params, spec=DEFAULT_PROFILE):
     """P(z) = z [c1 cos(a/z) + c2 sin(a/z)], optionally |P(z)|."""
-    if spec is None:
-        spec = ProfileSpec()
     z = np.asarray(z, dtype=float)
     if np.any(z <= 0):
         raise DomainError("engineered_profile requires z > 0 (P -> 0 as z -> 0)")
-    th = _theta(z, params)
-    p = z * (spec.c1 * np.cos(th) + spec.c2 * np.sin(th))
+    p = z * profile_factor(z, params, spec)
     if spec.use_abs:
         p = np.abs(p)
     return p if p.ndim else float(p)
 
 
-def profile_derivative(z, params, spec=None):
+def profile_on_grid(grid, params, spec):
+    """engineered_profile on the grid points, 0 at z = 0 where P -> 0."""
+    z = grid.z
+    p = np.zeros_like(z)
+    pos = z > 0
+    p[pos] = engineered_profile(z[pos], params, spec)
+    return p
+
+
+def profile_derivative(z, params, spec=DEFAULT_PROFILE):
     """Analytic dP/dz.
 
     With alpha = c1 cos(theta) + c2 sin(theta) and theta = a/z:
     P' = alpha + z d(alpha)/dz = alpha + (a/z)(c1 sin(theta) - c2 cos(theta)).
     For use_abs the derivative of |P| is sign(P) P' (undefined at nodes).
     """
-    if spec is None:
-        spec = ProfileSpec()
     z = np.asarray(z, dtype=float)
     if np.any(z <= 0):
         raise DomainError("profile_derivative requires z > 0")
     a = params.profile_scale
     th = a / z
-    alpha = spec.c1 * np.cos(th) + spec.c2 * np.sin(th)
+    alpha = profile_factor(z, params, spec)
     deriv = alpha + (a / z) * (spec.c1 * np.sin(th) - spec.c2 * np.cos(th))
     if spec.use_abs:
-        p = z * alpha
-        deriv = np.sign(p) * deriv
+        deriv = np.sign(z * alpha) * deriv
     return deriv if deriv.ndim else float(deriv)
 
 
-def engineered_packet(grid, params, spec=None):
+def engineered_packet(grid, params, spec=DEFAULT_PROFILE):
     """Engineered profile times Gaussian envelope, normalized, psi(0) = 0."""
-    if spec is None:
-        spec = ProfileSpec()
     if not grid.resolves_profile(params):
         raise GridError(
             "grid spacing does not resolve the profile oscillation at the "
             f"absorber edge (dz = {grid.dz:.3e} m)"
         )
-    z = grid.z
-    vals = np.zeros(grid.n_points, dtype=complex)
-    pos = z > 0
-    vals[pos] = engineered_profile(z[pos], params, spec) * np.exp(
-        -((z[pos] - params.z0) ** 2) / (4 * params.sigma**2)
-    )
-    psi = Wavefunction(grid, vals)
+    envelope = np.exp(-((grid.z - params.z0) ** 2) / (4 * params.sigma**2))
+    psi = Wavefunction(grid, profile_on_grid(grid, params, spec) * envelope)
     if psi.norm() == 0:
         raise ConstructionError("engineered packet has zero norm on this grid")
     return normalize(psi)

@@ -11,7 +11,7 @@ over the retained times inside the averaging window.
 import operator
 import os
 from concurrent import futures
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,9 +96,13 @@ def absorption_ratio_series(record_num, record_den, t_window=None):
 
 def _window_config(config, window, name):
     """The run's evolve config, by default one that evolves to `window`; a
-    window that ends after the last evolved step is rejected."""
+    window that ends after the last evolved step, or a snapshot stride, which
+    no experiment captures, is rejected."""
     if config is None:
         config = EvolveConfig(t_final=window)
+    if config.snapshot_stride:
+        raise ConfigError(f"snapshot_stride = {config.snapshot_stride}: "
+                          "experiments capture no snapshots")
     t_end = config.n_steps * config.dt
     if window - t_end > 1e-6 * config.dt:  # beyond n_steps * dt rounding
         raise ConfigError(
@@ -200,25 +204,18 @@ def run_sweep(params_base, sweep, config=None, workers=None):
     workers - 1 pool threads; each lane takes the next point, largest grid
     first, once it is free. The rows come back sorted by z0, so the output
     is identical for any lane count. Rows with z0 at or below the absorber
-    edge, and a window longer than the evolved time, are rejected up front;
-    a point that fails with a QpotError during evolution is marked and the
-    sweep continues, while any other exception stops every lane after its
-    current point and is raised.
+    edge, a window longer than the evolved time and a snapshot stride are
+    rejected up front; a point that fails with a QpotError during evolution
+    is marked and the sweep continues, while any other exception stops every
+    lane after its current point and is raised.
     """
-    for z0 in sweep.z0_values:
-        if z0 <= params_base.delta:
-            raise ConfigError(
-                f"sweep z0 = {z0} does not clear the absorber edge "
-                f"{params_base.delta}"
-            )
     config = _window_config(config, sweep.t_average_window, "t_average_window")
-    point_config = replace(config, snapshot_stride=0)
     points = [params_base.replace(z0=z0, sigma=sweep.sigma_for(z0))
               for z0 in sweep.z0_values]
     # the largest grid goes first, so that it never starts last
     points.sort(key=lambda p: default_grid(p).n_points, reverse=True)
     lanes = min(resolve_workers(workers), len(points))
-    pending = iter([(params, sweep, point_config) for params in points])
+    pending = iter([(params, sweep, config) for params in points])
     # each next() on the shared iterator is atomic; this thread runs one lane
     with futures.ThreadPoolExecutor(max_workers=max(lanes - 1, 1)) as pool:
         others = [pool.submit(_lane, pending) for _ in range(lanes - 1)]

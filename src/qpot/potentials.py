@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grid1D, RealField
+from .core import Grid1D
 from .errors import ConfigError, DomainError, GridError
 
 
@@ -43,53 +43,22 @@ def casimir_polder(z, params):
     return out if out.ndim else float(out)
 
 
-def modified_cp_field(grid, params):
-    """Surface potential with the constant plateau below delta.
-
-    Below the absorber edge the 1/z^4 divergence is replaced by its value at
-    delta, so the field is continuous there and finite at z = 0.
-    """
-    if not (grid.z_min <= params.delta <= grid.z_max):
-        raise GridError("absorber edge delta lies outside the grid")
-    z = grid.z
-    vals = np.full_like(z, casimir_polder(params.delta, params))
-    above = z >= params.delta
-    vals[above] = casimir_polder(z[above], params)
-    return RealField(grid, vals)
-
-
-def absorber_field(grid, params):
-    """Magnitude of the absorbing ramp: 0 for z >= delta, rising linearly to
-    absorber_strength at z = 0. The propagator applies it as -i * field."""
-    if params.absorber_strength < 0:
-        raise ConfigError("absorber_strength must be non-negative")
-    if not (grid.z_min <= params.delta <= grid.z_max):
-        raise GridError("absorber edge delta lies outside the grid")
-    z = grid.z
-    vals = np.where(
-        z < params.delta,
-        params.absorber_strength * (params.delta - z) / params.delta,
-        0.0,
-    )
-    return RealField(grid, vals)
-
-
-def harmonic_field(grid, params):
-    """Trap potential (1/2) m omega^2 (z - z0)^2."""
-    if params.trap_omega <= 0:
-        raise ConfigError("trap_omega must be positive")
-    z = grid.z
-    vals = 0.5 * params.mass * params.trap_omega**2 * (z - params.z0) ** 2
-    return RealField(grid, vals)
-
-
 def total_potential(grid, params, include_trap=True, include_absorber=True):
-    """Full complex landscape: modified surface potential (+ trap) - i * ramp."""
-    real = modified_cp_field(grid, params).values.copy()
+    """The landscape of the module docstring on the grid: -c4/z^4, held at its
+    value at delta below delta so it is finite at z = 0, (+ the trap
+    (1/2) m omega^2 (z - z0)^2) - i * the ramp, absorber_strength at z = 0."""
+    if not (grid.z_min <= params.delta <= grid.z_max):
+        raise GridError("absorber edge delta lies outside the grid")
+    z = grid.z
+    real = np.full_like(z, casimir_polder(params.delta, params))
+    above = z >= params.delta
+    real[above] = casimir_polder(z[above], params)
     if include_trap:
-        real += harmonic_field(grid, params).values
+        real += 0.5 * params.mass * params.trap_omega**2 * (z - params.z0) ** 2
     if include_absorber:
-        imag = -absorber_field(grid, params).values
+        imag = -np.where(z < params.delta,
+                         params.absorber_strength * (params.delta - z) / params.delta,
+                         0.0)
     else:
         imag = np.zeros_like(real)
     return ComplexPotential(grid, real, imag)

@@ -108,8 +108,6 @@ class CrankNicolson:
         self._factors = factors
         self._buf = np.empty((n - 2, 1), dtype=complex, order="F")
         self._col = self._buf[:, 0]
-        self.grid = grid
-        self.dt = dt
 
     def step_values(self, u):
         """Advance the interior amplitudes u by one dt in place; returns u."""

@@ -1,10 +1,13 @@
 """End-to-end command-line runs on small configurations."""
 
+import ast
 import contextlib
 import filecmp
 import functools
+import importlib
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -625,3 +628,47 @@ def test_tracer_finds_every_name_it_wraps():
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+RUN = TRACER.with_name("run.py")
+LAYERS = ast.literal_eval(next(
+    node.value for node in ast.parse(TRACER.read_text()).body
+    if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "LAYERS"))
+SPAN_NAME = re.compile(rf"(?:{'|'.join(LAYERS)})\.\w+(?:\.\w+)?")
+
+
+def _span_names_read():
+    """The full span names perfbench/run.py's layer_metrics looks up, less
+    the metric names it reports (dict keys) and the spans the tracer makes
+    around its own code (its literal wrap names, such as cli.import)."""
+    own = {node.args[0].value for node in ast.walk(ast.parse(TRACER.read_text()))
+           if isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "wrap"
+           and isinstance(node.args[0], ast.Constant)}
+    fn = next(node for node in ast.parse(RUN.read_text()).body
+              if getattr(node, "name", "") == "layer_metrics")
+    keys = {id(k) for node in ast.walk(fn) if isinstance(node, ast.Dict)
+            for k in node.keys}
+    return {node.value for node in ast.walk(fn)
+            if isinstance(node, ast.Constant) and id(node) not in keys
+            and isinstance(node.value, str) and SPAN_NAME.fullmatch(node.value)
+            and node.value not in own}
+
+
+def test_every_span_name_perfbench_reads_resolves():
+    """A per-layer metric reads its spans by "<layer>.<name>"; after a rename
+    it would silently read zero, so each name must be a qpot function or
+    method that the tracer wraps."""
+    names = _span_names_read()
+    assert {"potentials.total_potential", "engineering.engineered_packet",
+            "engineering.gaussian_packet", "core.default_grid",
+            "experiments.absorption_ratio_series", "config.load_config",
+            "propagate.CrankNicolson.step_values"} <= names
+    unresolved = []
+    for name in sorted(names):
+        layer, *path = name.split(".")
+        obj = importlib.import_module(f"qpot.{layer}")
+        for part in path:
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            unresolved.append(name)
+    assert unresolved == []

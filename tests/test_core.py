@@ -1,7 +1,10 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from qpot.core import (
+    HBAR,
     Grid1D,
     PhysicalParams,
     Wavefunction,
@@ -63,6 +66,16 @@ class TestPhysicalParams:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
             PhysicalParams(**kwargs)
+
+    def test_hbar_is_the_package_constant(self):
+        # one hbar for the solver, the closed forms and quantum_potential
+        p = PhysicalParams()
+        assert p.hbar is HBAR
+        assert "hbar" not in asdict(p)
+        with pytest.raises(TypeError, match="hbar"):
+            PhysicalParams(hbar=HBAR)
+        with pytest.raises(TypeError, match="hbar"):
+            p.replace(hbar=2 * HBAR)
 
     def test_zero_c4_allowed(self):
         # the free-particle limit is a legitimate degenerate case

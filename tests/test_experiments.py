@@ -16,7 +16,7 @@ import pytest
 import qpot
 from qpot.core import Grid1D, PhysicalParams, default_grid
 from qpot.engineering import engineered_packet as real_engineered_packet
-from qpot.engineering import gaussian_packet, two_stage_imprint
+from qpot.engineering import DEFAULT_PROFILE, gaussian_packet, two_stage_imprint
 from qpot.errors import (
     ConfigError,
     ConstructionError,
@@ -191,7 +191,7 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failed_point_marked_and_sweep_continues(self, monkeypatch, workers):
-        def flaky(grid, params, spec=None):
+        def flaky(grid, params, spec=DEFAULT_PROFILE):
             if abs(params.z0 - 2.0e-6) < 1e-12:
                 raise ConstructionError("synthetic failure")
             return real_engineered_packet(grid, params, spec)
@@ -212,7 +212,7 @@ class TestRunSweep:
     def test_programming_error_propagates(self, monkeypatch, workers):
         # only package errors mark a row; anything else is a bug and must
         # surface instead of turning into a quiet "failed" row
-        def broken(grid, params, spec=None):
+        def broken(grid, params, spec=DEFAULT_PROFILE):
             raise ValueError("synthetic bug")
 
         monkeypatch.setattr("qpot.experiments.engineered_packet", broken)
@@ -363,6 +363,39 @@ class TestPreparationStudy:
         [row] = run_preparation_study(params, slopes=(0.05 / params.z0,),
                                       config=cfg, t_window=9.5e-7)
         assert row.absorbed_ideal > 0
+
+
+class TestSnapshotStrideRejected:
+    """No experiment captures snapshots, so a stride is rejected before any
+    packet is evolved, on this thread and not inside a worker."""
+
+    CFG = EvolveConfig(dt=1e-7, t_final=1e-5, snapshot_stride=10)
+
+    @pytest.fixture
+    def evolved(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("qpot.experiments.evolve",
+                            lambda *args, **kwargs: calls.append(args))
+        return calls
+
+    def test_comparison(self, evolved):
+        with pytest.raises(ConfigError, match="snapshot_stride = 10"):
+            run_comparison(PhysicalParams(), config=self.CFG, t_average_window=1e-5)
+        assert evolved == []
+
+    def test_sweep(self, evolved):
+        spec = SweepSpec(z0_values=(2.0e-6, 2.5e-6), t_average_window=1e-5)
+        with pytest.raises(ConfigError, match="snapshot_stride = 10"):
+            run_sweep(PhysicalParams(), spec, config=self.CFG, workers=2)
+        assert evolved == []
+
+    def test_fitted_control_and_preparation_study(self, evolved):
+        with pytest.raises(ConfigError, match="snapshot_stride = 10"):
+            run_fitted_control(config=self.CFG, t_average_window=1e-5)
+        with pytest.raises(ConfigError, match="snapshot_stride = 10"):
+            run_preparation_study(PhysicalParams(), slopes=(1e4,), config=self.CFG,
+                                  t_window=1e-5)
+        assert evolved == []
 
 
 class TestWindowPastRecord:

@@ -144,12 +144,28 @@ def test_every_public_name_has_a_caller_in_src():
     assert CHECKED_BY_ACCEPTANCE <= set(defined)
 
 
+def _is_dataclass(node):
+    return any(getattr(d, "id", getattr(getattr(d, "func", None), "id", None))
+               == "dataclass" for d in node.decorator_list)
+
+
+def _fields(cls):
+    """(name, default or None) per __init__ field of a dataclass, in order;
+    a field(init=False) is not one."""
+    for node in cls.body:
+        if isinstance(node, ast.AnnAssign) and not any(
+                k.arg == "init" and getattr(k.value, "value", True) is False
+                for k in getattr(node.value, "keywords", ())):
+            yield node.target.id, node.value
+
+
 def _options():
-    """(module:function, call name, parameter, position) for every parameter
-    with a default of a public function, or of a public class's public
-    method or __init__, in src/qpot. The call name is what a call spells (the
-    class for __init__); the position is the parameter's index among a
-    call's positional arguments, None when it is keyword-only."""
+    """(label, call name, parameter, position) for every parameter with a
+    default of a public function, of a public class's public method or
+    __init__, and of a public dataclass's generated __init__ (its fields), in
+    src/qpot. The call name is what a call spells (the class for __init__);
+    the position is the parameter's index among a call's positional
+    arguments, None when it is keyword-only."""
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if getattr(node, "name", "_").startswith("_"):
@@ -161,16 +177,45 @@ def _options():
                         node.name if fn.name == "__init__" else fn.name, fn, 1)
                        for fn in node.body if isinstance(fn, ast.FunctionDef)
                        and (fn.name == "__init__" or not fn.name.startswith("_"))]
+                if _is_dataclass(node):
+                    for i, (name, default) in enumerate(_fields(node)):
+                        if default is not None:
+                            yield f"{path.stem}:{node.name}.{name}", node.name, name, i
             else:
                 continue
             for where, call, fn, skip in fns:
                 args = fn.args.posonlyargs + fn.args.args
                 first = len(args) - len(fn.args.defaults)
                 for i, arg in enumerate(args[first:], start=first):
-                    yield f"{path.stem}:{where}", call, arg.arg, i - skip
+                    yield f"{path.stem}:{where}({arg.arg})", call, arg.arg, i - skip
                 for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
                     if default is not None:
-                        yield f"{path.stem}:{where}", call, arg.arg, None
+                        yield f"{path.stem}:{where}({arg.arg})", call, arg.arg, None
+
+
+def _call_name(node):
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _spread_sections():
+    """Per call name, the config sections spread into it: a section counts
+    only for what cli.cmd_<section> or config.<section>_from spreads it into,
+    the function handed to cli._settings or the callee of a ** argument."""
+    spread = defaultdict(set)
+    for path in (SRC / "cli.py", SRC / "config.py"):
+        for fn in ast.parse(path.read_text(encoding="utf-8")).body:
+            name = getattr(fn, "name", "")
+            section = name.removeprefix("cmd_").removesuffix("_from")
+            if section == name or section not in _SCHEMA:
+                continue
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                if _call_name(node.func) == "_settings":
+                    spread[_call_name(node.args[0])].add(section)
+                elif any(k.arg is None for k in node.keywords):
+                    spread[_call_name(node.func)].add(section)
+    return spread
 
 
 def _calls():
@@ -181,7 +226,7 @@ def _calls():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not isinstance(node, ast.Call):
                 continue
-            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            name = _call_name(node.func)
             given = next((i for i, arg in enumerate(node.args)
                           if isinstance(arg, ast.Starred)), len(node.args))
             positional[name] = max(positional[name], given)
@@ -190,14 +235,29 @@ def _calls():
 
 
 def test_every_library_option_has_a_caller():
-    """A parameter with a default is set by some call in src/qpot, the
-    acceptance checks, bench/ or perfbench/ (by name or position; a **
-    spread does not count), or is a config key, or is kept on purpose;
-    otherwise it is a constant dressed as an option."""
+    """A parameter or dataclass field with a default is set by some call in
+    src/qpot, the acceptance checks, bench/ or perfbench/ (by name or
+    position; a ** spread does not count), or is a key of a config section
+    spread into that very callee, or is kept on purpose; otherwise it is a
+    constant dressed as an option."""
     named, positional = _calls()
-    config_keys = {key for section in _SCHEMA.values() for key in section}
-    unset = sorted(f"{where}({param})" for where, call, param, pos in _options()
+    spread = _spread_sections()
+    unset = sorted(label for label, call, param, pos in _options()
                    if param not in named[call]
                    and (pos is None or positional[call] <= pos)
-                   and param not in config_keys | set(UNSET_BUT_KEPT))
+                   and param not in UNSET_BUT_KEPT
+                   and not any(param in _SCHEMA[name] for name in spread[call]))
     assert not unset, f"options no caller sets: {', '.join(unset)}"
+
+
+def test_config_sections_reach_their_callees():
+    """The sections the option guard credits, and where, pinned so that a new
+    ** spread in a command cannot quietly credit its section to another
+    callee."""
+    assert _spread_sections() == {
+        "PhysicalParams": {"params"}, "EvolveConfig": {"evolve"},
+        "SweepSpec": {"sweep"}, "ProfileSpec": {"profile"},
+        "weighted_fields": {"fields"}, "run_comparison": {"compare"},
+        "run_fitted_control": {"fitted"}, "run_preparation_study": {"prepare"},
+        "convergence_report": {"converge"},
+    }

@@ -3,14 +3,7 @@ import pytest
 
 from qpot.core import Grid1D, PhysicalParams, default_grid
 from qpot.errors import ConfigError, DomainError, GridError
-from qpot.potentials import (
-    ComplexPotential,
-    absorber_field,
-    casimir_polder,
-    harmonic_field,
-    modified_cp_field,
-    total_potential,
-)
+from qpot.potentials import ComplexPotential, casimir_polder, total_potential
 
 
 @pytest.fixture
@@ -26,6 +19,22 @@ def grid():
 def nearest_index(grid, z):
     """Index of the grid point nearest z."""
     return int(np.argmin(np.abs(grid.z - z)))
+
+
+def surface_part(grid, params):
+    """The real part without the trap: the modified surface potential."""
+    return total_potential(grid, params, include_trap=False).real_part
+
+
+def absorber_part(grid, params):
+    """The absorbing ramp, as the magnitude of the imaginary part."""
+    return -total_potential(grid, params).imag_part
+
+
+def trap_part(grid, params):
+    """The trap, as the real part with the trap less the one without."""
+    with_trap = total_potential(grid, params, include_absorber=False).real_part
+    return with_trap - surface_part(grid, params)
 
 
 def test_casimir_polder_value(params):
@@ -49,16 +58,16 @@ def test_casimir_polder_domain(params):
 
 
 def test_modified_cp_plateau(grid, params):
-    field = modified_cp_field(grid, params)
+    field = surface_part(grid, params)
     edge = -params.c4 / params.delta**4
     below = grid.z < params.delta
-    assert np.all(field.values[below] == edge)
+    assert np.all(field[below] == edge)
     # continuous across the edge
     i = nearest_index(grid, params.delta)
-    assert field.values[i] == pytest.approx(edge, rel=1e-6)
+    assert field[i] == pytest.approx(edge, rel=1e-6)
     # plain attraction further out
     far = nearest_index(grid, 2e-6)
-    assert field.values[far] == pytest.approx(
+    assert field[far] == pytest.approx(
         casimir_polder(grid.z[far], params), rel=1e-12
     )
 
@@ -76,42 +85,43 @@ def test_modified_cp_is_the_quartic_formula_bitwise(z0, delta, c4):
         with np.errstate(divide="ignore"):
             formula = np.where(z >= delta, -c4 / np.where(z > 0, z, 1.0) ** 4,
                                -c4 / delta**4)
-        assert np.array_equal(modified_cp_field(grid, params).values, formula)
+        assert np.array_equal(surface_part(grid, params), formula)
 
 
 def test_modified_cp_edge_outside_grid(params):
     small = Grid1D(z_max=0.1e-6, n_points=64)
-    with pytest.raises(GridError):
-        modified_cp_field(small, params)
+    for flags in ((True, True), (False, False)):  # checked once, whatever is on
+        with pytest.raises(GridError, match="delta lies outside the grid"):
+            total_potential(small, params, *flags)
 
 
 def test_absorber_ramp(grid, params):
-    field = absorber_field(grid, params)
+    field = absorber_part(grid, params)
     w = params.absorber_strength
-    assert field.values[0] == pytest.approx(w, rel=1e-12)
-    assert np.all(field.values[grid.z >= params.delta] == 0.0)
+    assert field[0] == pytest.approx(w, rel=1e-12)
+    assert np.all(field[grid.z >= params.delta] == 0.0)
     mid = nearest_index(grid, params.delta / 2)
     expected = w * (1 - grid.z[mid] / params.delta)
-    assert field.values[mid] == pytest.approx(expected, rel=1e-12)
-    assert np.all(field.values >= 0)
+    assert field[mid] == pytest.approx(expected, rel=1e-12)
+    assert np.all(field >= 0)
 
 
 def test_absorber_zero_strength(grid, params):
     p = params.replace(absorber_strength=0.0)
-    assert np.all(absorber_field(grid, p).values == 0.0)
+    assert np.all(absorber_part(grid, p) == 0.0)
 
 
 def test_harmonic_minimum_and_curvature(grid, params):
-    field = harmonic_field(grid, params)
+    field = trap_part(grid, params)
     i0 = nearest_index(grid, params.z0)
     # the grid point nearest z0 sits within dz/2 of the minimum
     quarter = 0.5 * params.mass * params.trap_omega**2 * (grid.dz / 2) ** 2
-    assert 0.0 <= field.values[i0] <= quarter * 1.01
+    assert 0.0 <= field[i0] <= quarter * 1.01
     # half m omega^2 sigma^2 one sigma away; with the matched trap this is
     # hbar^2 / (8 m sigma^2)
     i1 = nearest_index(grid, params.z0 + params.sigma)
     expected = params.hbar**2 / (8 * params.mass * params.sigma**2)
-    assert field.values[i1] == pytest.approx(expected, rel=1e-3)
+    assert field[i1] == pytest.approx(expected, rel=1e-3)
     assert expected == pytest.approx(9.6538e-33, rel=1e-4)
 
 
@@ -122,17 +132,23 @@ def test_complex_potential_rejects_gain(grid):
 
 
 def test_total_potential_composition(grid, params):
+    # bitwise the one-line formulas: plateaued surface + trap - i * ramp
     pot = total_potential(grid, params)
-    re = modified_cp_field(grid, params).values + harmonic_field(grid, params).values
-    im = -absorber_field(grid, params).values
-    assert np.array_equal(pot.real_part, re)
-    assert np.array_equal(pot.imag_part, im)
+    z, delta = grid.z, params.delta
+    with np.errstate(divide="ignore"):
+        surface = np.where(z >= delta, -params.c4 / np.where(z > 0, z, 1.0) ** 4,
+                           -params.c4 / delta**4)
+    trap = 0.5 * params.mass * params.trap_omega**2 * (z - params.z0) ** 2
+    ramp = np.where(z < delta, params.absorber_strength * (delta - z) / delta, 0.0)
+    assert np.array_equal(pot.real_part, surface + trap)
+    assert np.array_equal(pot.imag_part, -ramp)
     assert np.all(pot.imag_part <= 0)
 
 
 def test_total_potential_flags(grid, params):
     no_trap = total_potential(grid, params, include_trap=False)
-    assert np.array_equal(no_trap.real_part, modified_cp_field(grid, params).values)
+    assert np.array_equal(no_trap.real_part, surface_part(grid, params))
+    assert np.array_equal(no_trap.imag_part, total_potential(grid, params).imag_part)
     unitary = total_potential(grid, params, include_absorber=False)
     assert np.all(unitary.imag_part == 0.0)
 
