@@ -16,7 +16,10 @@ import inspect
 import os
 import sys
 import types
+from dataclasses import astuple
 from typing import NamedTuple
+
+import numpy as np
 
 from . import config as cfgmod
 from . import io as iomod
@@ -45,7 +48,7 @@ class _UsageError(Exception):
 class _Output(NamedTuple):
     """What a command hands back to the driver."""
 
-    csvs: list  # (path, io writer, *data) per file
+    csvs: list  # (file name, header, *columns) per file
     extra: dict  # manifest header lines after "# command: ..."
     message: str  # the line printed on stdout
     errors: tuple = ()  # stderr lines; any makes the command exit 1
@@ -88,10 +91,15 @@ def _path(run, name):
     return os.path.join(run.args.out, name)
 
 
-def _comparison_csvs(run, ratio_name, result):
-    return [(_path(run, ratio_name), iomod.write_ratio_csv, result)] + [
-        (_path(run, f"record_{name}.csv"), iomod.write_record_csv, rec)
-        for name, rec in result.records.items()
+def _record_csv(name, record):
+    return (name, ("t_s", "norm", "absorbed_fraction"),
+            record.times, record.norms, record.absorbed_fraction)
+
+
+def _comparison_csvs(ratio_name, result):
+    """The benchmark / engineered ratio and each packet's record."""
+    return [(ratio_name, ("t_s", "ratio"), result.ratio_times, result.ratios)] + [
+        _record_csv(f"record_{name}.csv", rec) for name, rec in result.records.items()
     ]
 
 
@@ -99,9 +107,10 @@ def cmd_profile(run):
     run.profile = spec = ProfileSpec(**run.section)
     psi = engineered_packet(run.grid, run.params, spec)
     profile = profile_on_grid(run.grid, run.params, spec)
-    path = _path(run, "profile.csv")
-    return _Output([(path, iomod.write_profile_csv, run.grid.z, profile, psi)], {},
-                   f"wrote {path}")
+    header = ("z_m", "profile", "re_psi", "im_psi", "density")
+    return _Output([("profile.csv", header, run.grid.z, profile, psi.values.real,
+                     psi.values.imag, psi.density())], {},
+                   f"wrote {_path(run, 'profile.csv')}")
 
 
 def cmd_fields(run):
@@ -110,11 +119,15 @@ def cmd_fields(run):
     support = w_q.valid_mask()
     peak_q = float(abs(w_q.values[support]).max())
     peak_res = float(abs(w_res.values[support]).max())
-    path = _path(run, "fields.csv")
+    # zero outside the support, so that a plot shows exactly the supported
+    # region; np.where, as a product with the mask would write -0.0
+    wq, wr = (np.where(support, w.values, 0.0) / run.params.hbar for w in (w_q, w_res))
+    header = ("z_m", "density", "weighted_q_over_hbar", "weighted_residual_over_hbar")
     return _Output(
-        [(path, iomod.write_weighted_fields_csv, w_q, w_res, rho, run.params.hbar)],
+        [("fields.csv", header, run.grid.z, rho.values, wq, wr)],
         {"peak_weighted_q": repr(peak_q), "peak_weighted_residual": repr(peak_res)},
-        f"wrote {path} (residual/q peak ratio {peak_res / peak_q:.3e})",
+        f"wrote {_path(run, 'fields.csv')} "
+        f"(residual/q peak ratio {peak_res / peak_q:.3e})",
     )
 
 
@@ -125,11 +138,10 @@ def cmd_evolve(run):
     args = (make(run.grid, run.params), total_potential(run.grid, run.params),
             run.params, config)
     record = _evolve_streaming(run, *args) if config.snapshot_stride else evolve(*args)
-    path = _path(run, "record.csv")
     absorbed = record.absorbed_fraction[-1]
-    return _Output([(path, iomod.write_record_csv, record)],
+    return _Output([_record_csv("record.csv", record)],
                    {"absorbed_final": repr(float(absorbed))},
-                   f"wrote {path} (absorbed {absorbed:.6e})")
+                   f"wrote {_path(run, 'record.csv')} (absorbed {absorbed:.6e})")
 
 
 def _evolve_streaming(run, psi0, *args):
@@ -159,7 +171,7 @@ def cmd_compare(run):
     result = run_comparison(run.params, grid=run.grid, config=run.evolve,
                             **run.compare)
     return _Output(
-        _comparison_csvs(run, "ratio.csv", result),
+        _comparison_csvs("ratio.csv", result),
         {
             "averaged_ratio": repr(result.averaged_ratio),
             "crossover_time_s": repr(result.crossover_time),
@@ -179,11 +191,13 @@ def cmd_sweep(run):
     workers = run.args.workers
     rows = run_sweep(run.params, run.sweep, config=run.evolve, workers=workers)
     failed = [r for r in rows if r.failed]
-    path = _path(run, "sweep.csv")
+    header = ("z0_m", "sigma_m", "averaged_ratio", "crossover_time_s", "failed", "error")
+    columns = zip(*((r.z0, r.sigma, r.averaged_ratio, r.crossover_time, r.failed,
+                     r.error) for r in rows))
     return _Output(
-        [(path, iomod.write_sweep_csv, rows)],
+        [("sweep.csv", header, *columns)],
         {"workers": workers if workers else "auto", "failed_rows": len(failed)},
-        f"wrote {path} ({len(rows)} rows)",
+        f"wrote {_path(run, 'sweep.csv')} ({len(rows)} rows)",
         tuple(f"error: sweep point z0 = {row.z0!r} m failed: {row.error}"
               for row in failed),
     )
@@ -196,7 +210,7 @@ def cmd_fitted(run):
     run.evolve = _evolve_config(run, run.fitted["t_average_window"])
     result = run_fitted_control(run.params, config=run.evolve, **run.fitted)
     return _Output(
-        _comparison_csvs(run, "ratio_fitted.csv", result),
+        _comparison_csvs("ratio_fitted.csv", result),
         {"averaged_ratio": repr(result.averaged_ratio)},
         f"averaged ratio {result.averaged_ratio}",
     )
@@ -213,9 +227,11 @@ def cmd_prepare(run):
     run.evolve = _evolve_config(run, kwargs["t_window"])
     rows = run_preparation_study(run.params, grid=run.grid, config=run.evolve,
                                  **kwargs)
-    path = _path(run, "prepare.csv")
-    return _Output([(path, iomod.write_preparation_csv, rows)], {},
-                   f"wrote {path} ({len(rows)} slopes)")
+    header = ("slope_per_m", "slope_z0", "fidelity", "absorbed_imprinted",
+              "absorbed_ideal", "penalty")
+    # PreparationRow's fields are in header order
+    return _Output([("prepare.csv", header, *zip(*map(astuple, rows)))], {},
+                   f"wrote {_path(run, 'prepare.csv')} ({len(rows)} slopes)")
 
 
 def cmd_converge(run):
@@ -227,9 +243,12 @@ def cmd_converge(run):
         lambda grid: total_potential(grid, run.params),
         run.params, base_grid=run.grid, **kwargs,
     )
-    path = _path(run, "converge.csv")
+    # the refinement ladders in long form, one row per run
+    rows = [("dt", dt, "", f) for dt, f in report.dt_rows]
+    rows += [("dz", dz, n, f) for dz, n, f in report.dz_rows]
     return _Output(
-        [(path, iomod.write_convergence_csv, report)],
+        [("converge.csv", ("ladder", "step", "n_points", "absorbed_fraction"),
+          *zip(*rows))],
         {
             "dt_order": repr(report.dt_order()),
             "dz_order": repr(report.dz_order()),
@@ -305,8 +324,8 @@ def _run(args):
         run.grid = cfgmod.grid_from(cfg, run.params)
     out = fn(run)
     os.makedirs(args.out, exist_ok=True)
-    for path, write, *data in out.csvs:
-        write(path, *data)
+    for name, header, *columns in out.csvs:
+        iomod.write_csv(_path(run, name), header, *columns)
     manifest = {name: getattr(run, name) for name in sections}
     manifest["params"] = {key: getattr(run.params, key) for key in keys}
     iomod.write_manifest(

@@ -66,7 +66,6 @@ class ComparisonResult:
     ratios: np.ndarray  # benchmark absorbed / engineered absorbed
     averaged_ratio: float | None
     crossover_time: float | None
-    t_average_window: float
 
 
 def absorption_ratio_series(record_num, record_den, t_window=None):
@@ -131,8 +130,7 @@ def _compare(name, engineered_job, benchmark_job, t_average_window):
     engineered absorption ratio."""
     rec_eng, rec_bench = _evolve_each([engineered_job, benchmark_job])
     series = absorption_ratio_series(rec_bench, rec_eng, t_window=t_average_window)
-    return ComparisonResult({"engineered": rec_eng, name: rec_bench}, *series,
-                            t_average_window)
+    return ComparisonResult({"engineered": rec_eng, name: rec_bench}, *series)
 
 
 def run_comparison(params, grid=None, config=None, t_average_window=2e-3):
@@ -154,8 +152,11 @@ class SweepRow:
     sigma: float
     averaged_ratio: float | None = None
     crossover_time: float | None = None
-    failed: bool = False
-    error: str = ""
+    error: str = ""  # why the point failed; empty when it did not
+
+    @property
+    def failed(self):
+        return bool(self.error)
 
 
 def _sweep_point(args):
@@ -165,7 +166,7 @@ def _sweep_point(args):
         result = run_comparison(params, config=config,
                                 t_average_window=sweep.t_average_window)
     except QpotError as exc:  # a failed point must not sink the sweep
-        return SweepRow(z0=params.z0, sigma=params.sigma, failed=True,
+        return SweepRow(z0=params.z0, sigma=params.sigma,
                         error=f"{type(exc).__name__}: {exc}")
     return SweepRow(z0=params.z0, sigma=params.sigma,
                     averaged_ratio=result.averaged_ratio,

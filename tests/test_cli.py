@@ -20,7 +20,9 @@ import pytest
 import qpot
 from qpot import config as cfgmod
 from qpot.cli import _COMMANDS, main
+from qpot.bohmian import weighted_fields
 from qpot.config import evolve_from, grid_from, params_from, parse_config_text
+from qpot.core import PhysicalParams, default_grid
 from qpot.engineering import gaussian_packet
 from qpot.errors import NumericsError
 from qpot.potentials import total_potential
@@ -194,6 +196,19 @@ class TestFields:
         assert "peak_weighted_residual" in manifest
         assert "[fields]\nsupport_cut = 1e-06\n" in manifest  # the default used
 
+    def test_columns_zeroed_outside_support(self, tmp_path):
+        code, out = run(tmp_path, ["fields"])
+        assert code == 0
+        params = PhysicalParams()
+        w_q, _, _ = weighted_fields(default_grid(params), params)
+        data = np.loadtxt(out / "fields.csv", delimiter=",", skiprows=1)
+        outside = ~w_q.valid_mask()
+        assert outside.any()
+        assert np.all(data[outside, 2] == 0.0)
+        assert np.all(data[outside, 3] == 0.0)
+        inside = w_q.valid_mask()
+        assert np.allclose(data[inside, 2], w_q.values[inside] / params.hbar)
+
 
 EVOLVE_CFG = """\
 [grid]
@@ -363,6 +378,9 @@ class TestSweep:
         assert "# failed_rows: 1" in manifest
         lines = (out / "sweep.csv").read_text().splitlines()
         assert len(lines) == 3  # the failed row is still written
+        # 2.5um parses to 2.5 * 1e-6, which repr writes in full
+        assert lines[2] == ("2.4999999999999998e-06,1.2499999999999999e-06,,,true,"
+                            "NumericsError: synthetic blow-up")
 
 
 PREPARE_CFG = """\

@@ -1,7 +1,7 @@
 """Config parsing and CSV/manifest serialization."""
 
 import tracemalloc
-from types import SimpleNamespace
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -21,20 +21,8 @@ from qpot.config import (
 )
 from qpot.core import Grid1D, PhysicalParams, default_grid
 from qpot.errors import ConfigError
-from qpot.experiments import SweepRow, SweepSpec
-from qpot.experiments import PreparationRow
-from qpot.io import (
-    begin_snapshots_csv,
-    write_convergence_csv,
-    write_manifest,
-    write_preparation_csv,
-    write_profile_csv,
-    write_ratio_csv,
-    write_record_csv,
-    write_snapshot_rows,
-    write_sweep_csv,
-    write_weighted_fields_csv,
-)
+from qpot.experiments import PreparationRow, SweepRow, SweepSpec
+from qpot.io import begin_snapshots_csv, write_csv, write_manifest, write_snapshot_rows
 from qpot.propagate import ExperimentRecord
 from qpot.version import __version__
 
@@ -224,76 +212,70 @@ def write_captures(path, grid, captures):
             write_snapshot_rows(fh, z_cells, t, psi)
 
 
+# each command's table header, as the command declares it
+RECORD = ("t_s", "norm", "absorbed_fraction")
+SNAPSHOTS = ("t_s", "z_m", "density")
+FIELDS = ("z_m", "density", "weighted_q_over_hbar", "weighted_residual_over_hbar")
+RATIO = ("t_s", "ratio")
+SWEEP = ("z0_m", "sigma_m", "averaged_ratio", "crossover_time_s", "failed", "error")
+PREPARATION = ("slope_per_m", "slope_z0", "fidelity", "absorbed_imprinted",
+               "absorbed_ideal", "penalty")
+CONVERGENCE = ("ladder", "step", "n_points", "absorbed_fraction")
+PROFILE = ("z_m", "profile", "re_psi", "im_psi", "density")
+
+
 def edge_cases():
-    """(name, write, args, header, reference rows) for every CSV writer, on
-    edge floats, float32 and longdouble arrays, numpy scalars, None, bools
-    and strings."""
+    """(name, write, args, header, reference rows) for each command's table,
+    written by write_csv, and for the snapshot stream, on edge floats,
+    float32 and longdouble arrays, numpy scalars, None, bools and strings."""
     n = len(EDGES)
     grid = Grid1D(z_max=1e-6, n_points=n)
     f32 = np.roll(EDGES_F32, 2)
-    record = ExperimentRecord(
-        grid=grid, times=edge_column(), norms=f32, absorbed_fraction=edge_column(5))
+    record = (edge_column(), f32, edge_column(5))
     # |psi|^2 gives back the edge densities: float32 in the second capture
     captures = [(0.0, np.sqrt(np.abs(edge_column(1)))),
                 (np.float32(0.1), np.sqrt(np.abs(f32))),
                 (np.float64(5e-324), np.sqrt(np.abs(edge_column(4))).astype(complex))]
-    rho = SimpleNamespace(grid=grid, values=edge_column(3))
+    # the fields columns as qpot fields makes them: w / hbar, zero outside
+    # the support
     mask = np.arange(n) % 3 != 0
     hbar = 1.0545718176461565e-34
-    w_q = SimpleNamespace(values=edge_column(6) * hbar, valid_mask=lambda: mask)
-    w_res = SimpleNamespace(values=f32 * hbar, valid_mask=lambda: mask)
-    ratio = SimpleNamespace(ratio_times=f32,
-                            ratios=edge_column(7).astype(np.longdouble))
+    fields = (grid.z, edge_column(3), np.where(mask, edge_column(6) * hbar, 0.0) / hbar,
+              np.where(mask, f32 * hbar, 0.0) / hbar)
+    ratio = (f32, edge_column(7).astype(np.longdouble))
     values = np.empty(n, dtype=complex)
     values.real, values.imag = edge_column(1), edge_column(8)
-    psi = SimpleNamespace(values=values, density=lambda: edge_column(2))
-    sweep_rows = [
-        SweepRow(z0=np.float32(2e-6), sigma=np.int64(7), averaged_ratio=None,
-                 crossover_time=5e-324),
-        SweepRow(z0=-0.0, sigma=1e-300, averaged_ratio=1.7976931348623157e308,
-                 failed=True, error="ConfigError: x, y"),
-    ]
-    prep_rows = [PreparationRow(*EDGES[:6]),
-                 PreparationRow(np.float32(0.1), np.int64(3), True, None, "s",
-                                float("nan"))]
-    report = SimpleNamespace(dt_rows=[(1e-7, -0.0), (5e-324, np.float32(0.1))],
-                             dz_rows=[(2.5e-9, np.int64(4097), 1e-300),
-                                      (1.25e-9, 8193, float("inf"))])
+    profile = (grid.z, edge_column(5), values.real, values.imag, edge_column(2))
+    sweep_rows = [(r.z0, r.sigma, r.averaged_ratio, r.crossover_time, r.failed, r.error)
+                  for r in (SweepRow(z0=np.float32(2e-6), sigma=np.int64(7),
+                                     crossover_time=5e-324),
+                            SweepRow(z0=-0.0, sigma=1e-300,
+                                     averaged_ratio=1.7976931348623157e308,
+                                     error="ConfigError: x, y"))]
+    prep_rows = [astuple(PreparationRow(*EDGES[:6])),
+                 astuple(PreparationRow(np.float32(0.1), np.int64(3), True, None, "s",
+                                        float("nan")))]
+    convergence_rows = [("dt", 1e-7, "", -0.0), ("dt", 5e-324, "", np.float32(0.1)),
+                        ("dz", 2.5e-9, np.int64(4097), 1e-300),
+                        ("dz", 1.25e-9, 8193, float("inf"))]
     rows = 12_289  # one row past a multiple of any power-of-two block up to 4096
-    long = ExperimentRecord(
-        grid=grid, times=np.arange(rows) * 1e-7, norms=np.linspace(1, 0.5, rows),
-        absorbed_fraction=np.resize(EDGES_F32, rows))
+    long = (np.arange(rows) * 1e-7, np.linspace(1, 0.5, rows), np.resize(EDGES_F32, rows))
     return [
-        ("record", write_record_csv, (record,), ("t_s", "norm", "absorbed_fraction"),
-         zip(record.times, record.norms, record.absorbed_fraction)),
-        ("record_long", write_record_csv, (long,), ("t_s", "norm", "absorbed_fraction"),
-         zip(long.times, long.norms, long.absorbed_fraction)),
-        ("snapshots", write_captures, (grid, captures), ("t_s", "z_m", "density"),
+        ("record", write_csv, (RECORD, *record), RECORD, zip(*record)),
+        ("record_long", write_csv, (RECORD, *long), RECORD, zip(*long)),
+        ("snapshots", write_captures, (grid, captures), SNAPSHOTS,
          [(t, zi, ri) for t, psi in captures
           for zi, ri in zip(grid.z, np.abs(psi) ** 2)]),
-        ("fields", write_weighted_fields_csv, (w_q, w_res, rho, hbar),
-         ("z_m", "density", "weighted_q_over_hbar", "weighted_residual_over_hbar"),
-         zip(grid.z, rho.values, np.where(mask, w_q.values, 0.0) / hbar,
-             np.where(mask, w_res.values, 0.0) / hbar)),
-        ("ratio", write_ratio_csv, (ratio,), ("t_s", "ratio"),
-         zip(ratio.ratio_times, ratio.ratios)),
-        ("sweep", write_sweep_csv, (sweep_rows,),
-         ("z0_m", "sigma_m", "averaged_ratio", "crossover_time_s", "failed", "error"),
-         [(r.z0, r.sigma, r.averaged_ratio, r.crossover_time, r.failed, r.error)
-          for r in sweep_rows]),
-        ("preparation", write_preparation_csv, (prep_rows,),
-         ("slope_per_m", "slope_z0", "fidelity", "absorbed_imprinted",
-          "absorbed_ideal", "penalty"),
-         [(r.slope, r.slope_z0, r.fidelity, r.absorbed_imprinted,
-           r.absorbed_ideal, r.penalty) for r in prep_rows]),
-        ("convergence", write_convergence_csv, (report,),
-         ("ladder", "step", "n_points", "absorbed_fraction"),
-         [("dt", dt, "", f) for dt, f in report.dt_rows]
-         + [("dz", dz, k, f) for dz, k, f in report.dz_rows]),
-        ("profile", write_profile_csv, (grid.z, edge_column(5), psi),
-         ("z_m", "profile", "re_psi", "im_psi", "density"),
-         zip(grid.z, edge_column(5), psi.values.real, psi.values.imag,
-             psi.density())),
+        ("fields", write_csv, (FIELDS, *fields), FIELDS, zip(*fields)),
+        ("ratio", write_csv, (RATIO, *ratio), RATIO, zip(*ratio)),
+        ("sweep", write_csv, (SWEEP, *zip(*sweep_rows)), SWEEP, sweep_rows),
+        ("preparation", write_csv, (PREPARATION, *zip(*prep_rows)), PREPARATION,
+         prep_rows),
+        ("convergence", write_csv, (CONVERGENCE, *zip(*convergence_rows)),
+         CONVERGENCE, convergence_rows),
+        ("profile", write_csv, (PROFILE, *profile), PROFILE, zip(*profile)),
+        ("no_columns", write_csv, (SWEEP,), SWEEP, []),
+        ("empty_columns", write_csv, (RATIO, np.empty(0), []), RATIO, []),
     ]
 
 
@@ -306,9 +288,8 @@ class TestColumnWriter:
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_empty_tables_write_the_header_alone(self, tmp_path):
-        write_sweep_csv(tmp_path / "sweep.csv", [])
-        ratio = SimpleNamespace(ratio_times=np.empty(0), ratios=np.empty(0))
-        write_ratio_csv(tmp_path / "ratio.csv", ratio)
+        write_csv(tmp_path / "sweep.csv", SWEEP, *zip(*[]))
+        write_csv(tmp_path / "ratio.csv", RATIO, np.empty(0), np.empty(0))
         assert (tmp_path / "sweep.csv").read_text().count("\n") == 1
         assert (tmp_path / "ratio.csv").read_text() == "t_s,ratio\n"
 
@@ -340,7 +321,8 @@ def tiny_record():
 class TestRecordCsv:
     def test_record_rows(self, tmp_path):
         path = tmp_path / "record.csv"
-        write_record_csv(path, tiny_record())
+        record = tiny_record()
+        write_csv(path, RECORD, record.times, record.norms, record.absorbed_fraction)
         lines = path.read_text().splitlines()
         assert lines[0] == "t_s,norm,absorbed_fraction"
         assert len(lines) == 4
@@ -353,40 +335,6 @@ class TestRecordCsv:
         lines = path.read_text().splitlines()
         assert lines[0] == "t_s,z_m,density"
         assert len(lines) == 1 + 2 * 4
-
-
-class TestSweepCsv:
-    def test_failed_row_has_empty_ratio(self, tmp_path):
-        rows = [
-            SweepRow(z0=2e-6, sigma=1e-6, averaged_ratio=3.5,
-                     crossover_time=None),
-            SweepRow(z0=3e-6, sigma=1.5e-6, failed=True,
-                     error="ValueError: synthetic"),
-        ]
-        path = tmp_path / "sweep.csv"
-        write_sweep_csv(path, rows)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "z0_m,sigma_m,averaged_ratio,crossover_time_s,failed,error"
-        assert lines[1] == "2e-06,1e-06,3.5,,false,"
-        assert lines[2] == "3e-06,1.5e-06,,,true,ValueError: synthetic"
-
-
-class TestWeightedFieldsCsv:
-    def test_columns_zeroed_outside_support(self, tmp_path):
-        from qpot.bohmian import weighted_fields
-
-        params = PhysicalParams()
-        grid = default_grid(params)
-        w_q, w_res, rho = weighted_fields(grid, params)
-        path = tmp_path / "fields.csv"
-        write_weighted_fields_csv(path, w_q, w_res, rho, params.hbar)
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        outside = ~w_q.valid_mask()
-        assert outside.any()
-        assert np.all(data[outside, 2] == 0.0)
-        assert np.all(data[outside, 3] == 0.0)
-        inside = w_q.valid_mask()
-        assert np.allclose(data[inside, 2], w_q.values[inside] / params.hbar)
 
 
 class TestManifest:
