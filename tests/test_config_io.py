@@ -318,6 +318,25 @@ def tiny_record():
     )
 
 
+class TestSweepCsv:
+    def test_failed_row_has_empty_ratio(self, tmp_path):
+        """A row failed by its error alone writes empty ratio and crossover
+        cells, `true` and the error, in the columns qpot sweep builds."""
+        rows = [
+            SweepRow(z0=2e-6, sigma=1e-6, averaged_ratio=3.5,
+                     crossover_time=None),
+            SweepRow(z0=3e-6, sigma=1.5e-6, error="ValueError: synthetic"),
+        ]
+        path = tmp_path / "sweep.csv"
+        write_csv(path, SWEEP, *zip(*((r.z0, r.sigma, r.averaged_ratio,
+                                       r.crossover_time, r.failed, r.error)
+                                      for r in rows)))
+        lines = path.read_text().splitlines()
+        assert lines[0] == "z0_m,sigma_m,averaged_ratio,crossover_time_s,failed,error"
+        assert lines[1] == "2e-06,1e-06,3.5,,false,"
+        assert lines[2] == "3e-06,1.5e-06,,,true,ValueError: synthetic"
+
+
 class TestRecordCsv:
     def test_record_rows(self, tmp_path):
         path = tmp_path / "record.csv"
