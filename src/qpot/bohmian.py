@@ -203,6 +203,8 @@ def weighted_fields(grid, params, spec=DEFAULT_PROFILE, support_cut=1e-6):
 
     support = rho >= support_cut * rho.max()
     support[~pos] = False
+    if not support.any():
+        raise EmptyFieldError(f"support_cut = {support_cut!r} leaves no supported point")
     return (
         RealField(grid, w_q, support),
         RealField(grid, w_res, support),

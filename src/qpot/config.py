@@ -167,8 +167,11 @@ def parse_config_text(text):
 
 
 def load_config(path):
-    with open(path, encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse_config_text(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from None
 
 
 def params_from(cfg):

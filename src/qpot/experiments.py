@@ -10,7 +10,6 @@ over the retained times inside the averaging window.
 
 import operator
 import os
-from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,7 @@ from .engineering import (
 )
 from .errors import ConfigError, QpotError
 from .potentials import total_potential
-from .propagate import EvolveConfig, evolve
+from .propagate import EvolveConfig, _in_lanes, evolve
 
 RATIO_FLOOR = 1e-12
 
@@ -109,26 +108,12 @@ def _window_config(config, window, name):
     return config
 
 
-def _evolve_each(jobs):
-    """evolve(psi, potential, params, config) for each job, the jobs spread
-    over one thread per core; the records come back in job order.
-
-    zgttrs and numpy's element-wise kernels release the interpreter lock,
-    so the packets step side by side, each record bitwise the one a serial
-    call gives. evolve is read from this module when the call runs, so a
-    rebound qpot.experiments.evolve takes effect. The first failing job's
-    exception is raised unchanged.
-    """
-    nthreads = min(len(jobs), os.cpu_count() or 1)
-    with futures.ThreadPoolExecutor(max_workers=nthreads) as pool:
-        return list(pool.map(evolve, *zip(*jobs)))
-
-
 def _compare(name, engineered_job, benchmark_job, t_average_window):
-    """Evolve the engineered job and the benchmark job `name`, each an
-    evolve(psi, potential, params, config) call, and form the benchmark /
-    engineered absorption ratio."""
-    rec_eng, rec_bench = _evolve_each([engineered_job, benchmark_job])
+    """Evolve the engineered job and the benchmark job `name`, each the
+    arguments of an evolve call looked up in this module when its lane
+    runs, and form the benchmark / engineered absorption ratio."""
+    rec_eng, rec_bench = _in_lanes(lambda job: evolve(*job),
+                                   [engineered_job, benchmark_job])
     series = absorption_ratio_series(rec_bench, rec_eng, t_window=t_average_window)
     return ComparisonResult({"engineered": rec_eng, name: rec_bench}, *series)
 
@@ -173,17 +158,6 @@ def _sweep_point(args):
                     crossover_time=result.crossover_time)
 
 
-def _lane(pending):
-    """The rows of one lane: each next point of the shared iterator `pending`,
-    taken once the last one is done. An exception drains `pending`, so that
-    no lane starts a further point, and is raised."""
-    try:
-        return [_sweep_point(job) for job in pending]
-    except BaseException:
-        list(pending)
-        raise
-
-
 def resolve_workers(workers=None):
     """The sweep's concurrent lanes: the argument, else the core count. A value
     that is not a positive integer or a string of one, a float too, is rejected."""
@@ -215,13 +189,8 @@ def run_sweep(params_base, sweep, config=None, workers=None):
               for z0 in sweep.z0_values]
     # the largest grid goes first, so that it never starts last
     points.sort(key=lambda p: default_grid(p).n_points, reverse=True)
-    lanes = min(resolve_workers(workers), len(points))
-    pending = iter([(params, sweep, config) for params in points])
-    # each next() on the shared iterator is atomic; this thread runs one lane
-    with futures.ThreadPoolExecutor(max_workers=max(lanes - 1, 1)) as pool:
-        others = [pool.submit(_lane, pending) for _ in range(lanes - 1)]
-        rows = _lane(pending)
-    rows += [row for lane in others for row in lane.result()]
+    rows = _in_lanes(_sweep_point, [(params, sweep, config) for params in points],
+                     resolve_workers(workers))
     rows.sort(key=lambda r: r.z0)
     return rows
 
@@ -302,8 +271,8 @@ def run_preparation_study(params, slopes=None, grid=None, config=None,
     pot = total_potential(grid, params)
     ideal = engineered_packet(grid, params)
     imprinted = [two_stage_imprint(grid, params, k) for k in slopes]
-    rec_ideal, *recs = _evolve_each(
-        [(psi, pot, params, config) for psi in [ideal, *imprinted]])
+    rec_ideal, *recs = _in_lanes(lambda psi: evolve(psi, pot, params, config),
+                                 [ideal, *imprinted])
     a_ideal = rec_ideal.absorbed_at(t_window)
     rows = []
     for k, psi, rec in zip(slopes, imprinted, recs):

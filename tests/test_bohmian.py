@@ -198,3 +198,8 @@ class TestWeightedFields:
         with pytest.raises(EmptyFieldError):
             weighted_fields(tiny, params.replace(z0=2.3e-6, sigma=2e-8))
 
+
+    @pytest.mark.parametrize("cut", [2.0, 1.0 + 1e-9])
+    def test_cut_above_the_peak_leaves_no_support(self, grid, params, cut):
+        with pytest.raises(EmptyFieldError, match="leaves no supported point"):
+            weighted_fields(grid, params, support_cut=cut)

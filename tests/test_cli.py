@@ -22,7 +22,7 @@ from qpot import config as cfgmod
 from qpot.cli import _COMMANDS, main
 from qpot.bohmian import weighted_fields
 from qpot.config import evolve_from, grid_from, params_from, parse_config_text
-from qpot.core import PhysicalParams, default_grid
+from qpot.core import Grid1D, PhysicalParams, default_grid
 from qpot.engineering import gaussian_packet
 from qpot.errors import NumericsError
 from qpot.potentials import total_potential
@@ -119,6 +119,16 @@ class TestErrors:
         assert fragment in err
         assert not out.exists()
 
+    def test_config_not_utf8_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("[params]\nz0 = 3\u00b5m\n".encode("latin-1"))
+        out = tmp_path / "out"
+        code = main(["profile", "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config {cfg} is not UTF-8")
+        assert not out.exists()
+
     def test_unit_slip_in_the_default_box_exits_1(self, tmp_path, capsys):
         # z0 = 3 m would need a default grid of 1.2e9 points
         code, out = run(tmp_path, ["profile"], "[params]\nz0 = 3\n")
@@ -208,6 +218,13 @@ class TestFields:
         assert np.all(data[outside, 3] == 0.0)
         inside = w_q.valid_mask()
         assert np.allclose(data[inside, 2], w_q.values[inside] / params.hbar)
+
+    def test_cut_leaving_no_support_exits_1(self, tmp_path, capsys):
+        code, out = run(tmp_path, ["fields"], "[fields]\nsupport_cut = 2\n")
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: support_cut = 2.0 leaves no supported point")
+        assert not out.exists()
 
 
 EVOLVE_CFG = """\
@@ -431,6 +448,32 @@ class TestConverge:
         assert len(lines) == 1 + 2 + 2
         manifest = (out / "converge_manifest.txt").read_text()
         assert "# dz_halving_change: " in manifest
+
+    @pytest.mark.parametrize("line, fragment", [
+        ("dt_ladder = 1us", "needs 2 or more dt rungs"),
+        ("n_refinements = 0", "needs 2 or more dt rungs"),
+        ("n_refinements = -1", "needs 2 or more dt rungs"),
+        ("n_refinements = 40", "past 1048576"),  # 512 * 2**40 + 1 points
+        ("dt_ladder = 1us, 0.3us", "dt = 3e-07"),
+    ])
+    def test_bad_ladder_exits_1_before_any_evolve(self, tmp_path, capsys,
+                                                  monkeypatch, line, fragment):
+        evolved = []
+
+        def bounded(**kwargs):
+            assert kwargs["n_points"] <= 2**20, "an oversized grid was built"
+            return Grid1D(**kwargs)
+
+        monkeypatch.setattr("qpot.propagate.Grid1D", bounded)
+        monkeypatch.setattr("qpot.propagate.evolve",
+                            lambda *args: evolved.append(args))
+        code, out = run(tmp_path, ["converge"], "[grid]\nn_points = 513\n\n"
+                        f"[converge]\npacket = gaussian\nt_final = 20us\n{line}\n")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and fragment in err
+        assert evolved == []
+        assert not out.exists()
 
 
 FITTED_CFG = """\

@@ -309,13 +309,9 @@ class TestColumnWriter:
 
 
 def tiny_record():
-    grid = Grid1D(z_max=1e-6, n_points=4)
     times = np.array([0.0, 1e-7, 2e-7])
     norms = np.array([1.0, 0.999, 0.998])
-    return ExperimentRecord(
-        grid=grid, times=times, norms=norms,
-        absorbed_fraction=1.0 - norms**2,
-    )
+    return ExperimentRecord(times=times, norms=norms, absorbed_fraction=1.0 - norms**2)
 
 
 class TestSweepCsv:
@@ -350,7 +346,7 @@ class TestRecordCsv:
     def test_snapshots_long_form(self, tmp_path):
         path = tmp_path / "snaps.csv"
         captures = [(0.0, np.ones(4)), (2e-7, np.zeros(4))]
-        write_captures(path, tiny_record().grid, captures)
+        write_captures(path, Grid1D(z_max=1e-6, n_points=4), captures)
         lines = path.read_text().splitlines()
         assert lines[0] == "t_s,z_m,density"
         assert len(lines) == 1 + 2 * 4

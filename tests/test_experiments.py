@@ -35,15 +35,13 @@ from qpot.experiments import (
     run_sweep,
 )
 from qpot.potentials import total_potential
-from qpot.propagate import EvolveConfig, ExperimentRecord, evolve
+from qpot.propagate import EvolveConfig, ExperimentRecord, convergence_report, evolve
 
 def fake_record(times, absorbed):
     times = np.asarray(times, dtype=float)
     absorbed = np.asarray(absorbed, dtype=float)
     norms = np.sqrt(1.0 - absorbed)
-    grid = Grid1D(z_max=1e-6, n_points=8)
-    return ExperimentRecord(grid=grid, times=times, norms=norms,
-                            absorbed_fraction=absorbed)
+    return ExperimentRecord(times=times, norms=norms, absorbed_fraction=absorbed)
 
 
 class TestAbsorptionRatioSeries:
@@ -321,15 +319,22 @@ class TestFittedControl:
                                     gaussian_sigma=1e-6, t_average_window=2e-6)
         assert np.array_equal(default.ratios, placed.ratios)
 
-    def test_default_box_holds_the_wider_gaussian(self):
+    def test_default_box_holds_the_wider_gaussian(self, monkeypatch):
         # z0 + 6 sigma of the Gaussian is 14.3 um, beyond the 10 um box
         # that the engineered packet alone would need
+        grids = []
+
+        def evolve_on(psi, *args):
+            grids.append(psi.grid)
+            return evolve(psi, *args)
+
+        monkeypatch.setattr("qpot.experiments.evolve", evolve_on)
         cfg = EvolveConfig(dt=1e-7, t_final=1e-6)
         with warnings.catch_warnings():
             warnings.simplefilter("error", TruncationWarning)
-            res = run_fitted_control(config=cfg, gaussian_sigma=2e-6,
-                                     t_average_window=1e-6)
-        grid = res.records["fitted_gaussian"].grid
+            run_fitted_control(config=cfg, gaussian_sigma=2e-6, t_average_window=1e-6)
+        grid, other = grids
+        assert other == grid
         assert grid.z_max == pytest.approx(14.3e-6)
         assert grid.dz == pytest.approx(default_grid().dz, rel=1e-3)
 
@@ -457,7 +462,7 @@ class TestConcurrentEvolves:
         params = PhysicalParams()
         res = run_comparison(params, config=self.CFG, t_average_window=2e-5)
         assert list(res.records) == ["engineered", "gaussian"]
-        grid = res.records["engineered"].grid
+        grid = default_grid(params)
         self.assert_serial(res.records["engineered"],
                            real_engineered_packet(grid, params), params)
         self.assert_serial(res.records["gaussian"],
@@ -466,9 +471,9 @@ class TestConcurrentEvolves:
     def test_fitted_control_matches_serial(self, threads):
         res = run_fitted_control(config=self.CFG, t_average_window=2e-5)
         assert list(res.records) == ["engineered", "fitted_gaussian"]
-        grid = res.records["engineered"].grid
         p_eng = PhysicalParams().replace(z0=1.43e-6, sigma=1e-6)
         p_fit = PhysicalParams().replace(z0=2.3e-6, sigma=1e-6)
+        grid = default_grid(p_fit)  # the box that holds z0 + 6 sigma of both
         self.assert_serial(res.records["engineered"],
                            real_engineered_packet(grid, p_eng), p_eng)
         self.assert_serial(res.records["fitted_gaussian"],
@@ -514,9 +519,8 @@ class TestConcurrentEvolves:
         params = PhysicalParams()
         res = run_comparison(params, config=self.CFG, t_average_window=2e-5)
         assert list(res.records) == ["engineered", "gaussian"]
-        grid = res.records["engineered"].grid
         self.assert_serial(res.records["engineered"],
-                           real_engineered_packet(grid, params), params)
+                           real_engineered_packet(default_grid(params), params), params)
 
     @pytest.mark.parametrize("error", [NumericsError("synthetic blow-up"),
                                        ValueError("synthetic bug")])
@@ -532,3 +536,114 @@ class TestConcurrentEvolves:
             run_comparison(PhysicalParams(), config=self.CFG,
                            t_average_window=2e-5)
         assert info.value is error
+
+    def test_comparison_runs_a_packet_on_this_thread(self, threads, monkeypatch):
+        # two packets, two lanes: this thread and a single pool thread
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        ran_on = []
+
+        def on_thread(*args):
+            ran_on.append(threading.current_thread())
+            return evolve(*args)
+
+        monkeypatch.setattr("qpot.experiments.evolve", on_thread)
+        run_comparison(PhysicalParams(), config=self.CFG, t_average_window=2e-5)
+        assert len(ran_on) == 2
+        assert threading.main_thread() in ran_on
+
+    def test_failing_packet_starts_no_further_packet(self, threads, monkeypatch):
+        # each of the two lanes holds a packet; the second packet raises, and
+        # none of the three after it starts
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        imprinted, started = [], []
+        both_hold_a_packet = threading.Barrier(2, timeout=10)
+
+        def tracked(*args):
+            imprinted.append(two_stage_imprint(*args))
+            return imprinted[-1]
+
+        def flaky(psi, potential, params, config):
+            started.append(psi)
+            if len(started) <= 2:
+                both_hold_a_packet.wait()
+            if psi is imprinted[0]:
+                raise NumericsError("synthetic blow-up")
+            time.sleep(0.5)
+            return evolve(psi, potential, params, config)
+
+        monkeypatch.setattr("qpot.experiments.two_stage_imprint", tracked)
+        monkeypatch.setattr("qpot.experiments.evolve", flaky)
+        params = PhysicalParams()
+        slopes = tuple(kz0 / params.z0 for kz0 in (0.05, 0.1, 0.3, 1.0))
+        with pytest.raises(NumericsError, match="synthetic blow-up"):
+            run_preparation_study(params, slopes=slopes, config=self.CFG,
+                                  t_window=2e-5)
+        assert len(started) == 2
+
+
+class TestConvergenceLadder:
+    """convergence_report builds and checks every rung before the first
+    evolve, then runs the rungs in lanes, each row bitwise its serial evolve."""
+
+    PARAMS = PhysicalParams(z0=0.6e-6, sigma=0.1e-6)
+    BASE = Grid1D(z_max=1.5e-6, n_points=257)
+    T_FINAL = 2e-5
+
+    def make_state(self, grid):
+        return gaussian_packet(grid, self.PARAMS.z0, self.PARAMS.sigma)
+
+    def make_potential(self, grid):
+        return total_potential(grid, self.PARAMS)
+
+    def report(self, **kwargs):
+        return convergence_report(self.make_state, self.make_potential, self.PARAMS,
+                                  t_final=self.T_FINAL, base_grid=self.BASE, **kwargs)
+
+    def absorbed(self, grid, dt):
+        config = EvolveConfig(dt=dt, t_final=self.T_FINAL)
+        return float(evolve(self.make_state(grid), self.make_potential(grid),
+                            self.PARAMS, config).absorbed_fraction[-1])
+
+    @pytest.fixture
+    def evolved(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return evolve(*args)
+
+        monkeypatch.setattr("qpot.propagate.evolve", counted)
+        return calls
+
+    def test_rows_match_serial_evolves(self, evolved):
+        dt_ladder = (1e-6, 5e-7, 2.5e-7)
+        rep = self.report(dt_ladder=dt_ladder, n_refinements=2)
+        assert len(evolved) == 6
+        assert rep.dt_rows == [(dt, self.absorbed(self.BASE, dt)) for dt in dt_ladder]
+        grids = [Grid1D(z_max=1.5e-6, n_points=n) for n in (257, 513, 1025)]
+        assert rep.dz_rows == [(g.dz, g.n_points, self.absorbed(g, 2.5e-7))
+                               for g in grids]
+        assert all(f > 0 for _, f in rep.dt_rows)
+
+    def test_bad_dt_rung_raises_before_any_evolve(self, evolved):
+        with pytest.raises(ConfigError, match="dt = 3e-07"):
+            self.report(dt_ladder=(1e-6, 5e-7, 3e-7))
+        assert evolved == []
+
+    @pytest.mark.parametrize("kwargs", [{"dt_ladder": (1e-6,)}, {"n_refinements": 0},
+                                        {"n_refinements": -1}])
+    def test_short_ladder_rejected_before_any_evolve(self, evolved, kwargs):
+        with pytest.raises(ConfigError, match="needs 2 or more dt rungs"):
+            self.report(**kwargs)
+        assert evolved == []
+
+    def test_oversized_ladder_rejected_without_allocating(self, monkeypatch, evolved):
+        # 256 * 2**40 + 1 points; the bound is checked before any grid is built
+        def bounded(**kwargs):
+            assert kwargs["n_points"] <= 2**20, "an oversized grid was built"
+            return Grid1D(**kwargs)
+
+        monkeypatch.setattr("qpot.propagate.Grid1D", bounded)
+        with pytest.raises(ConfigError, match="past 1048576"):
+            self.report(n_refinements=40)
+        assert evolved == []
