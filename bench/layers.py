@@ -61,7 +61,11 @@ figure, the median and quartiles of the paired ratios, the file's k-th
 sample over the other side's, and `resolved`: false, printed as
 "unresolved", when either side's samples spread, (q3 - q1) / median, by
 more than MAX_SPREAD = 0.10, as heap-layout-bound figures can from one
-fresh child to the next; such a ratio cannot show a 10% change.
+fresh child to the next; such a ratio cannot show a 10% change. A ratio of
+fewer than MIN_PAIRS = 5 pairs is unresolved too: the quartiles of 3
+samples do not bound this host's run-to-run spread. So `evolve_2ms_s`, L3
+and L4, which take at most 3 runs a side, always read unresolved; they
+point at a change, and a claim on them needs more alternated runs.
 """
 
 import argparse
@@ -88,6 +92,7 @@ BATCH = 500  # calls per L1 sample
 IMPORT_RUNS = 7  # fresh interpreters behind cli_import_s
 FACTOR_PROCESSES = 5  # fresh processes behind factor_s
 MAX_SPREAD = 0.10  # a side's (q3 - q1) / median above which its ratio is unresolved
+MIN_PAIRS = 5  # fewer pairs than this cannot bound the spread, so are unresolved
 
 
 def _timed(fn, repeats):
@@ -247,10 +252,12 @@ def _spread(xs):
 
 
 def _ratio(xs, ys):
-    """The paired ratios xs[k] / ys[k], and whether both sides are tight
-    enough, (q3 - q1) / median at most MAX_SPREAD, for them to be read."""
-    return {**_quartiles([x / y for x, y in zip(xs, ys)]),
-            "resolved": max(_spread(xs), _spread(ys)) <= MAX_SPREAD}
+    """The paired ratios xs[k] / ys[k], and whether they can be read: at
+    least MIN_PAIRS of them, and both sides tight enough, (q3 - q1) / median
+    at most MAX_SPREAD."""
+    ratios = [x / y for x, y in zip(xs, ys)]
+    return {**_quartiles(ratios), "resolved": len(ratios) >= MIN_PAIRS
+            and max(_spread(xs), _spread(ys)) <= MAX_SPREAD}
 
 
 def _sides(k, roots):

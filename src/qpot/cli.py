@@ -8,7 +8,7 @@ used, so the manifest given back as --config replays the run. A [grid] or
 [evolve] section or a [params] key given to a command that does not read
 it is an error, and so are [evolve] packet and a nonzero snapshot_stride
 outside `qpot evolve`. Runs are fully deterministic; sweep's --workers
-only changes how points are scheduled, never the numbers.
+only changes how packets are scheduled, never the numbers.
 """
 
 import argparse
@@ -262,8 +262,8 @@ def cmd_converge(run):
 
 
 _WORKERS = (("--workers",), {"type": int, "default": None, "metavar": "N",
-                             "help": "sweep lanes, each a thread "
-                                     "(default: one lane per core)"})
+                             "help": "sweep lanes, each a thread evolving one packet "
+                                     "at a time (default: one lane per core)"})
 
 # [params] keys a command reads: profile and fields build no potential,
 # sweep and fitted set z0, sigma and trap_omega per packet

@@ -144,18 +144,16 @@ class SweepRow:
         return bool(self.error)
 
 
-def _sweep_point(args):
-    """One sweep point, the unit a lane runs."""
-    params, sweep, config = args
+def _sweep_point(job):
+    """A sweep point's packet, built when a lane takes it: its record or QpotError."""
+    params, config, packet = job
     try:
-        result = run_comparison(params, config=config,
-                                t_average_window=sweep.t_average_window)
+        grid = default_grid(params)
+        psi = (engineered_packet(grid, params) if packet == "engineered"
+               else gaussian_packet(grid, params.z0, params.sigma))
+        return evolve(psi, total_potential(grid, params), params, config)
     except QpotError as exc:  # a failed point must not sink the sweep
-        return SweepRow(z0=params.z0, sigma=params.sigma,
-                        error=f"{type(exc).__name__}: {exc}")
-    return SweepRow(z0=params.z0, sigma=params.sigma,
-                    averaged_ratio=result.averaged_ratio,
-                    crossover_time=result.crossover_time)
+        return exc
 
 
 def resolve_workers(workers=None):
@@ -175,24 +173,41 @@ def resolve_workers(workers=None):
 def run_sweep(params_base, sweep, config=None, workers=None):
     """Averaged absorbed-fraction ratios across the z0 grid.
 
-    Points are independent and run in `workers` lanes, this thread and
-    workers - 1 pool threads; each lane takes the next point, largest grid
-    first, once it is free. The rows come back sorted by z0, so the output
-    is identical for any lane count. Rows with z0 at or below the absorber
-    edge, a window longer than the evolved time and a snapshot stride are
-    rejected up front; a point that fails with a QpotError during evolution
-    is marked and the sweep continues, while any other exception stops every
-    lane after its current point and is raised.
+    A point's two packets are two jobs for `workers` lanes, this thread and
+    workers - 1 pool threads, largest grid first; the lane that finishes a
+    point's second packet forms its row. Rows come back sorted by z0, the same
+    for any lane count. z0 at or below the absorber edge, a window past the
+    evolved time and a snapshot stride are rejected up front; a QpotError
+    marks its point's row (the engineered packet's first) and the sweep goes
+    on, while any other exception stops every lane after its current job and
+    is raised.
     """
     config = _window_config(config, sweep.t_average_window, "t_average_window")
     points = [params_base.replace(z0=z0, sigma=sweep.sigma_for(z0))
               for z0 in sweep.z0_values]
     # the largest grid goes first, so that it never starts last
     points.sort(key=lambda p: default_grid(p).n_points, reverse=True)
-    rows = _in_lanes(_sweep_point, [(params, sweep, config) for params in points],
-                     resolve_workers(workers))
-    rows.sort(key=lambda r: r.z0)
-    return rows
+    firsts = {}  # point index -> its first finished packet's result, until its row
+
+    def row_when_paired(job):
+        k, packet = job
+        result = _sweep_point((points[k], config, packet))
+        # one atomic setdefault: exactly one of a point's two lanes finds the other's
+        first = firsts.setdefault(k, result)
+        if first is result:
+            return None
+        del firsts[k]
+        eng, gauss = (result, first) if packet == "engineered" else (first, result)
+        failure = next((r for r in (eng, gauss) if isinstance(r, QpotError)), None)
+        if failure is not None:
+            return SweepRow(z0=points[k].z0, sigma=points[k].sigma,
+                            error=f"{type(failure).__name__}: {failure}")
+        _, _, avg, cross = absorption_ratio_series(gauss, eng, sweep.t_average_window)
+        return SweepRow(z0=points[k].z0, sigma=points[k].sigma,
+                        averaged_ratio=avg, crossover_time=cross)
+    jobs = [(k, kind) for k in range(len(points)) for kind in ("engineered", "gaussian")]
+    rows = _in_lanes(row_when_paired, jobs, resolve_workers(workers))
+    return sorted(filter(None, rows), key=lambda r: r.z0)
 
 
 # where run_fitted_control places the Gaussian unless auto_fit or the caller does

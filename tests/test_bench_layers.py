@@ -1,11 +1,14 @@
 """bench/layers.py against this checkout: the children it starts for L0, L1
-and L3 run here and print the figures, with the units, that it reads back."""
+and L3 run here and print the figures, with the units, that it reads back,
+and its paired ratios resolve only from enough tight pairs."""
 
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import qpot
 
@@ -37,3 +40,18 @@ def test_convergence_report_layer():
     [[name, (value, unit)]] = _child("--inner", "convergence_report_s").items()
     assert (name, unit) == ("convergence_report_s", "s")
     assert value > 0
+
+
+def test_ratio_needs_five_pairs_to_resolve():
+    # in a child, since importing bench/layers.py puts perfbench on sys.path
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); import layers\n"
+            "tight = [1.0, 1.01, 1.02, 1.01, 1.0]\n"
+            "print(json.dumps([layers._ratio(tight[:3], [2 * y for y in tight[:3]]),\n"
+            "                  layers._ratio(tight, [2 * y for y in tight])]))")
+    proc = subprocess.run([sys.executable, "-c", code, str(LAYERS.parent)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    three, five = json.loads(proc.stdout)
+    assert (three["n"], three["resolved"]) == (3, False)
+    assert (five["n"], five["resolved"]) == (5, True)
+    assert five["median"] == pytest.approx(0.5)

@@ -6,8 +6,8 @@ import subprocess
 import sys
 import threading
 import time
-import types
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,6 @@ from qpot.errors import (
 )
 from qpot.experiments import (
     ComparisonResult,
-    SweepRow,
     SweepSpec,
     absorption_ratio_series,
     resolve_workers,
@@ -176,16 +175,35 @@ class TestRunSweep:
         submitted = []
 
         def record(job):
-            params = job[0]
-            submitted.append(params.z0)
-            return SweepRow(z0=params.z0, sigma=params.sigma)
+            params, _, packet = job
+            submitted.append((params.z0, packet))
+            return fake_record([0.0, 1e-3], [0.0, 0.5])
 
         monkeypatch.setattr("qpot.experiments._sweep_point", record)
         # boxes of 4096, 4096, 6553 and 5734 points
         spec = SweepSpec(z0_values=(1.5e-6, 2e-6, 4e-6, 3.5e-6))
         rows = run_sweep(PhysicalParams(), spec, workers=1)
-        assert submitted == [4e-6, 3.5e-6, 1.5e-6, 2e-6]
+        assert submitted == [(z0, packet) for z0 in (4e-6, 3.5e-6, 1.5e-6, 2e-6)
+                             for packet in ("engineered", "gaussian")]
         assert [r.z0 for r in rows] == [1.5e-6, 2e-6, 3.5e-6, 4e-6]
+        assert all(r.averaged_ratio == 1.0 for r in rows)
+
+    @pytest.mark.parametrize("failing, error", [
+        (("engineered", "gaussian"), "NumericsError: engineered blew up"),
+        (("gaussian",), "NumericsError: gaussian blew up"),
+    ])
+    def test_failed_row_carries_the_engineered_error_first(self, monkeypatch,
+                                                           failing, error):
+        def point(job):
+            _, _, packet = job
+            if packet in failing:
+                return NumericsError(f"{packet} blew up")
+            return fake_record([0.0, 1e-3], [0.0, 0.5])
+
+        monkeypatch.setattr("qpot.experiments._sweep_point", point)
+        [row] = run_sweep(PhysicalParams(), SweepSpec(z0_values=(2e-6,)), workers=2)
+        assert row.error == error
+        assert row.averaged_ratio is None
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failed_point_marked_and_sweep_continues(self, monkeypatch, workers):
@@ -229,10 +247,16 @@ class TestRunSweep:
         assert serial == parallel
 
     def test_lanes_share_the_points_without_loss_or_repeat(self, monkeypatch):
-        def instant(params, config=None, t_average_window=None):
-            return types.SimpleNamespace(averaged_ratio=1.0, crossover_time=None)
+        taken = []
 
-        monkeypatch.setattr("qpot.experiments.run_comparison", instant)
+        def instant(job):
+            # the Gaussian absorbs z0 / 1 um times the engineered packet
+            params, _, packet = job
+            taken.append((params.z0, packet))
+            scale = params.z0 * 1e6 if packet == "gaussian" else 1.0
+            return fake_record([0.0, 1e-3], [0.0, 0.01 * scale])
+
+        monkeypatch.setattr("qpot.experiments._sweep_point", instant)
         z0s = tuple(1.5e-6 + 0.1e-6 * k for k in range(24))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # lanes race for the shared iterator
@@ -240,29 +264,79 @@ class TestRunSweep:
             rows = run_sweep(PhysicalParams(), SweepSpec(z0_values=z0s), workers=6)
         finally:
             sys.setswitchinterval(interval)
+        assert sorted(taken) == sorted((z0, packet) for z0 in z0s
+                                       for packet in ("engineered", "gaussian"))
         assert [r.z0 for r in rows] == sorted(z0s)
+        for row in rows:  # each row pairs its own point's two records
+            assert row.averaged_ratio == pytest.approx(row.z0 * 1e6, rel=1e-12)
 
     @pytest.mark.parametrize("bug_in_caller", [True, False])
     def test_bug_in_any_lane_starts_no_further_point(self, monkeypatch,
                                                      bug_in_caller):
         started = []
-        both_hold_a_point = threading.Barrier(2, timeout=10)
+        both_hold_a_job = threading.Barrier(2, timeout=10)
 
-        def comparison(params, config=None, t_average_window=None):
-            started.append(params.z0)
-            both_hold_a_point.wait()
+        def point(job):
+            started.append(job)
+            both_hold_a_job.wait()
             in_caller = threading.current_thread() is threading.main_thread()
             if in_caller == bug_in_caller:
                 raise ValueError("synthetic bug")
             time.sleep(0.5)
-            return types.SimpleNamespace(averaged_ratio=1.0, crossover_time=None)
+            return fake_record([0.0, 1e-3], [0.0, 0.5])
 
-        monkeypatch.setattr("qpot.experiments.run_comparison", comparison)
+        monkeypatch.setattr("qpot.experiments._sweep_point", point)
         with pytest.raises(ValueError, match="synthetic bug"):
             run_sweep(PhysicalParams(), SweepSpec(), workers=2)
-        # the other lane finishes the point it holds, and the four points
-        # after the two first are never started
+        # the other lane finishes the job it holds, and the ten jobs after
+        # the two first are never started
         assert len(started) == 2
+
+    def test_records_are_freed_with_their_row(self, monkeypatch):
+        # a point's two records live until its row is formed, not to the
+        # end of the sweep, whose records a 2 ms run makes 480 KB each
+        returned, alive_at_start = [], []
+
+        def point(job):
+            alive_at_start.append(sum(ref() is not None for ref in returned))
+            record = fake_record([0.0, 1e-3], [0.0, 0.5])
+            returned.append(weakref.ref(record))
+            return record
+
+        monkeypatch.setattr("qpot.experiments._sweep_point", point)
+        rows = run_sweep(PhysicalParams(), SweepSpec(), workers=1)
+        assert len(rows) == 6 and len(alive_at_start) == 12
+        assert alive_at_start == [0, 1] * 6  # only the running point's first
+
+    def test_lanes_bound_the_evolves_in_flight(self, monkeypatch):
+        # --workers N is N evolves in flight, not N points of two packets each
+        lock, in_flight, peak = threading.Lock(), [0], [0]
+        side_by_side = None  # a barrier both packets must reach together
+
+        def counted(*args):
+            with lock:
+                in_flight[0] += 1
+                peak[0] = max(peak[0], in_flight[0])
+            try:
+                if side_by_side is not None:
+                    side_by_side.wait()
+                time.sleep(0.05)
+                return evolve(*args)
+            finally:
+                with lock:
+                    in_flight[0] -= 1
+
+        monkeypatch.setattr("qpot.experiments.evolve", counted)
+        cfg = EvolveConfig(dt=2e-7, t_final=2e-5)
+        spec = SweepSpec(z0_values=(2.0e-6, 2.5e-6, 3.0e-6), t_average_window=2e-5)
+        assert not any(r.failed for r in run_sweep(PhysicalParams(), spec,
+                                                   config=cfg, workers=2))
+        assert peak[0] == 2
+        # one point on two lanes still evolves its two packets side by side
+        side_by_side = threading.Barrier(2, timeout=10)
+        spec = SweepSpec(z0_values=(2.0e-6,), t_average_window=2e-5)
+        [row] = run_sweep(PhysicalParams(), spec, config=cfg, workers=2)
+        assert not row.failed
 
     def test_two_lanes_load_no_multiprocessing(self):
         code = (
