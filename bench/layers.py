@@ -10,12 +10,12 @@ the default grid (4096 points on [0, 10 um]) with z0 = 3 um, sigma = 1 um
 and dt = 0.1 us. Every figure is the median of its repeats; the samples
 and the machine (perfbench's `environment`) are stored next to it.
 
-- L0 `factor_s`: `CrankNicolson(...)`, the zgttrf factorization, timed
-  in 5 fresh processes with every sample kept. Whether the factors'
-  temporaries page-fault in (a process's first call, or a heap top that
-  glibc has trimmed) changes a sample by about 2x, and differs from one
-  process to the next; timed in one process, that would move the median
-  instead of showing as spread.
+- L0 `factor_s`: `CrankNicolson(...)`, the zgttrf factorization, once per
+  child, right after the grid and potential are built and before any
+  packet is: each sample is its process's first factorization. Whether the
+  factors' temporaries page-fault in (a process's first call, or a heap top
+  that glibc has trimmed) changes a sample by about 2x; repeats in one
+  process would mix the two cases and move the median.
 - L1 one step: `step_us` for `step_values`, split into `update_us` (the
   two element-wise operations of u' = 2 A^-1 u - u: 2u into a buffer, then
   the buffer minus u into u), `solve_us` (`qpot.propagate.zgttrs`, the
@@ -38,34 +38,35 @@ and the machine (perfbench's `environment`) are stored next to it.
   and 2 lanes.
 - L4: wall time and peak memory of `qpot compare`, the `qpot sweep` on
   2 lanes and the snapshots `qpot evolve`, run as perfbench's production
-  configs (z0 = 3 um where the command takes one); peak memory is summed
-  over the process tree by perfbench's `launch.run`, as perfbench does;
-  `cli_import_s`, the start-up every command pays: a fresh
-  `python -c "import qpot.cli"`, median of 7 runs; and `tier1_s`, one run
-  of the Tier-1 suite (`pytest` over `tests/`).
+  configs (z0 = 3 um where the command takes one) in `.bench_build/layers/`
+  by perfbench's `launch.run`, which sums peak memory over the process tree
+  as perfbench does; `cli_import_s`, the start-up every command pays: a
+  fresh `python -c "import qpot.cli"`; and `tier1_s`, one run of the
+  Tier-1 suite (`pytest` over `tests/`) per checkout, after the rounds.
 
-Each in-process layer (L1, L2, io and each L3 function) is timed once per
-child process, a fresh child per repeat, with perfbench's `child_env` (BLAS
-threads pinned to 1); the parent never imports numpy or qpot.
+Every other figure is sampled in rounds: a round runs each group of
+SAMPLES once, in a fresh child process (`--sample NAME`) with perfbench's
+`child_env` (BLAS threads pinned to 1); the parent never imports numpy or
+qpot. Round 0 warms the caches and is dropped, and the next `--repeats`
+rounds are kept, so every figure but `tier1_s` has `--repeats` samples.
+One checkout took 4 m 13 s at the default 5 repeats on a 2-vCPU host.
 
 With `--baseline DIR` (another checkout, such as the parent commit) the
 same figures are measured for DIR too, by this file with DIR's `src/` on
 the path, and written to `BENCH_<DIR's describe>.json` at this checkout's
-root; so DIR must offer the qpot functions this file calls. The two sides
-alternate child by child and run by run, the side that goes first
-alternating as well: the L0 processes, each repeat of each in-process
-layer, the L4 command runs, the imports and the Tier-1 runs. So a drift of
-the host's speed, which on a shared 2-vCPU host is often larger than the
-change being measured, falls on both sides alike. Each file also gets `ratio_to_alternate`: per
-figure, the median and quartiles of the paired ratios, the file's k-th
-sample over the other side's, and `resolved`: false, printed as
-"unresolved", when either side's samples spread, (q3 - q1) / median, by
-more than MAX_SPREAD = 0.10, as heap-layout-bound figures can from one
-fresh child to the next; such a ratio cannot show a 10% change. A ratio of
-fewer than MIN_PAIRS = 5 pairs is unresolved too: the quartiles of 3
-samples do not bound this host's run-to-run spread. So `evolve_2ms_s`, L3
-and L4, which take at most 3 runs a side, always read unresolved; they
-point at a change, and a claim on them needs more alternated runs.
+root; so DIR must offer the qpot functions this file calls. In each round
+the two sides run each group back to back, the side that goes first
+alternating from round to round, so a drift of the host's speed, which on
+a shared 2-vCPU host is often larger than the change being measured, falls
+on both sides alike. Each file also gets `ratio_to_alternate`: per figure,
+the median and quartiles of the paired ratios, the file's k-th sample over
+the other side's, and `resolved`: false, printed as "unresolved", when
+either side's samples spread, (q3 - q1) / median, by more than MAX_SPREAD
+= 0.10, as heap-layout-bound figures can from one fresh child to the next;
+such a ratio cannot show a 10% change. A ratio of fewer than MIN_PAIRS = 5
+pairs is unresolved too: the quartiles of 3 samples do not bound this
+host's run-to-run spread, so a claim needs `--repeats` 5 or more. With a
+baseline, a run took 7 m 25 s and 7 m 47 s on that host.
 """
 
 import argparse
@@ -89,19 +90,19 @@ from run import child_env, environment  # noqa: E402
 Z0_UM = 3.0
 DT = 1e-7  # s
 BATCH = 500  # calls per L1 sample
-IMPORT_RUNS = 7  # fresh interpreters behind cli_import_s
-FACTOR_PROCESSES = 5  # fresh processes behind factor_s
 MAX_SPREAD = 0.10  # a side's (q3 - q1) / median above which its ratio is unresolved
 MIN_PAIRS = 5  # fewer pairs than this cannot bound the spread, so are unresolved
+# the figure groups: each round measures each group in a fresh child per side
+SAMPLES = ("factor", "step", "io", "evolve_2ms_s", "run_comparison_s",
+           "run_fitted_control_s", "run_preparation_study_s",
+           "convergence_report_s", "run_sweep_1w_s", "run_sweep_2w_s",
+           "cli_compare", "cli_sweep", "cli_snapshots", "cli_import_s")
 
 
-def _timed(fn, repeats):
-    samples = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - t0)
-    return samples
+def _seconds(fn):
+    t0 = time.perf_counter()
+    fn()
+    return time.perf_counter() - t0
 
 
 def _case():
@@ -114,23 +115,30 @@ def _case():
     return params, grid, total_potential(grid, params)
 
 
-def factor(repeats):
-    """L0 in this process: prints the timings of `repeats` factorizations."""
-    from qpot.propagate import CrankNicolson
-
-    params, grid, pot = _case()
-    print(json.dumps(_timed(lambda: CrankNicolson(grid, pot, params, DT), repeats)))
-
-
-# the in-process layers (L1-L3), each timed once per child process
-IN_PROCESS = ("step", "io", "evolve_2ms_s", "run_comparison_s",
-              "run_fitted_control_s", "run_preparation_study_s",
-              "convergence_report_s", "run_sweep_1w_s", "run_sweep_2w_s")
+def cli(name):
+    """One sample of the L4 group `name`: the import of `qpot.cli`, or the
+    perfbench production run cli_<workload> through perfbench's launcher."""
+    if name == "cli_import_s":
+        return {name: (_seconds(lambda: subprocess.run(
+            [sys.executable, "-c", "import qpot.cli"], check=True)), "s")}
+    spec = workloads.PRODUCTION[name.removeprefix("cli_")]
+    work = ROOT / ".bench_build" / "layers"
+    work.mkdir(parents=True, exist_ok=True)
+    cwd = Path(tempfile.mkdtemp(prefix=f"{name}-", dir=work))
+    try:
+        (cwd / "run.cfg").write_text(spec.config_text(Z0_UM), encoding="utf-8")
+        argv = [sys.executable, "-m", "qpot.cli"] + spec.cli_args("run.cfg", "out")
+        proc = launch.run(argv, cwd, os.environ)
+    finally:
+        shutil.rmtree(cwd, ignore_errors=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"qpot {spec.command} failed: {proc.stderr}")
+    return {f"{name}_wall_s": (proc.wall_s, "s"),
+            f"{name}_peak_rss_mb": (proc.peak_rss_mb, "MB")}
 
 
 def inner(layer):
-    """One sample of each figure of the in-process layer `layer`; prints
-    {name: [value, unit]} as JSON."""
+    """One sample of the in-process group `layer` (L0-L3)."""
     import numpy as np
 
     from qpot.core import PhysicalParams
@@ -153,12 +161,11 @@ def inner(layer):
     )
 
     params, grid, pot = _case()
+    if layer == "factor":  # before any packet: the process's first factorization
+        return {"factor_s": (_seconds(lambda: CrankNicolson(grid, pot, params, DT)), "s")}
     psi = engineered_packet(grid, params)
     config = EvolveConfig(dt=DT, t_final=2e-3)
     short = EvolveConfig(dt=DT, t_final=2e-4)
-
-    def once(fn):
-        return _timed(fn, 1)[0]
 
     def step():
         solver = CrankNicolson(grid, pot, params, DT)
@@ -175,7 +182,7 @@ def inner(layer):
             def run():
                 for _ in range(BATCH):
                     fn()
-            return once(run) / BATCH * 1e6
+            return _seconds(run) / BATCH * 1e6
 
         # step_values may update u in place; every other figure reads only u
         stepped = u.copy()
@@ -204,8 +211,8 @@ def inner(layer):
 
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "out.csv")
-            return {"write_record_csv_s": (once(lambda: write_record(path)), "s"),
-                    "write_snapshots_s": (once(lambda: write_snapshots(path)), "s")}
+            return {"write_record_csv_s": (_seconds(lambda: write_record(path)), "s"),
+                    "write_snapshots_s": (_seconds(lambda: write_snapshots(path)), "s")}
 
     sweep = workloads.PRODUCTION["sweep"]
     spec = SweepSpec(z0_values=tuple(z * 1e-6 for z in sweep.z0_um),
@@ -230,12 +237,10 @@ def inner(layer):
             PhysicalParams(), spec, config=sweep_config, workers=2),
     }
     if layer == "step":
-        out = step()
-    elif layer == "io":
-        out = io()
-    else:
-        out = {layer: (once(timed[layer]), "s")}
-    print(json.dumps(out))
+        return step()
+    if layer == "io":
+        return io()
+    return {layer: (_seconds(timed[layer]), "s")}
 
 
 def _quartiles(xs):
@@ -265,57 +270,6 @@ def _sides(k, roots):
     return roots if k % 2 == 0 else roots[::-1]
 
 
-def cli_layers(envs, repeats):
-    """L4: the perfbench production compare, sweep and snapshots configs,
-    the import of `qpot.cli` and one run of the Tier-1 suite, for each
-    checkout in envs (root: environment), the checkouts alternating run by
-    run. Returns {root: {name: (samples, unit)}}."""
-    roots = list(envs)
-    out = {root: {} for root in roots}
-    work = ROOT / ".bench_build" / "layers"
-    for name in ("compare", "sweep", "snapshots"):
-        spec = workloads.PRODUCTION[name]
-        walls = {root: [] for root in roots}
-        rss = {root: [] for root in roots}
-        for k in range(repeats + 1):  # the first round warms the caches
-            for i, root in enumerate(_sides(k, roots)):
-                cwd = work / f"{name}-{k}-{i}"
-                cwd.mkdir(parents=True)
-                try:
-                    (cwd / "run.cfg").write_text(spec.config_text(Z0_UM),
-                                                 encoding="utf-8")
-                    argv = [sys.executable, "-m", "qpot.cli"] + spec.cli_args(
-                        "run.cfg", "out")
-                    proc = launch.run(argv, cwd, envs[root])
-                    if proc.returncode != 0:
-                        raise SystemExit(f"qpot {spec.command} failed in {root}: "
-                                         f"{proc.stderr}")
-                finally:
-                    shutil.rmtree(cwd, ignore_errors=True)
-                if k:
-                    walls[root].append(proc.wall_s)
-                    rss[root].append(proc.peak_rss_mb)
-        for root in roots:
-            out[root][f"cli_{name}_wall_s"] = (walls[root], "s")
-            out[root][f"cli_{name}_peak_rss_mb"] = (rss[root], "MB")
-    imports = {root: [] for root in roots}
-    for k in range(IMPORT_RUNS):
-        for root in _sides(k, roots):
-            imports[root] += _timed(lambda: subprocess.run(
-                [sys.executable, "-c", "import qpot.cli"], env=envs[root],
-                check=True), 1)
-    for root in roots:
-        out[root]["cli_import_s"] = (imports[root], "s")
-        t0 = time.perf_counter()
-        tier1 = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-             "--continue-on-collection-errors", "tests"],
-            cwd=root, env=envs[root], capture_output=True, text=True)
-        out[root]["tier1_s"] = ([time.perf_counter() - t0], "s")
-        print(f"{root}: {tier1.stdout.strip().splitlines()[-1]}", file=sys.stderr)
-    return out
-
-
 def describe(root=ROOT):
     try:
         return subprocess.run(["git", "describe", "--always", "--dirty"], cwd=root,
@@ -331,19 +285,16 @@ def main(argv=None):
     parser.add_argument("--out", help="output path (default: BENCH_<label>.json "
                                       "at the checkout root)")
     parser.add_argument("--repeats", type=int, default=5,
-                        help="repeats of each layer (evolve, L3 and the CLI: 3)")
+                        help="rounds kept after one warm-up round: the samples "
+                             "of every figure but tier1_s")
     parser.add_argument("--baseline", metavar="DIR",
                         help="another checkout measured alongside, its runs "
                              "alternating with this one's")
-    parser.add_argument("--inner", help=argparse.SUPPRESS)
-    parser.add_argument("--factor", type=int, help=argparse.SUPPRESS)
+    parser.add_argument("--sample", choices=SAMPLES, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    few = max(1, min(3, args.repeats))
-    if args.inner:
-        inner(args.inner)
-        return 0
-    if args.factor:
-        factor(args.factor)
+    if args.sample:
+        sample = cli if args.sample.startswith("cli_") else inner
+        print(json.dumps(sample(args.sample)))
         return 0
     env = child_env()
     roots = [ROOT] + ([Path(args.baseline).resolve()] if args.baseline else [])
@@ -356,27 +307,31 @@ def main(argv=None):
     if args.out:
         outs[ROOT] = Path(args.out)
 
-    def child(root, *flags):
+    def child(root, name):
         # this file measures every checkout, so both run the same operations
-        proc = subprocess.run([sys.executable, __file__, *flags], env=envs[root],
-                              capture_output=True, text=True, check=True)
+        proc = subprocess.run([sys.executable, __file__, "--sample", name],
+                              env=envs[root], capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise SystemExit(f"--sample {name} failed in {root}: {proc.stderr}")
         return json.loads(proc.stdout.splitlines()[-1])
 
-    per_process = -(-4 * args.repeats // FACTOR_PROCESSES)
-    layers = {root: {"factor_s": ([], "s")} for root in roots}
-    for k in range(FACTOR_PROCESSES):
-        for root in _sides(k, roots):
-            layers[root]["factor_s"][0].extend(
-                child(root, "--factor", str(per_process)))
-    runs = {layer: args.repeats if layer in ("step", "io") else few
-            for layer in IN_PROCESS}
-    for k in range(args.repeats):
-        for layer in (layer for layer in IN_PROCESS if k < runs[layer]):
+    layers = {root: {} for root in roots}
+    for k in range(args.repeats + 1):
+        for name in SAMPLES:
             for root in _sides(k, roots):
-                for name, (value, unit) in child(root, "--inner", layer).items():
-                    layers[root].setdefault(name, ([], unit))[0].append(value)
-    for root, figures in cli_layers(envs, few).items():
-        layers[root].update(figures)
+                figures = child(root, name)
+                if not k:  # round 0 warms the caches
+                    continue
+                for figure, (value, unit) in figures.items():
+                    layers[root].setdefault(figure, ([], unit))[0].append(value)
+    for root in roots:
+        t0 = time.perf_counter()
+        tier1 = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             "--continue-on-collection-errors", "tests"],
+            cwd=root, env=envs[root], capture_output=True, text=True)
+        layers[root]["tier1_s"] = ([time.perf_counter() - t0], "s")
+        print(f"{root}: {tier1.stdout.strip().splitlines()[-1]}", file=sys.stderr)
     for root in roots:
         result = {
             "label": labels[root],

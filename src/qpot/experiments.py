@@ -9,7 +9,6 @@ over the retained times inside the averaging window.
 """
 
 import operator
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,13 +156,14 @@ def _sweep_point(job):
 
 
 def resolve_workers(workers=None):
-    """The sweep's concurrent lanes: the argument, else the core count. A value
-    that is not a positive integer or a string of one, a float too, is rejected."""
+    """The sweep's concurrent lanes: the argument, else None, which leaves
+    `_in_lanes` its one lane per core. A value that is not a positive
+    integer, a float or a string too, is rejected."""
     if workers is None:
-        return os.cpu_count() or 1
+        return None
     try:
-        count = int(workers) if isinstance(workers, str) else operator.index(workers)
-    except (TypeError, ValueError):
+        count = operator.index(workers)
+    except TypeError:
         count = 0
     if count < 1:
         raise ConfigError(f"workers must be a positive integer, got {workers!r}")
@@ -173,14 +173,14 @@ def resolve_workers(workers=None):
 def run_sweep(params_base, sweep, config=None, workers=None):
     """Averaged absorbed-fraction ratios across the z0 grid.
 
-    A point's two packets are two jobs for `workers` lanes, this thread and
-    workers - 1 pool threads, largest grid first; the lane that finishes a
-    point's second packet forms its row. Rows come back sorted by z0, the same
-    for any lane count. z0 at or below the absorber edge, a window past the
-    evolved time and a snapshot stride are rejected up front; a QpotError
-    marks its point's row (the engineered packet's first) and the sweep goes
-    on, while any other exception stops every lane after its current job and
-    is raised.
+    A point's two packets are two jobs for `workers` lanes (default: one per
+    core), largest grid first; the lane that finishes a point's second packet
+    forms its row. Rows come back sorted by z0, the same for any lane count.
+    z0 at or below the absorber edge, a window past the evolved time and a
+    snapshot stride are rejected up front; a QpotError marks its point's row
+    (the engineered packet's first), a packet whose other one has already
+    failed is not evolved, and the sweep goes on, while any other exception
+    stops every lane after its current job and is raised.
     """
     config = _window_config(config, sweep.t_average_window, "t_average_window")
     points = [params_base.replace(z0=z0, sigma=sweep.sigma_for(z0))
@@ -191,7 +191,9 @@ def run_sweep(params_base, sweep, config=None, workers=None):
 
     def row_when_paired(job):
         k, packet = job
-        result = _sweep_point((points[k], config, packet))
+        # a point whose other packet has failed needs no evolve of this one
+        failed = isinstance(firsts.get(k), QpotError)
+        result = None if failed else _sweep_point((points[k], config, packet))
         # one atomic setdefault: exactly one of a point's two lanes finds the other's
         first = firsts.setdefault(k, result)
         if first is result:

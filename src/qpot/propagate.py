@@ -47,7 +47,6 @@ def _load_flapack():
 
 _flapack = _load_flapack()
 zgttrf, zgttrs = _flapack.zgttrf, _flapack.zgttrs
-ORDER_FLOOR = 1e-5  # relative increment under which an order estimate is noise
 
 
 @dataclass(frozen=True)
@@ -188,40 +187,38 @@ def _in_lanes(fn, items, lanes=None):
     return results
 
 
+def _first_order(values):
+    """log2 |d1 / d2| of the first refinement triplet: the observed order."""
+    if len(values) < 3:
+        return float("nan")
+    d1, d2 = values[0] - values[1], values[1] - values[2]
+    if d2 == 0:
+        return float("inf") if d1 else 0.0
+    return float(np.log2(abs(d1 / d2)))
+
+
 @dataclass
 class ConvergenceReport:
     dt_rows: list  # (dt, absorbed_fraction)
     dz_rows: list  # (dz, n_points, absorbed_fraction)
-    dt_orders: list  # (dt_coarse, order, floor_limited)
-    dz_orders: list
-    dt_halving_change: float  # relative change under dt -> dt/2 at base dt
-    dz_halving_change: float
 
     def dt_order(self):
-        return self.dt_orders[0][1] if self.dt_orders else float("nan")
+        return _first_order([f for _, f in self.dt_rows])
 
     def dz_order(self):
-        return self.dz_orders[0][1] if self.dz_orders else float("nan")
+        return _first_order([f for _, _, f in self.dz_rows])
 
+    @property
+    def dt_halving_change(self):
+        """Relative change over the last halving of the dt ladder."""
+        (_, coarse), (_, fine) = self.dt_rows[-2:]
+        return abs(fine - coarse) / abs(fine)
 
-def _triplet_orders(values, steps, f_scale):
-    """Richardson order estimates from consecutive refinement triplets.
-
-    A triplet is flagged floor-limited when its increments are under
-    ORDER_FLOOR of the observable: the estimate then measures discretization
-    noise rather than the leading error term.
-    """
-    out = []
-    for i in range(len(values) - 2):
-        d1 = values[i] - values[i + 1]
-        d2 = values[i + 1] - values[i + 2]
-        limited = max(abs(d1), abs(d2)) < ORDER_FLOOR * abs(f_scale)
-        if d2 == 0:
-            order = float("inf") if d1 else 0.0
-        else:
-            order = float(np.log2(abs(d1 / d2)))
-        out.append((steps[i], order, limited))
-    return out
+    @property
+    def dz_halving_change(self):
+        """Relative change over the first halving of dz, from the base grid."""
+        (_, _, base), (_, _, fine) = self.dz_rows[:2]
+        return abs(fine - base) / abs(fine)
 
 
 def convergence_report(make_state, make_potential, params, t_final=2e-3,
@@ -235,8 +232,7 @@ def convergence_report(make_state, make_potential, params, t_final=2e-3,
     production dt. Every rung is built before the first evolve, and the rungs
     run in lanes. Temporal error at production time steps sits very close to
     the double-precision floor of this observable, which is why the dt ladder
-    starts coarse: order estimates from increments near the floor are flagged
-    in the report, but no command writes the flags to any output.
+    starts coarse.
     """
     if base_grid is None:
         base_grid = default_grid(params)
@@ -259,9 +255,4 @@ def convergence_report(make_state, make_potential, params, t_final=2e-3,
     dt_vals, dz_vals = absorbed[:len(dt_ladder)], absorbed[len(dt_ladder):]
     dt_rows = list(zip(dt_ladder, dt_vals))
     dz_rows = [(g.dz, g.n_points, f) for g, f in zip(grids, dz_vals)]
-    dt_orders = _triplet_orders(dt_vals, dt_ladder, dz_vals[-1])
-    dz_orders = _triplet_orders(dz_vals, [g.dz for g in grids], dz_vals[-1])
-    dt_change = abs(dt_vals[-1] - dt_vals[-2]) / abs(dt_vals[-1])
-    dz_change = abs(dz_vals[1] - dz_vals[0]) / abs(dz_vals[1])
-    return ConvergenceReport(dt_rows, dz_rows, dt_orders, dz_orders,
-                             dt_change, dz_change)
+    return ConvergenceReport(dt_rows, dz_rows)

@@ -1,6 +1,6 @@
-"""bench/layers.py against this checkout: the children it starts for L0, L1
-and L3 run here and print the figures, with the units, that it reads back,
-and its paired ratios resolve only from enough tight pairs."""
+"""bench/layers.py against this checkout: the children it starts for L0, L1,
+L3 and L4 run here and print the figures, with the units, that it reads
+back, and its paired ratios resolve only from enough tight pairs."""
 
 import json
 import os
@@ -15,30 +15,36 @@ import qpot
 LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
 
 
-def _child(*flags):
-    """What one child of bench/layers.py prints last, parsed as JSON."""
+def _sample(name):
+    """What one `--sample name` child of bench/layers.py prints last, parsed as JSON."""
     env = {**os.environ, "PYTHONPATH": str(Path(qpot.__file__).resolve().parents[1])}
-    proc = subprocess.run([sys.executable, str(LAYERS), *flags], capture_output=True,
-                          text=True, env=env, timeout=300)
+    proc = subprocess.run([sys.executable, str(LAYERS), "--sample", name],
+                          capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
 
 def test_factor_prints_one_timing_per_factorization():
-    samples = _child("--factor", "2")
-    assert len(samples) == 2
-    assert all(isinstance(s, float) and s > 0 for s in samples)
+    [[name, (value, unit)]] = _sample("factor").items()
+    assert (name, unit) == ("factor_s", "s")
+    assert isinstance(value, float) and value > 0
 
 
 def test_step_layer_splits_the_step():
-    figures = _child("--inner", "step")
+    figures = _sample("step")
     assert list(figures) == ["step_us", "update_us", "solve_us", "norm_us"]
     assert all(unit == "us" and value > 0 for value, unit in figures.values())
 
 
 def test_convergence_report_layer():
-    [[name, (value, unit)]] = _child("--inner", "convergence_report_s").items()
+    [[name, (value, unit)]] = _sample("convergence_report_s").items()
     assert (name, unit) == ("convergence_report_s", "s")
+    assert value > 0
+
+
+def test_cli_import_layer():
+    [[name, (value, unit)]] = _sample("cli_import_s").items()
+    assert (name, unit) == ("cli_import_s", "s")
     assert value > 0
 
 

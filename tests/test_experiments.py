@@ -34,7 +34,21 @@ from qpot.experiments import (
     run_sweep,
 )
 from qpot.potentials import total_potential
-from qpot.propagate import EvolveConfig, ExperimentRecord, convergence_report, evolve
+from qpot.propagate import (
+    EvolveConfig,
+    ExperimentRecord,
+    _in_lanes,
+    convergence_report,
+    evolve,
+)
+
+
+def fails_at_2um(grid, params, spec=DEFAULT_PROFILE):
+    """engineered_packet, but raising ConstructionError at z0 = 2.0 um."""
+    if abs(params.z0 - 2.0e-6) < 1e-12:
+        raise ConstructionError("synthetic failure")
+    return real_engineered_packet(grid, params, spec)
+
 
 def fake_record(times, absorbed):
     times = np.asarray(times, dtype=float)
@@ -116,12 +130,13 @@ class TestSweepSpec:
 class TestResolveWorkers:
     def test_argument_wins(self):
         assert resolve_workers(2) == 2
-        assert resolve_workers("2") == 2
 
     def test_default_at_least_one(self):
-        assert resolve_workers() >= 1
+        # the default leaves _in_lanes its one lane per core, at least one
+        assert resolve_workers() is None
+        assert _in_lanes(str, [1, 2, 3], resolve_workers()) == ["1", "2", "3"]
 
-    @pytest.mark.parametrize("workers", [0, -3, "abc", 2.7, [2]])
+    @pytest.mark.parametrize("workers", [0, -3, "abc", 2.7, [2], "2"])
     def test_rejects_non_positive_or_non_integer(self, workers):
         with pytest.raises(ConfigError, match=re.escape(repr(workers))):
             resolve_workers(workers)
@@ -207,12 +222,7 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failed_point_marked_and_sweep_continues(self, monkeypatch, workers):
-        def flaky(grid, params, spec=DEFAULT_PROFILE):
-            if abs(params.z0 - 2.0e-6) < 1e-12:
-                raise ConstructionError("synthetic failure")
-            return real_engineered_packet(grid, params, spec)
-
-        monkeypatch.setattr("qpot.experiments.engineered_packet", flaky)
+        monkeypatch.setattr("qpot.experiments.engineered_packet", fails_at_2um)
         params = PhysicalParams()
         cfg = EvolveConfig(dt=2e-7, t_final=2e-5)
         spec = SweepSpec(z0_values=(2.3e-6, 2.0e-6), t_average_window=2e-5)
@@ -223,6 +233,22 @@ class TestRunSweep:
         assert rows[0].averaged_ratio is None
         assert not rows[1].failed
         assert rows[1].averaged_ratio is not None
+
+    def test_failed_packet_spares_its_partner_the_evolve(self, monkeypatch):
+        evolved = []
+
+        def counted(*args):
+            evolved.append(args[2].z0)
+            return evolve(*args)
+
+        monkeypatch.setattr("qpot.experiments.engineered_packet", fails_at_2um)
+        monkeypatch.setattr("qpot.experiments.evolve", counted)
+        cfg = EvolveConfig(dt=2e-7, t_final=2e-5)
+        spec = SweepSpec(z0_values=(2.3e-6, 2.0e-6), t_average_window=2e-5)
+        rows = run_sweep(PhysicalParams(), spec, config=cfg, workers=1)
+        # the 2.0 um point's engineered packet fails first; its Gaussian is skipped
+        assert evolved == [2.3e-6, 2.3e-6]
+        assert rows[0].error == "ConstructionError: synthetic failure"
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_programming_error_propagates(self, monkeypatch, workers):

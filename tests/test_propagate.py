@@ -465,11 +465,7 @@ class TestConvergenceReport:
         assert len(rep.dt_rows) == 3
         assert len(rep.dz_rows) == 3
         assert [n for _, n, _ in rep.dz_rows] == [513, 1025, 2049]
-        assert len(rep.dt_orders) == 1
-        assert len(rep.dz_orders) == 1
         assert all(0.0 < f < 1.0 for _, f in rep.dt_rows)
         assert all(0.0 < f < 1.0 for _, _, f in rep.dz_rows)
-        assert np.isfinite(rep.dt_order()) or rep.dt_orders[0][2]
         assert rep.dt_halving_change >= 0.0
         assert rep.dz_halving_change >= 0.0
-        assert isinstance(rep.dt_orders[0][2], bool)
