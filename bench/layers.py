@@ -31,16 +31,17 @@ and the machine (perfbench's `environment`) are stored next to it.
   through its `capture`.
 - L3: `run_comparison_s` over 2 ms with a 2 ms window;
   `run_fitted_control_s` (default pairing) and `run_preparation_study_s`
-  (default four slopes) over 0.2 ms; `convergence_report_s`, the
-  engineered packet over 0.2 ms on a dt ladder of 0.4, 0.2 and 0.1 us and
-  one dz refinement (4096 and 8191 points); `run_sweep_1w_s` and
+  (default four slopes) over 0.2 ms; `convergence_report_s`,
+  `qpot.experiments.convergence_report` of the engineered packet over
+  0.2 ms on a dt ladder of 0.4, 0.2 and 0.1 us and one dz refinement (4096
+  and 8191 points); `run_sweep_1w_s` and
   `run_sweep_2w_s` on perfbench's sweep points (six z0, 0.2 ms) with 1
   and 2 lanes.
 - L4: wall time and peak memory of `qpot compare`, the `qpot sweep` on
   2 lanes and the snapshots `qpot evolve`, run as perfbench's production
   configs (z0 = 3 um where the command takes one) in `.bench_build/layers/`
   by perfbench's `launch.run`, which sums peak memory over the process tree
-  as perfbench does; `cli_import_s`, the start-up every command pays: a
+  as perfbench does, with each PYTHONPATH entry made absolute; `cli_import_s`, the start-up every command pays: a
   fresh `python -c "import qpot.cli"`; and `tier1_s`, one run of the
   Tier-1 suite (`pytest` over `tests/`) per checkout, after the rounds.
 
@@ -54,11 +55,13 @@ One checkout took 4 m 13 s at the default 5 repeats on a 2-vCPU host.
 With `--baseline DIR` (another checkout, such as the parent commit) the
 same figures are measured for DIR too, by this file with DIR's `src/` on
 the path, and written to `BENCH_<DIR's describe>.json` at this checkout's
-root; so DIR must offer the qpot functions this file calls. In each round
-the two sides run each group back to back, the side that goes first
-alternating from round to round, so a drift of the host's speed, which on
-a shared 2-vCPU host is often larger than the change being measured, falls
-on both sides alike. Each file also gets `ratio_to_alternate`: per figure,
+root; so DIR must offer the qpot functions this file calls, in the
+modules it imports them from (`convergence_report` from
+`qpot.experiments`, `write_csv` from `qpot.io`), and a checkout from before
+those moves cannot be measured. In each round the two sides run each group
+back to back, the side that goes first alternating from round to round, so
+a drift of the host's speed, which on a shared 2-vCPU host is often larger
+than the change being measured, falls on both sides alike. Each file also gets `ratio_to_alternate`: per figure,
 the median and quartiles of the paired ratios, the file's k-th sample over
 the other side's, and `resolved`: false, printed as "unresolved", when
 either side's samples spread, (q3 - q1) / median, by more than MAX_SPREAD
@@ -128,7 +131,11 @@ def cli(name):
     try:
         (cwd / "run.cfg").write_text(spec.config_text(Z0_UM), encoding="utf-8")
         argv = [sys.executable, "-m", "qpot.cli"] + spec.cli_args("run.cfg", "out")
-        proc = launch.run(argv, cwd, os.environ)
+        # qpot runs in cwd, where a relative PYTHONPATH entry would not find it
+        path = os.environ.get("PYTHONPATH", "").split(os.pathsep)
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(os.path.abspath(p) for p in path if p)}
+        proc = launch.run(argv, cwd, env)
     finally:
         shutil.rmtree(cwd, ignore_errors=True)
     if proc.returncode != 0:
@@ -145,20 +152,14 @@ def inner(layer):
     from qpot.engineering import engineered_packet
     from qpot.experiments import (
         SweepSpec,
+        convergence_report,
         run_comparison,
         run_fitted_control,
         run_preparation_study,
         run_sweep,
     )
     from qpot.io import begin_snapshots_csv, write_csv, write_snapshot_rows
-    from qpot.potentials import total_potential
-    from qpot.propagate import (
-        CrankNicolson,
-        EvolveConfig,
-        convergence_report,
-        evolve,
-        zgttrs,
-    )
+    from qpot.propagate import CrankNicolson, EvolveConfig, evolve, zgttrs
 
     params, grid, pot = _case()
     if layer == "factor":  # before any packet: the process's first factorization
@@ -228,9 +229,8 @@ def inner(layer):
         "run_preparation_study_s": lambda: run_preparation_study(
             params, grid=grid, config=short, t_window=2e-4),
         "convergence_report_s": lambda: convergence_report(
-            lambda g: engineered_packet(g, params),
-            lambda g: total_potential(g, params), params, t_final=2e-4,
-            base_grid=grid, dt_ladder=(4e-7, 2e-7, 1e-7), n_refinements=1),
+            params, t_final=2e-4, base_grid=grid, dt_ladder=(4e-7, 2e-7, 1e-7),
+            n_refinements=1),
         "run_sweep_1w_s": lambda: run_sweep(
             PhysicalParams(), spec, config=sweep_config, workers=1),
         "run_sweep_2w_s": lambda: run_sweep(

@@ -25,19 +25,20 @@ from . import config as cfgmod
 from . import io as iomod
 from .bohmian import weighted_fields
 from .core import DEFAULT_DELTA
-from .engineering import (ProfileSpec, engineered_packet, gaussian_packet,
-                          profile_on_grid)
+from .engineering import ProfileSpec, engineered_packet, profile_on_grid
 from .errors import ConfigError, QpotError
 from .experiments import (
     FITTED_GAUSSIAN,
+    PACKETS,
     RATIO_FLOOR,
+    convergence_report,
     run_comparison,
     run_fitted_control,
     run_preparation_study,
     run_sweep,
 )
 from .potentials import total_potential
-from .propagate import convergence_report, evolve
+from .propagate import evolve
 from .version import __version__
 
 
@@ -54,18 +55,12 @@ class _Output(NamedTuple):
     errors: tuple = ()  # stderr lines; any makes the command exit 1
 
 
-_PACKETS = {
-    "engineered": lambda grid, params: engineered_packet(grid, params),
-    "gaussian": lambda grid, params: gaussian_packet(grid, params.z0, params.sigma),
-}
-
-
-def _packet_maker(section):
-    """The section's packet name (default engineered) and its builder."""
+def _packet(section):
+    """The section's packet name (default engineered), a key of PACKETS."""
     name = section.get("packet", "engineered")
-    if name not in _PACKETS:
+    if name not in PACKETS:
         raise _UsageError(f"unknown packet {name!r}")
-    return name, _PACKETS[name]
+    return name
 
 
 def _settings(fn, section):
@@ -132,10 +127,10 @@ def cmd_fields(run):
 
 
 def cmd_evolve(run):
-    name, make = _packet_maker(run.section)
+    name = _packet(run.section)
     config = cfgmod.evolve_from(run.cfg)
     run.evolve = {**vars(config), "packet": name}
-    args = (make(run.grid, run.params), total_potential(run.grid, run.params),
+    args = (PACKETS[name](run.grid, run.params), total_potential(run.grid, run.params),
             run.params, config)
     record = _evolve_streaming(run, *args) if config.snapshot_stride else evolve(*args)
     absorbed = record.absorbed_fraction[-1]
@@ -235,14 +230,9 @@ def cmd_prepare(run):
 
 
 def cmd_converge(run):
-    name, make = _packet_maker(run.section)
-    run.converge = {**_settings(convergence_report, run.section), "packet": name}
-    kwargs = {k: v for k, v in run.converge.items() if k != "packet"}
-    report = convergence_report(
-        lambda grid: make(grid, run.params),
-        lambda grid: total_potential(grid, run.params),
-        run.params, base_grid=run.grid, **kwargs,
-    )
+    _packet(run.section)  # an unknown packet exits 2 here, as in qpot evolve
+    run.converge = _settings(convergence_report, run.section)
+    report = convergence_report(run.params, base_grid=run.grid, **run.converge)
     # the refinement ladders in long form, one row per run
     rows = [("dt", dt, "", f) for dt, f in report.dt_rows]
     rows += [("dz", dz, n, f) for dz, n, f in report.dz_rows]

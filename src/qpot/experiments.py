@@ -1,5 +1,6 @@
 """Absorption experiments: head-to-head packet comparisons, parameter
-sweeps, the fitted-Gaussian control and the phase-imprinting study.
+sweeps, the fitted-Gaussian control, the phase-imprinting study and the
+self-convergence ladder, with the lane scheduler they all run in.
 
 Every experiment evolves packets under the same potential stack (surface
 attraction + trap + absorbing ramp) and reports absorbed fractions. Ratios
@@ -9,11 +10,13 @@ over the retained times inside the averaging window.
 """
 
 import operator
+import os
+from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhysicalParams, default_grid, moments
+from .core import MAX_DEFAULT_POINTS, Grid1D, PhysicalParams, default_grid, moments
 from .engineering import (
     engineered_packet,
     gaussian_packet,
@@ -22,9 +25,44 @@ from .engineering import (
 )
 from .errors import ConfigError, QpotError
 from .potentials import total_potential
-from .propagate import EvolveConfig, _in_lanes, evolve
+from .propagate import EvolveConfig, evolve
 
 RATIO_FLOOR = 1e-12
+
+# name -> packet builder, looked up here at each call, so a patch or tracer sees it
+PACKETS = {
+    "engineered": lambda grid, params: engineered_packet(grid, params),
+    "gaussian": lambda grid, params: gaussian_packet(grid, params.z0, params.sigma),
+}
+
+
+def _in_lanes(fn, items, lanes=None):
+    """[fn(item) for item in items] on `lanes` lanes (default: one per core),
+    never more than items: this thread and lanes - 1 pool threads. Each lane
+    takes the next item of one shared iterator once it is free; the results
+    come back in item order. zgttrs and numpy's element-wise kernels release
+    the interpreter lock, so evolves step side by side, each bitwise the
+    serial call. A lane that raises drains the iterator, so that no lane
+    starts a further item, and its exception is raised unchanged once the
+    other lanes have finished the item they hold."""
+    results = [None] * len(items)
+    pending = enumerate(items)  # each next() is atomic under the interpreter lock
+
+    def lane():
+        try:
+            for k, item in pending:
+                results[k] = fn(item)
+        except BaseException:
+            list(pending)
+            raise
+
+    lanes = min(lanes or os.cpu_count() or 1, len(items))
+    with futures.ThreadPoolExecutor(max_workers=max(lanes - 1, 1)) as pool:
+        others = [pool.submit(lane) for _ in range(lanes - 1)]
+        lane()
+    for other in others:
+        other.result()
+    return results
 
 
 @dataclass(frozen=True)
@@ -66,14 +104,14 @@ class ComparisonResult:
     crossover_time: float | None
 
 
-def absorption_ratio_series(record_num, record_den, t_window=None):
+def absorption_ratio_series(record_num, record_den, t_window):
     """Ratio of absorbed fractions where both reach RATIO_FLOOR.
 
     Returns (times, ratios, averaged_ratio, crossover_time). The average is
-    taken over retained times <= t_window (the whole series when None); the
-    crossover is the first retained time where the ratio drops to 1 or
-    below, scanned over the full record. Both records must carry the same
-    times exactly, as two evolves under one EvolveConfig do.
+    taken over retained times <= t_window; the crossover is the first
+    retained time where the ratio drops to 1 or below, scanned over the full
+    record. Both records must carry the same times exactly, as two evolves
+    under one EvolveConfig do.
     """
     if not np.array_equal(record_num.times, record_den.times):
         raise ConfigError("records were not taken on matching time grids")
@@ -84,7 +122,7 @@ def absorption_ratio_series(record_num, record_den, t_window=None):
     r = a_num[keep] / a_den[keep]
     if t.size == 0:
         return t, r, None, None
-    in_window = t <= (t_window if t_window is not None else t[-1])
+    in_window = t <= t_window
     avg = float(np.mean(r[in_window])) if np.any(in_window) else None
     below = np.flatnonzero(r <= 1.0)
     crossover = float(t[below[0]]) if below.size else None
@@ -148,9 +186,8 @@ def _sweep_point(job):
     params, config, packet = job
     try:
         grid = default_grid(params)
-        psi = (engineered_packet(grid, params) if packet == "engineered"
-               else gaussian_packet(grid, params.z0, params.sigma))
-        return evolve(psi, total_potential(grid, params), params, config)
+        return evolve(PACKETS[packet](grid, params), total_potential(grid, params),
+                      params, config)
     except QpotError as exc:  # a failed point must not sink the sweep
         return exc
 
@@ -300,3 +337,76 @@ def run_preparation_study(params, slopes=None, grid=None, config=None,
             absorbed_imprinted=a_imp, absorbed_ideal=a_ideal, penalty=penalty,
         ))
     return rows
+
+
+def _first_order(values):
+    """log2 |d1 / d2| of the first refinement triplet: the observed order."""
+    if len(values) < 3:
+        return float("nan")
+    d1, d2 = values[0] - values[1], values[1] - values[2]
+    if d2 == 0:
+        return float("inf") if d1 else 0.0
+    return float(np.log2(abs(d1 / d2)))
+
+
+@dataclass
+class ConvergenceReport:
+    dt_rows: list  # (dt, absorbed_fraction)
+    dz_rows: list  # (dz, n_points, absorbed_fraction)
+
+    def dt_order(self):
+        return _first_order([f for _, f in self.dt_rows])
+
+    def dz_order(self):
+        return _first_order([f for _, _, f in self.dz_rows])
+
+    @property
+    def dt_halving_change(self):
+        """Relative change over the last halving of the dt ladder."""
+        (_, coarse), (_, fine) = self.dt_rows[-2:]
+        return abs(fine - coarse) / abs(fine)
+
+    @property
+    def dz_halving_change(self):
+        """Relative change over the first halving of dz, from the base grid."""
+        (_, _, base), (_, _, fine) = self.dz_rows[:2]
+        return abs(fine - base) / abs(fine)
+
+
+def convergence_report(params, packet="engineered", t_final=2e-3, base_grid=None,
+                       dt_ladder=(8e-7, 4e-7, 2e-7, 1e-7, 5e-8), n_refinements=2):
+    """Self-convergence of the absorbed fraction of PACKETS[packet] at t_final.
+
+    Each rung rebuilds the packet and the potential stack on its grid. The dt
+    ladder, each rung half the one before, runs on the base grid; the dz
+    ladder subdivides it n_refinements times at the finest production dt.
+    Every rung is built before the first evolve; the rungs run in lanes. The
+    dt ladder starts coarse, as temporal error at production time steps sits
+    very close to the double-precision floor of this observable.
+    """
+    if packet not in PACKETS:
+        raise ConfigError(f"unknown packet {packet!r}")
+    if len(dt_ladder) < 2 or n_refinements < 1:
+        raise ConfigError(f"a convergence ladder needs 2 or more dt rungs and "
+                          f"n_refinements >= 1, not {len(dt_ladder)} and {n_refinements}")
+    for coarse, dt in zip(dt_ladder, dt_ladder[1:]):
+        if abs(2 * dt - coarse) > 1e-9 * abs(coarse):
+            raise ConfigError(f"dt_ladder rung dt = {dt!r} s is not half of {coarse!r} s")
+    if base_grid is None:
+        base_grid = default_grid(params)
+    # every refinement from 20 on passes the bound, so 2**n_refinements stays small
+    n_finest = (base_grid.n_points - 1) * 2 ** min(n_refinements, 20) + 1
+    if n_finest > MAX_DEFAULT_POINTS:
+        raise ConfigError(f"n_refinements = {n_refinements} refines {base_grid.n_points} "
+                          f"grid points past {MAX_DEFAULT_POINTS}")
+    dz_dt = 1e-7 if min(dt_ladder) <= 1e-7 else min(dt_ladder)
+    grids = [Grid1D(z_max=base_grid.z_max, n_points=(base_grid.n_points - 1) * 2**k + 1,
+                    z_min=base_grid.z_min) for k in range(n_refinements + 1)]
+    rungs = [(base_grid, EvolveConfig(dt=dt, t_final=t_final)) for dt in dt_ladder]
+    rungs += [(g, EvolveConfig(dt=dz_dt, t_final=t_final)) for g in grids]
+    absorbed = _in_lanes(lambda rung: float(evolve(
+        PACKETS[packet](rung[0], params), total_potential(rung[0], params), params,
+        rung[1]).absorbed_fraction[-1]), rungs)
+    n_dt = len(dt_ladder)
+    dz_rows = [(g.dz, g.n_points, f) for g, f in zip(grids, absorbed[n_dt:])]
+    return ConvergenceReport(list(zip(dt_ladder, absorbed[:n_dt])), dz_rows)

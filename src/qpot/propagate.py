@@ -12,12 +12,10 @@ import importlib.util
 import math
 import os
 import sys
-from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_DEFAULT_POINTS, Grid1D, default_grid
 from .errors import ConfigError, GridError, NumericsError
 
 
@@ -156,103 +154,3 @@ def evolve(psi0, potential, params, config, capture=None):
             capture(k * config.dt, full_state())
 
     return ExperimentRecord(times=times, norms=norms, absorbed_fraction=1.0 - norms**2)
-
-
-def _in_lanes(fn, items, lanes=None):
-    """[fn(item) for item in items] on `lanes` lanes (default: one per core),
-    never more than items: this thread and lanes - 1 pool threads. Each lane
-    takes the next item of one shared iterator once it is free; the results
-    come back in item order. zgttrs and numpy's element-wise kernels release
-    the interpreter lock, so evolves step side by side, each bitwise the
-    serial call. A lane that raises drains the iterator, so that no lane
-    starts a further item, and its exception is raised unchanged once the
-    other lanes have finished the item they hold."""
-    results = [None] * len(items)
-    pending = enumerate(items)  # each next() is atomic under the interpreter lock
-
-    def lane():
-        try:
-            for k, item in pending:
-                results[k] = fn(item)
-        except BaseException:
-            list(pending)
-            raise
-
-    lanes = min(lanes or os.cpu_count() or 1, len(items))
-    with futures.ThreadPoolExecutor(max_workers=max(lanes - 1, 1)) as pool:
-        others = [pool.submit(lane) for _ in range(lanes - 1)]
-        lane()
-    for other in others:
-        other.result()
-    return results
-
-
-def _first_order(values):
-    """log2 |d1 / d2| of the first refinement triplet: the observed order."""
-    if len(values) < 3:
-        return float("nan")
-    d1, d2 = values[0] - values[1], values[1] - values[2]
-    if d2 == 0:
-        return float("inf") if d1 else 0.0
-    return float(np.log2(abs(d1 / d2)))
-
-
-@dataclass
-class ConvergenceReport:
-    dt_rows: list  # (dt, absorbed_fraction)
-    dz_rows: list  # (dz, n_points, absorbed_fraction)
-
-    def dt_order(self):
-        return _first_order([f for _, f in self.dt_rows])
-
-    def dz_order(self):
-        return _first_order([f for _, _, f in self.dz_rows])
-
-    @property
-    def dt_halving_change(self):
-        """Relative change over the last halving of the dt ladder."""
-        (_, coarse), (_, fine) = self.dt_rows[-2:]
-        return abs(fine - coarse) / abs(fine)
-
-    @property
-    def dz_halving_change(self):
-        """Relative change over the first halving of dz, from the base grid."""
-        (_, _, base), (_, _, fine) = self.dz_rows[:2]
-        return abs(fine - base) / abs(fine)
-
-
-def convergence_report(make_state, make_potential, params, t_final=2e-3,
-                       base_grid=None, dt_ladder=(8e-7, 4e-7, 2e-7, 1e-7, 5e-8),
-                       n_refinements=2):
-    """Self-convergence of the absorbed fraction at t_final.
-
-    make_state(grid) and make_potential(grid) rebuild the initial packet and
-    the potential on each refined grid. The dt ladder runs on the base grid;
-    the dz ladder subdivides the base grid n_refinements times at the finest
-    production dt. Every rung is built before the first evolve, and the rungs
-    run in lanes. Temporal error at production time steps sits very close to
-    the double-precision floor of this observable, which is why the dt ladder
-    starts coarse.
-    """
-    if base_grid is None:
-        base_grid = default_grid(params)
-    if len(dt_ladder) < 2 or n_refinements < 1:
-        raise ConfigError(f"a convergence ladder needs 2 or more dt rungs and "
-                          f"n_refinements >= 1, not {len(dt_ladder)} and {n_refinements}")
-    # every refinement from 20 on passes the bound, so 2**n_refinements stays small
-    n_finest = (base_grid.n_points - 1) * 2 ** min(n_refinements, 20) + 1
-    if n_finest > MAX_DEFAULT_POINTS:
-        raise ConfigError(f"n_refinements = {n_refinements} refines {base_grid.n_points} "
-                          f"grid points past {MAX_DEFAULT_POINTS}")
-    dz_dt = 1e-7 if min(dt_ladder) <= 1e-7 else min(dt_ladder)
-    grids = [Grid1D(z_max=base_grid.z_max, n_points=(base_grid.n_points - 1) * 2**k + 1,
-                    z_min=base_grid.z_min) for k in range(n_refinements + 1)]
-    rungs = [(base_grid, EvolveConfig(dt=dt, t_final=t_final)) for dt in dt_ladder]
-    rungs += [(g, EvolveConfig(dt=dz_dt, t_final=t_final)) for g in grids]
-    absorbed = _in_lanes(lambda rung: float(evolve(
-        make_state(rung[0]), make_potential(rung[0]), params, rung[1]
-    ).absorbed_fraction[-1]), rungs)
-    dt_vals, dz_vals = absorbed[:len(dt_ladder)], absorbed[len(dt_ladder):]
-    dt_rows = list(zip(dt_ladder, dt_vals))
-    dz_rows = [(g.dz, g.n_points, f) for g, f in zip(grids, dz_vals)]
-    return ConvergenceReport(dt_rows, dz_rows)

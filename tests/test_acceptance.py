@@ -35,13 +35,14 @@ from qpot.engineering import (
 )
 from qpot.experiments import (
     SweepSpec,
+    convergence_report,
     run_comparison,
     run_fitted_control,
     run_preparation_study,
     run_sweep,
 )
 from qpot.potentials import total_potential
-from qpot.propagate import CrankNicolson, EvolveConfig, convergence_report, evolve
+from qpot.propagate import CrankNicolson, EvolveConfig, evolve
 
 
 def report(num, ok, detail):
@@ -198,15 +199,9 @@ def test_criterion_4_absorbed_fraction_self_convergence():
     at the comparison point z0 = 3 um, sigma = 1 um."""
     params = PhysicalParams(z0=3.0e-6, sigma=1.0e-6)
 
-    def make_state(grid):
-        return engineered_packet(grid, params)
-
-    def make_potential(grid):
-        return total_potential(grid, params)
-
     # halving changes at production resolution; the dt ladder is coarse-led
     # by design, so its first triplet also gives a usable dt order
-    rep = convergence_report(make_state, make_potential, params)
+    rep = convergence_report(params)
     dt_order = rep.dt_order()
 
     # The potential's slope jumps at the absorber edge z = delta. Sampling
@@ -217,8 +212,6 @@ def test_criterion_4_absorbed_fraction_self_convergence():
     # that keep delta on a grid point at every rung (delta/dz = 18, 36, 72)
     # so the ladder sees only the scheme's own truncation error.
     rep_dz = convergence_report(
-        make_state,
-        make_potential,
         params,
         base_grid=Grid1D(z_max=10e-6, n_points=1201),
         dt_ladder=(8e-7, 4e-7),

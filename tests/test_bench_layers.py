@@ -48,6 +48,19 @@ def test_cli_import_layer():
     assert value > 0
 
 
+def test_cli_layer_with_a_relative_pythonpath():
+    # the command runs in a directory of its own, not the checkout root
+    root = LAYERS.parents[1]
+    env = {**os.environ, "PYTHONPATH": "src"}
+    proc = subprocess.run([sys.executable, "bench/layers.py", "--sample", "cli_sweep"],
+                          cwd=root, capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    figures = json.loads(proc.stdout.splitlines()[-1])
+    assert list(figures) == ["cli_sweep_wall_s", "cli_sweep_peak_rss_mb"]
+    assert figures["cli_sweep_wall_s"][0] > 0
+    assert figures["cli_sweep_peak_rss_mb"][0] > 0
+
+
 def test_ratio_needs_five_pairs_to_resolve():
     # in a child, since importing bench/layers.py puts perfbench on sys.path
     code = ("import json, sys; sys.path.insert(0, sys.argv[1]); import layers\n"

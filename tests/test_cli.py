@@ -455,6 +455,7 @@ class TestConverge:
         ("n_refinements = -1", "needs 2 or more dt rungs"),
         ("n_refinements = 40", "past 1048576"),  # 512 * 2**40 + 1 points
         ("dt_ladder = 1us, 0.3us", "dt = 3e-07"),
+        ("dt_ladder = 1us, 0.25us", "dt_ladder"),
     ])
     def test_bad_ladder_exits_1_before_any_evolve(self, tmp_path, capsys,
                                                   monkeypatch, line, fragment):
@@ -464,8 +465,8 @@ class TestConverge:
             assert kwargs["n_points"] <= 2**20, "an oversized grid was built"
             return Grid1D(**kwargs)
 
-        monkeypatch.setattr("qpot.propagate.Grid1D", bounded)
-        monkeypatch.setattr("qpot.propagate.evolve",
+        monkeypatch.setattr("qpot.experiments.Grid1D", bounded)
+        monkeypatch.setattr("qpot.experiments.evolve",
                             lambda *args: evolved.append(args))
         code, out = run(tmp_path, ["converge"], "[grid]\nn_points = 513\n\n"
                         f"[converge]\npacket = gaussian\nt_final = 20us\n{line}\n")
@@ -592,7 +593,7 @@ CHANGED = {
     "prepare": {"slopes": "3e4", "slope_z0_values": "0.1", "t_window": "2us"},
     "fields": {"support_cut": "1e-3"},
     "profile": {"use_abs": "true"},
-    "converge": {"t_final": "4us", "dt_ladder": "1us, 0.25us",
+    "converge": {"t_final": "4us", "dt_ladder": "0.5us, 0.25us",
                  "n_refinements": "2", "packet": "engineered"},
 }
 CHANGED_IN_CASE = {("fitted auto_fit", "fitted", "auto_fit"): "false"}

@@ -26,7 +26,9 @@ from qpot.errors import (
 from qpot.experiments import (
     ComparisonResult,
     SweepSpec,
+    _in_lanes,
     absorption_ratio_series,
+    convergence_report,
     resolve_workers,
     run_comparison,
     run_fitted_control,
@@ -34,13 +36,7 @@ from qpot.experiments import (
     run_sweep,
 )
 from qpot.potentials import total_potential
-from qpot.propagate import (
-    EvolveConfig,
-    ExperimentRecord,
-    _in_lanes,
-    convergence_report,
-    evolve,
-)
+from qpot.propagate import EvolveConfig, ExperimentRecord, evolve
 
 
 def fails_at_2um(grid, params, spec=DEFAULT_PROFILE):
@@ -60,7 +56,7 @@ def fake_record(times, absorbed):
 class TestAbsorptionRatioSeries:
     def test_record_against_itself_is_unity(self):
         rec = fake_record([0, 1e-4, 2e-4, 3e-4], [0, 1e-6, 4e-6, 9e-6])
-        t, r, avg, cross = absorption_ratio_series(rec, rec)
+        t, r, avg, cross = absorption_ratio_series(rec, rec, t_window=np.inf)
         assert np.all(r == 1.0)
         assert avg == 1.0
         # a ratio pinned at 1 counts as crossed from the first retained time
@@ -69,7 +65,7 @@ class TestAbsorptionRatioSeries:
     def test_floor_masks_early_times(self):
         num = fake_record([0, 1, 2, 3], [0.0, 1e-15, 1e-6, 2e-6])
         den = fake_record([0, 1, 2, 3], [0.0, 1e-13, 1e-8, 1e-8])
-        t, r, avg, cross = absorption_ratio_series(num, den)
+        t, r, avg, cross = absorption_ratio_series(num, den, t_window=np.inf)
         assert list(t) == [2.0, 3.0]
         assert r == pytest.approx([100.0, 200.0])
         assert avg == pytest.approx(150.0)
@@ -78,7 +74,7 @@ class TestAbsorptionRatioSeries:
     def test_both_zero_gives_empty_series(self):
         num = fake_record([0, 1, 2], [0.0, 0.0, 0.0])
         den = fake_record([0, 1, 2], [0.0, 0.0, 0.0])
-        t, r, avg, cross = absorption_ratio_series(num, den)
+        t, r, avg, cross = absorption_ratio_series(num, den, t_window=np.inf)
         assert t.size == 0
         assert r.size == 0
         assert avg is None
@@ -94,7 +90,7 @@ class TestAbsorptionRatioSeries:
             num = fake_record(num_times, absorbed[:len(num_times)])
             den = fake_record(den_times, absorbed[:len(den_times)])
             with pytest.raises(ConfigError):
-                absorption_ratio_series(num, den)
+                absorption_ratio_series(num, den, t_window=np.inf)
 
     def test_window_limits_average_but_not_crossover(self):
         times = [0, 1.0, 2.0, 3.0, 4.0]
@@ -689,19 +685,14 @@ class TestConvergenceLadder:
     BASE = Grid1D(z_max=1.5e-6, n_points=257)
     T_FINAL = 2e-5
 
-    def make_state(self, grid):
-        return gaussian_packet(grid, self.PARAMS.z0, self.PARAMS.sigma)
-
-    def make_potential(self, grid):
-        return total_potential(grid, self.PARAMS)
-
     def report(self, **kwargs):
-        return convergence_report(self.make_state, self.make_potential, self.PARAMS,
-                                  t_final=self.T_FINAL, base_grid=self.BASE, **kwargs)
+        return convergence_report(self.PARAMS, packet="gaussian", t_final=self.T_FINAL,
+                                  base_grid=self.BASE, **kwargs)
 
     def absorbed(self, grid, dt):
         config = EvolveConfig(dt=dt, t_final=self.T_FINAL)
-        return float(evolve(self.make_state(grid), self.make_potential(grid),
+        psi = gaussian_packet(grid, self.PARAMS.z0, self.PARAMS.sigma)
+        return float(evolve(psi, total_potential(grid, self.PARAMS),
                             self.PARAMS, config).absorbed_fraction[-1])
 
     @pytest.fixture
@@ -712,7 +703,7 @@ class TestConvergenceLadder:
             calls.append(args)
             return evolve(*args)
 
-        monkeypatch.setattr("qpot.propagate.evolve", counted)
+        monkeypatch.setattr("qpot.experiments.evolve", counted)
         return calls
 
     def test_rows_match_serial_evolves(self, evolved):
@@ -730,6 +721,22 @@ class TestConvergenceLadder:
             self.report(dt_ladder=(1e-6, 5e-7, 3e-7))
         assert evolved == []
 
+    def test_quartering_ladder_rejected_before_any_evolve(self, evolved):
+        # log2 |d1/d2| and the last halving change assume each rung halves
+        with pytest.raises(ConfigError, match=r"dt_ladder rung dt = 2e-07 s"):
+            self.report(dt_ladder=(8e-7, 2e-7, 1e-7))
+        assert evolved == []
+
+    def test_unknown_packet_rejected_before_any_grid(self, monkeypatch, evolved):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr("qpot.experiments.Grid1D", no_grid)
+        monkeypatch.setattr("qpot.experiments.default_grid", no_grid)
+        with pytest.raises(ConfigError, match="unknown packet 'sine'"):
+            convergence_report(self.PARAMS, packet="sine")
+        assert evolved == []
+
     @pytest.mark.parametrize("kwargs", [{"dt_ladder": (1e-6,)}, {"n_refinements": 0},
                                         {"n_refinements": -1}])
     def test_short_ladder_rejected_before_any_evolve(self, evolved, kwargs):
@@ -743,7 +750,24 @@ class TestConvergenceLadder:
             assert kwargs["n_points"] <= 2**20, "an oversized grid was built"
             return Grid1D(**kwargs)
 
-        monkeypatch.setattr("qpot.propagate.Grid1D", bounded)
+        monkeypatch.setattr("qpot.experiments.Grid1D", bounded)
         with pytest.raises(ConfigError, match="past 1048576"):
             self.report(n_refinements=40)
         assert evolved == []
+
+
+class TestConvergenceReport:
+    def test_small_ladder_shape(self):
+        params = PhysicalParams(z0=1.5e-6, sigma=0.3e-6)
+        base = Grid1D(z_max=10e-6, n_points=513)
+        rep = convergence_report(params, packet="gaussian",
+                                 t_final=1e-4, base_grid=base,
+                                 dt_ladder=(8e-7, 4e-7, 2e-7),
+                                 n_refinements=2)
+        assert len(rep.dt_rows) == 3
+        assert len(rep.dz_rows) == 3
+        assert [n for _, n, _ in rep.dz_rows] == [513, 1025, 2049]
+        assert all(0.0 < f < 1.0 for _, f in rep.dt_rows)
+        assert all(0.0 < f < 1.0 for _, _, f in rep.dz_rows)
+        assert rep.dt_halving_change >= 0.0
+        assert rep.dz_halving_change >= 0.0

@@ -117,6 +117,26 @@ def test_missing_lapack_module_is_an_import_error(tmp_path):
                                            "scipy.linalg._flapack")
 
 
+# Each module imports only modules before it: the propagator knows no packet
+# or study, and every study sits below the config, io and cli layers.
+LAYER_ORDER = ("errors", "version", "core", "propagate", "potentials", "engineering",
+               "bohmian", "experiments", "config", "io", "cli")
+
+
+def test_modules_import_only_earlier_layers():
+    assert sorted(p.stem for p in SRC.glob("*.py")) == sorted(LAYER_ORDER + ("__init__",))
+    later = []
+    for rank, module in enumerate(LAYER_ORDER):
+        tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+                continue
+            names = [node.module] if node.module else [a.name for a in node.names]
+            later += [f"{module} imports {name}" for name in names
+                      if name not in LAYER_ORDER[:rank]]
+    assert later == []
+
+
 def test_every_public_name_has_a_caller_in_src():
     """A public top-level def or class of src/qpot is referenced, as a name,
     an attribute or an imported name, from a module of the package other

@@ -11,12 +11,7 @@ from qpot.core import Grid1D, PhysicalParams, default_grid, moments
 from qpot.engineering import gaussian_packet
 from qpot.errors import ConfigError, GridError, NumericsError
 from qpot.potentials import ComplexPotential, total_potential
-from qpot.propagate import (
-    CrankNicolson,
-    EvolveConfig,
-    convergence_report,
-    evolve,
-)
+from qpot.propagate import CrankNicolson, EvolveConfig, evolve
 
 HBAR = 1.054571817e-34
 
@@ -445,27 +440,3 @@ class TestSnapshots:
         dead = psi.with_values(np.zeros_like(psi.values))
         with pytest.raises(NumericsError):
             evolve(dead, free_potential(grid), params, EvolveConfig(t_final=1e-7))
-
-
-class TestConvergenceReport:
-    def test_small_ladder_shape(self):
-        params = PhysicalParams(z0=1.5e-6, sigma=0.3e-6)
-        base = Grid1D(z_max=10e-6, n_points=513)
-
-        def make_state(grid):
-            return gaussian_packet(grid, 1.5e-6, 0.3e-6)
-
-        def make_potential(grid):
-            return total_potential(grid, params, include_trap=False)
-
-        rep = convergence_report(make_state, make_potential, params,
-                                 t_final=1e-4, base_grid=base,
-                                 dt_ladder=(8e-7, 4e-7, 2e-7),
-                                 n_refinements=2)
-        assert len(rep.dt_rows) == 3
-        assert len(rep.dz_rows) == 3
-        assert [n for _, n, _ in rep.dz_rows] == [513, 1025, 2049]
-        assert all(0.0 < f < 1.0 for _, f in rep.dt_rows)
-        assert all(0.0 < f < 1.0 for _, _, f in rep.dz_rows)
-        assert rep.dt_halving_change >= 0.0
-        assert rep.dz_halving_change >= 0.0
