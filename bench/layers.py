@@ -41,9 +41,11 @@ and the machine (perfbench's `environment`) are stored next to it.
   2 lanes and the snapshots `qpot evolve`, run as perfbench's production
   configs (z0 = 3 um where the command takes one) in `.bench_build/layers/`
   by perfbench's `launch.run`, which sums peak memory over the process tree
-  as perfbench does, with each PYTHONPATH entry made absolute; `cli_import_s`, the start-up every command pays: a
-  fresh `python -c "import qpot.cli"`; and `tier1_s`, one run of the
-  Tier-1 suite (`pytest` over `tests/`) per checkout, after the rounds.
+  as perfbench does, with each PYTHONPATH entry made absolute;
+  `cli_import_s` and `cli_import_peak_rss_mb`, the start-up time and the
+  memory floor every command pays: a fresh `python -c "import qpot.cli"`
+  run the same way; and `tier1_s`, one run of the Tier-1 suite (`pytest`
+  over `tests/`) per checkout, after the rounds.
 
 Every other figure is sampled in rounds: a round runs each group of
 SAMPLES once, in a fresh child process (`--sample NAME`) with perfbench's
@@ -119,18 +121,19 @@ def _case():
 
 
 def cli(name):
-    """One sample of the L4 group `name`: the import of `qpot.cli`, or the
-    perfbench production run cli_<workload> through perfbench's launcher."""
-    if name == "cli_import_s":
-        return {name: (_seconds(lambda: subprocess.run(
-            [sys.executable, "-c", "import qpot.cli"], check=True)), "s")}
-    spec = workloads.PRODUCTION[name.removeprefix("cli_")]
+    """One sample of the L4 group `name`, run by perfbench's launcher in a
+    directory of its own: `cli_import_s`, the import of `qpot.cli`, or the
+    perfbench production run cli_<workload>; its wall time and peak memory."""
     work = ROOT / ".bench_build" / "layers"
     work.mkdir(parents=True, exist_ok=True)
     cwd = Path(tempfile.mkdtemp(prefix=f"{name}-", dir=work))
     try:
-        (cwd / "run.cfg").write_text(spec.config_text(Z0_UM), encoding="utf-8")
-        argv = [sys.executable, "-m", "qpot.cli"] + spec.cli_args("run.cfg", "out")
+        if name == "cli_import_s":
+            argv = [sys.executable, "-c", "import qpot.cli"]
+        else:
+            spec = workloads.PRODUCTION[name.removeprefix("cli_")]
+            (cwd / "run.cfg").write_text(spec.config_text(Z0_UM), encoding="utf-8")
+            argv = [sys.executable, "-m", "qpot.cli"] + spec.cli_args("run.cfg", "out")
         # qpot runs in cwd, where a relative PYTHONPATH entry would not find it
         path = os.environ.get("PYTHONPATH", "").split(os.pathsep)
         env = {**os.environ,
@@ -139,9 +142,10 @@ def cli(name):
     finally:
         shutil.rmtree(cwd, ignore_errors=True)
     if proc.returncode != 0:
-        raise SystemExit(f"qpot {spec.command} failed: {proc.stderr}")
-    return {f"{name}_wall_s": (proc.wall_s, "s"),
-            f"{name}_peak_rss_mb": (proc.peak_rss_mb, "MB")}
+        raise SystemExit(f"{' '.join(argv[1:])} failed: {proc.stderr}")
+    wall = name if name == "cli_import_s" else f"{name}_wall_s"
+    return {wall: (proc.wall_s, "s"),
+            f"{name.removesuffix('_s')}_peak_rss_mb": (proc.peak_rss_mb, "MB")}
 
 
 def inner(layer):

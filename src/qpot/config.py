@@ -7,6 +7,7 @@ or comma-separated lists of any of these. ``#`` starts a comment. Unknown
 sections and unknown keys are errors rather than silent no-ops.
 """
 
+import math
 import re
 
 from .core import Grid1D, PhysicalParams, default_grid
@@ -14,9 +15,9 @@ from .errors import ConfigError
 from .experiments import SweepSpec
 from .propagate import EvolveConfig
 
-_UNIT_FACTORS = {"rad/s": 1.0, "nm": 1e-9, "um": 1e-6, "mm": 1e-3, "ns": 1e-9,
-                 "us": 1e-6, "ms": 1e-3, "kg": 1.0, "Hz": 1.0, "m": 1.0, "s": 1.0,
-                 "J": 1.0}
+_UNIT_FACTORS = {"": 1.0, "rad/s": 1.0, "nm": 1e-9, "um": 1e-6, "mm": 1e-3,
+                 "ns": 1e-9, "us": 1e-6, "ms": 1e-3, "kg": 1.0, "Hz": 1.0, "m": 1.0,
+                 "s": 1.0, "J": 1.0}  # "": a bare number, already SI
 
 _NUMBER = re.compile(
     r"^\s*([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*([A-Za-z/]*)\s*$"
@@ -24,17 +25,18 @@ _NUMBER = re.compile(
 
 
 def parse_quantity(text):
-    """A number with an optional SI unit suffix, returned in base SI."""
+    """A number with an optional SI unit suffix, returned in base SI; one that
+    overflows a double is rejected."""
     m = _NUMBER.match(text)
     if not m:
         raise ConfigError(f"cannot parse quantity {text!r}")
-    value = float(m.group(1))
-    suffix = m.group(2)
-    if not suffix:
-        return value
+    value, suffix = float(m.group(1)), m.group(2)
     if suffix not in _UNIT_FACTORS:
         raise ConfigError(f"unknown unit suffix {suffix!r} in {text!r}")
-    return value * _UNIT_FACTORS[suffix]
+    value *= _UNIT_FACTORS[suffix]
+    if math.isinf(value):
+        raise ConfigError(f"quantity {text!r} overflows a double")
+    return value
 
 
 def parse_bool(text):

@@ -18,7 +18,7 @@ DEFAULT_MASS = 1.44e-25  # kg
 DEFAULT_C4 = 9.1e-56  # J m^4
 DEFAULT_DELTA = 0.15e-6  # m
 DEFAULT_Z_MAX, DEFAULT_POINTS = 10e-6, 4096  # default_grid's box: 10 um, 4096 points
-MAX_DEFAULT_POINTS = 2**20  # largest box default_grid widens to
+MAX_DEFAULT_POINTS = 2**20  # most points of any grid, and so of default_grid's box
 POINTS_PER_CYCLE = 10  # resolves_profile's points per profile cycle
 
 
@@ -99,8 +99,9 @@ class Grid1D:
     z: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n_points < 2:
-            raise GridError(f"need at least 2 grid points, got {self.n_points}")
+        if not 2 <= self.n_points <= MAX_DEFAULT_POINTS:
+            raise GridError(f"need 2 to {MAX_DEFAULT_POINTS} grid points, "
+                            f"got {self.n_points}")
         if self.z_max <= self.z_min:
             raise GridError(f"z_max = {self.z_max} must exceed z_min = {self.z_min}")
         pts = np.linspace(self.z_min, self.z_max, self.n_points)

@@ -11,7 +11,7 @@ over the retained times inside the averaging window.
 
 import operator
 import os
-from concurrent import futures
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,30 +38,34 @@ PACKETS = {
 
 def _in_lanes(fn, items, lanes=None):
     """[fn(item) for item in items] on `lanes` lanes (default: one per core),
-    never more than items: this thread and lanes - 1 pool threads. Each lane
+    never more than items: this thread and lanes - 1 bare threads. Each lane
     takes the next item of one shared iterator once it is free; the results
     come back in item order. zgttrs and numpy's element-wise kernels release
     the interpreter lock, so evolves step side by side, each bitwise the
     serial call. A lane that raises drains the iterator, so that no lane
-    starts a further item, and its exception is raised unchanged once the
-    other lanes have finished the item they hold."""
+    starts a further item, and the first exception raised is raised
+    unchanged once the other lanes have finished the item they hold."""
     results = [None] * len(items)
     pending = enumerate(items)  # each next() is atomic under the interpreter lock
+    raised = []
 
     def lane():
         try:
             for k, item in pending:
                 results[k] = fn(item)
-        except BaseException:
+        except BaseException as exc:
             list(pending)
-            raise
+            raised.append(exc)
 
     lanes = min(lanes or os.cpu_count() or 1, len(items))
-    with futures.ThreadPoolExecutor(max_workers=max(lanes - 1, 1)) as pool:
-        others = [pool.submit(lane) for _ in range(lanes - 1)]
-        lane()
+    others = [threading.Thread(target=lane) for _ in range(lanes - 1)]
     for other in others:
-        other.result()
+        other.start()
+    lane()
+    for other in others:
+        other.join()
+    if raised:
+        raise raised[0]
     return results
 
 

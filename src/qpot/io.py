@@ -4,8 +4,8 @@ All files are comma-separated with a header row and '.' decimals. Floats
 are written with repr so the text is deterministic and round-trips to the
 exact double; identical inputs produce byte-identical files no matter how
 many workers computed the rows. Each command declares its table, a header
-and its columns; write_csv formats each column once and streams the rows
-one block at a time, so no file is ever held in memory whole.
+and its columns; write_csv and the snapshot writer format and write the
+rows one block at a time, so no file or capture is ever held as text whole.
 """
 
 from itertools import chain, repeat
@@ -59,9 +59,12 @@ def begin_snapshots_csv(fh, z):
 
 
 def write_snapshot_rows(fh, z_cells, t, psi):
-    """Append one capture as t_s, z_m, density = |psi|^2 rows, in one write."""
-    rows = zip(repeat(_cell(t) + ","), z_cells, _cells(np.abs(psi) ** 2), repeat("\n"))
-    fh.write("".join(chain.from_iterable(rows)))
+    """Append one capture as t_s, z_m, density = |psi|^2 rows, _BLOCK_ROWS per write."""
+    t_cell, density = _cell(t) + ",", np.abs(psi) ** 2
+    for start in range(0, len(density), _BLOCK_ROWS):
+        rows = zip(repeat(t_cell), z_cells[start:start + _BLOCK_ROWS],
+                   _cells(density[start:start + _BLOCK_ROWS]), repeat("\n"))
+        fh.write("".join(chain.from_iterable(rows)))
 
 
 def write_manifest(path, cfg_text, extra):

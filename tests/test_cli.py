@@ -136,6 +136,22 @@ class TestErrors:
         assert "z0 + 6 sigma" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", ["[evolve]\nt_final = 1e400\n",
+                                      "[params]\nz0 = 1e400um\n"])
+    def test_quantity_overflowing_a_double_exits_1(self, tmp_path, capsys, text):
+        code, out = run(tmp_path, ["evolve"], text)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: line 2: quantity '1e400")
+        assert not out.exists()
+
+    def test_grid_over_the_point_cap_exits_1(self, tmp_path, capsys):
+        # rejected before the grid is allocated; one point more than the cap
+        code, out = run(tmp_path, ["evolve"],
+                        "[grid]\nn_points = 1048577\n[evolve]\nt_final = 0.1us\n")
+        assert code == 1
+        assert "need 2 to 1048576 grid points, got 1048577" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, fixed", [
         ("profile", True), ("fields", True), ("evolve", False)])
     def test_z0_inside_the_absorber_edge_exits_1(self, tmp_path, capsys,

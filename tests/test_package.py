@@ -37,7 +37,8 @@ print(callable(config.load_config))
 """
 
 # What `import qpot.cli` must leave out: the scipy package inits (and the
-# numpy.testing and numpy.f2py they pull in) and multiprocessing.
+# numpy.testing and numpy.f2py they pull in), multiprocessing, and the
+# thread pool module with the logging it imports.
 IMPORT_CLI = """
 import sys
 import qpot.cli
@@ -45,7 +46,7 @@ print(sorted(m for m in sys.argv[1:] if m in sys.modules),
       "scipy.linalg._flapack" in sys.modules)
 """
 NOT_LOADED_BY_CLI = ("scipy.linalg", "scipy.special", "numpy.testing", "numpy.f2py",
-                     "multiprocessing")
+                     "multiprocessing", "concurrent.futures", "logging")
 
 # Imports the modules named on the command line in that order and counts the
 # times scipy's LAPACK extension module is created.
