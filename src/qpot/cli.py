@@ -251,10 +251,6 @@ def cmd_converge(run):
     )
 
 
-_WORKERS = (("--workers",), {"type": int, "default": None, "metavar": "N",
-                             "help": "sweep lanes, each a thread evolving one packet "
-                                     "at a time (default: one lane per core)"})
-
 # [params] keys a command reads: profile and fields build no potential,
 # sweep and fitted set z0, sigma and trap_omega per packet
 _PACKET_KEYS = ("mass", "c4", "z0", "sigma")
@@ -262,28 +258,28 @@ _PLACED_KEYS = ("mass", "c4", "delta", "absorber_strength")
 _ALL_KEYS = _PACKET_KEYS + ("delta", "absorber_strength", "trap_omega")
 
 # name: (command, help, config sections it reads in manifest order, the
-# [params] keys it reads, extra flags); the command sets run.<section> for
-# each section but params and grid
+# [params] keys it reads); the command sets run.<section> for each section
+# but params and grid
 _COMMANDS = {
     "profile": (cmd_profile, "dump the engineered packet and its profile",
-                ("params", "grid", "profile"), _PACKET_KEYS, ()),
+                ("params", "grid", "profile"), _PACKET_KEYS),
     "fields": (cmd_fields, "density-weighted quantum potential and residual",
-               ("params", "grid", "fields"), _PACKET_KEYS, ()),
+               ("params", "grid", "fields"), _PACKET_KEYS),
     "evolve": (cmd_evolve, "evolve one packet under the full potential stack",
-               ("params", "grid", "evolve"), _ALL_KEYS, ()),
+               ("params", "grid", "evolve"), _ALL_KEYS),
     "compare": (cmd_compare, "engineered vs Gaussian absorbed fractions",
-                ("params", "grid", "evolve", "compare"), _ALL_KEYS, ()),
+                ("params", "grid", "evolve", "compare"), _ALL_KEYS),
     "sweep": (cmd_sweep, "averaged advantage across envelope positions",
-              ("params", "evolve", "sweep"), _PLACED_KEYS, (_WORKERS,)),
+              ("params", "evolve", "sweep"), _PLACED_KEYS),
     "fitted": (cmd_fitted, "engineered packet vs position-matched Gaussian",
-               ("params", "evolve", "fitted"), _PLACED_KEYS, ()),
+               ("params", "evolve", "fitted"), _PLACED_KEYS),
     "prepare": (cmd_prepare, "two-pulse preparation fidelity and cost",
-                ("params", "grid", "evolve", "prepare"), _ALL_KEYS, ()),
+                ("params", "grid", "evolve", "prepare"), _ALL_KEYS),
     "converge": (cmd_converge, "time-step and grid refinement ladders",
-                 ("params", "grid", "converge"), _ALL_KEYS, ()),
+                 ("params", "grid", "converge"), _ALL_KEYS),
 }
 
-_listed = [name for _, _, sections, _, _ in _COMMANDS.values() for name in sections]
+_listed = [name for _, _, sections, _ in _COMMANDS.values() for name in sections]
 # sections more than one command reads; an unlisted one is rejected
 _SHARED = {name for name in _listed if _listed.count(name) > 1}
 
@@ -297,7 +293,7 @@ def _run(args):
     grid are resolved here; the command resolves its other sections into
     run.
     """
-    fn, _, sections, keys, _ = _COMMANDS[args.command]
+    fn, _, sections, keys = _COMMANDS[args.command]
     cfg = cfgmod.load_config(args.config) if args.config else {}
     unread = [f"[{name}]"
               for name in sorted(_SHARED.intersection(cfg).difference(sections))]
@@ -337,12 +333,14 @@ def main(argv=None):
     parser.add_argument("--version", action="version",
                         version=f"qpot {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, _, _, flags) in _COMMANDS.items():
+    for name, (_, help_text, _, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="config file path")
         p.add_argument("--out", default=".", help="output directory")
-        for names, kwargs in flags:
-            p.add_argument(*names, **kwargs)
+    sub.choices["sweep"].add_argument(
+        "--workers", type=int, default=None, metavar="N",
+        help="sweep lanes, each a thread evolving one packet at a time "
+             "(default: one lane per core)")
     args = parser.parse_args(argv)
     try:
         return _run(args)

@@ -5,11 +5,11 @@ well inside double range (the Crank-Nicolson coefficients are
 dimensionless ratios), so no internal unit scaling is needed.
 """
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, GridError, NormalizationError
+from .errors import ConfigError, GridError, NormalizationError, NumericsError
 
 HBAR = 1.054571817e-34  # J s
 
@@ -20,6 +20,8 @@ DEFAULT_DELTA = 0.15e-6  # m
 DEFAULT_Z_MAX, DEFAULT_POINTS = 10e-6, 4096  # default_grid's box: 10 um, 4096 points
 MAX_DEFAULT_POINTS = 2**20  # most points of any grid, and so of default_grid's box
 POINTS_PER_CYCLE = 10  # resolves_profile's points per profile cycle
+_MAY_BE_ZERO = ("c4", "absorber_strength")  # every other field is positive
+_MAX_TRAP_OMEGA = float(np.sqrt(np.finfo(float).max))  # the trap squares it
 
 
 @dataclass(frozen=True)
@@ -31,7 +33,8 @@ class PhysicalParams:
     the absorber edge delta, which makes the absorption time below delta much
     shorter than the millisecond packet dynamics. trap_omega defaults to
     hbar/(2 m sigma^2) so that a Gaussian of width sigma is the trap ground
-    state.
+    state. Every field, given or derived, must be finite, and trap_omega
+    small enough that its square is too.
     """
 
     mass: float = DEFAULT_MASS
@@ -44,32 +47,28 @@ class PhysicalParams:
     hbar = HBAR
 
     def __post_init__(self):
-        if self.mass <= 0:
-            raise ConfigError(f"mass must be positive, got {self.mass}")
-        if self.c4 < 0:
-            raise ConfigError(f"c4 must be non-negative, got {self.c4}")
-        if self.sigma <= 0:
-            raise ConfigError(f"sigma must be positive, got {self.sigma}")
-        if self.z0 <= 0:
-            raise ConfigError(f"z0 must be positive, got {self.z0}")
-        if self.delta <= 0:
-            raise ConfigError(f"delta must be positive, got {self.delta}")
+        derived = {"absorber_strength": ("c4 / delta**4", lambda: self.c4 / self.delta**4),
+                   "trap_omega": ("hbar / (2 mass sigma**2)",
+                                  lambda: self.hbar / (2 * self.mass * self.sigma**2))}
+        for name in (f.name for f in fields(self)):
+            value, label = getattr(self, name), name
+            if value is None:
+                formula, derive = derived[name]
+                label = f"{name} = {formula}"
+                try:
+                    value = derive()
+                except ArithmeticError:  # a power or quotient out of double range
+                    value = float("nan")
+                object.__setattr__(self, name, value)
+            # one rule for every field, and one that NaN fails
+            high = _MAX_TRAP_OMEGA if name == "trap_omega" else np.inf
+            if not (0 < value < high or value == 0 and name in _MAY_BE_ZERO):
+                low = "[" if name in _MAY_BE_ZERO else "("
+                raise ConfigError(f"{label} must lie in {low}0, {high!r}), got {value}")
         if self.z0 <= self.delta:
             raise ConfigError(
                 f"z0 = {self.z0} must exceed the absorber edge delta = {self.delta}"
             )
-        if self.absorber_strength is None:
-            object.__setattr__(self, "absorber_strength", self.c4 / self.delta**4)
-        elif self.absorber_strength < 0:
-            raise ConfigError(
-                f"absorber_strength must be non-negative, got {self.absorber_strength}"
-            )
-        if self.trap_omega is None:
-            object.__setattr__(
-                self, "trap_omega", self.hbar / (2 * self.mass * self.sigma**2)
-            )
-        elif self.trap_omega <= 0:
-            raise ConfigError(f"trap_omega must be positive, got {self.trap_omega}")
 
     @property
     def profile_scale(self):
@@ -180,10 +179,10 @@ class RealField:
                 raise GridError("validity mask shape does not match values")
             object.__setattr__(self, "valid", mask)
             if not np.all(np.isfinite(vals[mask])):
-                raise ValueError("non-finite value at a valid grid point")
+                raise NumericsError("non-finite value at a valid grid point")
         else:
             if not np.all(np.isfinite(vals)):
-                raise ValueError("non-finite value in unmasked field")
+                raise NumericsError("non-finite value in unmasked field")
 
     def valid_mask(self):
         if self.valid is None:

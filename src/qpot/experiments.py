@@ -37,14 +37,22 @@ PACKETS = {
 
 
 def _in_lanes(fn, items, lanes=None):
-    """[fn(item) for item in items] on `lanes` lanes (default: one per core),
-    never more than items: this thread and lanes - 1 bare threads. Each lane
-    takes the next item of one shared iterator once it is free; the results
-    come back in item order. zgttrs and numpy's element-wise kernels release
-    the interpreter lock, so evolves step side by side, each bitwise the
-    serial call. A lane that raises drains the iterator, so that no lane
-    starts a further item, and the first exception raised is raised
-    unchanged once the other lanes have finished the item they hold."""
+    """[fn(item) for item in items] on `lanes` lanes (None: one per core),
+    never more than items: this thread and lanes - 1 bare threads. A count
+    that is not a positive integer, a float or a string too, is rejected
+    before any item starts. Each lane takes the next item of one shared
+    iterator once it is free; the results come back in item order. zgttrs
+    and numpy's element-wise kernels release the interpreter lock, so
+    evolves step side by side, each bitwise the serial call. A lane that
+    raises drains the iterator, so that no lane starts a further item, and
+    the first exception raised is raised unchanged once the other lanes
+    have finished the item they hold."""
+    try:
+        count = (os.cpu_count() or 1) if lanes is None else operator.index(lanes)
+    except TypeError:
+        count = 0
+    if count < 1:
+        raise ConfigError(f"workers must be a positive integer, got {lanes!r}")
     results = [None] * len(items)
     pending = enumerate(items)  # each next() is atomic under the interpreter lock
     raised = []
@@ -57,8 +65,7 @@ def _in_lanes(fn, items, lanes=None):
             list(pending)
             raised.append(exc)
 
-    lanes = min(lanes or os.cpu_count() or 1, len(items))
-    others = [threading.Thread(target=lane) for _ in range(lanes - 1)]
+    others = [threading.Thread(target=lane) for _ in range(min(count, len(items)) - 1)]
     for other in others:
         other.start()
     lane()
@@ -196,21 +203,6 @@ def _sweep_point(job):
         return exc
 
 
-def resolve_workers(workers=None):
-    """The sweep's concurrent lanes: the argument, else None, which leaves
-    `_in_lanes` its one lane per core. A value that is not a positive
-    integer, a float or a string too, is rejected."""
-    if workers is None:
-        return None
-    try:
-        count = operator.index(workers)
-    except TypeError:
-        count = 0
-    if count < 1:
-        raise ConfigError(f"workers must be a positive integer, got {workers!r}")
-    return count
-
-
 def run_sweep(params_base, sweep, config=None, workers=None):
     """Averaged absorbed-fraction ratios across the z0 grid.
 
@@ -249,7 +241,7 @@ def run_sweep(params_base, sweep, config=None, workers=None):
         return SweepRow(z0=points[k].z0, sigma=points[k].sigma,
                         averaged_ratio=avg, crossover_time=cross)
     jobs = [(k, kind) for k in range(len(points)) for kind in ("engineered", "gaussian")]
-    rows = _in_lanes(row_when_paired, jobs, resolve_workers(workers))
+    rows = _in_lanes(row_when_paired, jobs, workers)
     return sorted(filter(None, rows), key=lambda r: r.z0)
 
 

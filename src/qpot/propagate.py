@@ -46,6 +46,8 @@ def _load_flapack():
 _flapack = _load_flapack()
 zgttrf, zgttrs = _flapack.zgttrf, _flapack.zgttrs
 
+MAX_STEPS = 2**24  # most steps of one evolve; each step adds a value to every record
+
 
 @dataclass(frozen=True)
 class EvolveConfig:
@@ -59,6 +61,9 @@ class EvolveConfig:
         if self.t_final < self.dt:
             raise ConfigError("t_final must be at least one time step")
         steps = self.t_final / self.dt
+        if not steps <= MAX_STEPS:  # NaN fails it too
+            raise ConfigError(f"t_final = {self.t_final!r} s is {steps!r} steps of "
+                              f"dt = {self.dt!r} s, over {MAX_STEPS}")
         if abs(steps - round(steps)) > 1e-6:
             raise ConfigError(f"t_final = {self.t_final!r} s is not a whole "
                               f"number of steps of dt = {self.dt!r} s")

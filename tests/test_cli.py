@@ -166,9 +166,39 @@ class TestErrors:
         assert not out.exists()
 
     def test_every_section_is_read_by_some_command(self):
-        read = {name for _, _, sections, _, _ in _COMMANDS.values()
+        read = {name for _, _, sections, _ in _COMMANDS.values()
                 for name in sections}
         assert read == set(cfgmod._SCHEMA)
+
+    @pytest.mark.parametrize("command, text", [
+        ("fields", "[params]\nc4 = 1e300\n"),  # absorber_strength = c4 / delta**4 is inf
+        ("fields", "[params]\nc4 = 1e280\n"),  # a weighted field overflows
+        *[(command, "[params]\ntrap_omega = 1e200\n")  # its square overflows
+          for command in ("evolve", "compare", "prepare", "converge")],
+        ("evolve", "[evolve]\ndt = 1e-320\n"),  # t_final / dt overflows
+        pytest.param("evolve", "[evolve]\nt_final = 1000\n", id="step_cap"),
+    ])
+    def test_out_of_range_value_exits_1_without_traceback(self, tmp_path, command,
+                                                          text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(qpot.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "qpot.cli", command, "--config",
+                               str(cfg), "--out", str(out)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines()[-1].startswith("error:")
+        assert not out.exists()
+
+    def test_only_sweep_takes_workers(self, capsys):
+        for command in set(_COMMANDS) - {"sweep"}:
+            with pytest.raises(SystemExit) as err:
+                main([command, "--workers", "2"])
+            assert err.value.code == 2
+            assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", [["--seed", "1"], ["--workers", "2"]])
     def test_compare_rejects_sweep_only_and_removed_flags(self, flag, capsys):
@@ -388,11 +418,22 @@ class TestSweep:
         assert "# failed_rows: 0" in manifest
 
     def test_bad_worker_count_exits_1(self, tmp_path, capsys):
-        code, out = run(tmp_path, ["sweep", "--workers", "0"], SWEEP_CFG)
+        for count in ("0", "-3"):
+            code, out = run(tmp_path / count, ["sweep", "--workers", count], SWEEP_CFG)
+            assert code == 1
+            assert capsys.readouterr().err == (
+                f"error: workers must be a positive integer, got {count}\n")
+            assert not out.exists()
+
+    def test_unit_slip_in_a_sweep_point_exits_1_before_any_evolve(
+            self, tmp_path, capsys, monkeypatch):
+        evolved = []
+        monkeypatch.setattr("qpot.experiments.evolve", lambda *a: evolved.append(a))
+        # z0 = 3 m, a forgotten unit, would need a grid of 4.9e9 points
+        code, out = run(tmp_path, ["sweep"], "[sweep]\nz0_values = 2um, 3\n")
         assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "got 0" in err
+        assert "check the units" in capsys.readouterr().err
+        assert evolved == []
         assert not out.exists()
 
     def test_failed_row_exits_nonzero(self, tmp_path, monkeypatch, capsys):

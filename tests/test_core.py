@@ -1,3 +1,4 @@
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -7,12 +8,13 @@ from qpot.core import (
     HBAR,
     Grid1D,
     PhysicalParams,
+    RealField,
     Wavefunction,
     default_grid,
     moments,
     normalize,
 )
-from qpot.errors import ConfigError, GridError, NormalizationError
+from qpot.errors import ConfigError, GridError, NormalizationError, NumericsError
 
 
 class TestPhysicalParams:
@@ -67,6 +69,28 @@ class TestPhysicalParams:
         with pytest.raises(ConfigError):
             PhysicalParams(**kwargs)
 
+    @pytest.mark.parametrize("name", ["mass", "c4", "z0", "sigma", "delta",
+                                      "absorber_strength", "trap_omega"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_values(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must lie in .*, got {value}$"):
+            PhysicalParams(**{name: value})
+
+    def test_rejects_a_trap_omega_whose_square_overflows(self):
+        assert PhysicalParams(trap_omega=1e154).trap_omega == 1e154
+        with pytest.raises(ConfigError, match=r"trap_omega must lie in \(0, 1.34"):
+            PhysicalParams(trap_omega=1e200)
+
+    @pytest.mark.parametrize("kwargs, label", [
+        ({"c4": 1e300}, "absorber_strength = c4 / delta"),  # inf
+        ({"delta": 1e-100, "c4": 1e-56}, "absorber_strength = c4 / delta"),  # 1/0
+        ({"sigma": 1e-200}, "trap_omega = hbar / (2 mass sigma"),  # 1/0
+        ({"sigma": 1e200, "z0": 1.0}, "trap_omega = hbar / (2 mass sigma"),  # sigma**2
+    ])
+    def test_rejects_a_derived_default_out_of_double_range(self, kwargs, label):
+        with pytest.raises(ConfigError, match=re.escape(label)):
+            PhysicalParams(**kwargs)
+
     def test_hbar_is_the_package_constant(self):
         # one hbar for the solver, the closed forms and quantum_potential
         p = PhysicalParams()
@@ -103,6 +127,15 @@ class TestPhysicalParams:
         )
         q = PhysicalParams().replace(sigma=2e-6, trap_omega=123.0)
         assert q.trap_omega == 123.0
+
+
+class TestRealField:
+    @pytest.mark.parametrize("valid", [None, [True, True, False]])
+    def test_non_finite_value_raises_numerics_error(self, valid):
+        grid = Grid1D(z_max=1e-6, n_points=3)
+        with pytest.raises(NumericsError, match="non-finite value"):
+            RealField(grid, [0.0, np.inf, 1.0], valid)
+        assert RealField(grid, [0.0, 1.0, np.nan], [True, True, False]).values[1] == 1.0
 
 
 class TestGrid1D:

@@ -29,7 +29,6 @@ from qpot.experiments import (
     _in_lanes,
     absorption_ratio_series,
     convergence_report,
-    resolve_workers,
     run_comparison,
     run_fitted_control,
     run_preparation_study,
@@ -124,18 +123,31 @@ class TestSweepSpec:
 
 
 class TestResolveWorkers:
+    """The lane count, which `_in_lanes` alone resolves and `run_sweep` hands
+    it unchanged as `workers`."""
+
     def test_argument_wins(self):
-        assert resolve_workers(2) == 2
+        for lanes in (2, np.int64(2)):  # a numpy integer counts too
+            meet = threading.Barrier(2, timeout=10)  # breaks unless 2 lanes run at once
+            threads = _in_lanes(lambda _: (meet.wait(), threading.get_ident())[1],
+                                [1, 2], lanes)
+            assert len(set(threads)) == 2
 
     def test_default_at_least_one(self):
-        # the default leaves _in_lanes its one lane per core, at least one
-        assert resolve_workers() is None
-        assert _in_lanes(str, [1, 2, 3], resolve_workers()) == ["1", "2", "3"]
+        # None is one lane per core, at least one
+        assert _in_lanes(str, [1, 2, 3]) == ["1", "2", "3"]
+        assert _in_lanes(str, [1, 2, 3], None) == ["1", "2", "3"]
 
     @pytest.mark.parametrize("workers", [0, -3, "abc", 2.7, [2], "2"])
-    def test_rejects_non_positive_or_non_integer(self, workers):
+    def test_rejects_non_positive_or_non_integer(self, workers, monkeypatch):
+        started = []
+        with pytest.raises(ConfigError, match=re.escape(
+                f"workers must be a positive integer, got {workers!r}")):
+            _in_lanes(started.append, [1, 2], workers)
+        monkeypatch.setattr("qpot.experiments._sweep_point", started.append)
         with pytest.raises(ConfigError, match=re.escape(repr(workers))):
-            resolve_workers(workers)
+            run_sweep(PhysicalParams(), SweepSpec(z0_values=(2e-6,)), workers=workers)
+        assert started == []  # rejected before any item starts
 
 
 class TestRunComparison:

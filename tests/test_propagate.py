@@ -11,7 +11,7 @@ from qpot.core import Grid1D, PhysicalParams, default_grid, moments
 from qpot.engineering import gaussian_packet
 from qpot.errors import ConfigError, GridError, NumericsError
 from qpot.potentials import ComplexPotential, total_potential
-from qpot.propagate import CrankNicolson, EvolveConfig, evolve
+from qpot.propagate import MAX_STEPS, CrankNicolson, EvolveConfig, evolve
 
 HBAR = 1.054571817e-34
 
@@ -52,6 +52,25 @@ class TestEvolveConfig:
     def test_rejects_bad_settings(self, kwargs):
         with pytest.raises(ConfigError):
             EvolveConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"dt": float("nan")},
+        {"t_final": float("nan")},
+        {"dt": 1e-320},  # t_final / dt overflows to inf
+        {"t_final": 1000.0},  # 1e10 steps
+        {"dt": 1e-7, "t_final": (MAX_STEPS + 1) * 1e-7},
+    ])
+    def test_rejects_step_count_over_the_cap(self, kwargs):
+        config = {"dt": 1e-7, "t_final": 5e-3, **kwargs}
+        with pytest.raises(ConfigError) as info:
+            EvolveConfig(**kwargs)
+        message = str(info.value)
+        assert f"t_final = {config['t_final']!r} s" in message
+        assert f"dt = {config['dt']!r} s" in message
+        assert str(MAX_STEPS) in message
+
+    def test_step_cap_itself_accepted(self):
+        assert EvolveConfig(dt=1e-7, t_final=MAX_STEPS * 1e-7).n_steps == MAX_STEPS
 
     @pytest.mark.parametrize("t_final", [1.04e-6, 9.96e-7])
     def test_rejects_fractional_step_count(self, t_final):
