@@ -18,11 +18,13 @@ and the machine (perfbench's `environment`) are stored next to it.
   process would mix the two cases and move the median.
 - L1 one step: `step_us` for `step_values`, split into `update_us` (the
   two element-wise operations of u' = 2 A^-1 u - u: 2u into a buffer, then
-  the buffer minus u into u), `solve_us` (`qpot.propagate.zgttrs`, the
-  routine the step calls, in place on that buffer) and `norm_us` (`vdot`),
-  each the mean over a batch of calls. The split is built from the
-  solver's `_factors` and raw numpy alone, so it measures the same
-  operations on any checkout.
+  the buffer minus u into u), `solve_us` (the zgttrs call the step makes,
+  in place on the solver's own buffer holding 2u) and `norm_us` (`vdot`),
+  each the mean over a batch of calls. The updates and the norm are raw
+  numpy; the solve is the solver's prebuilt ctypes call into numpy's
+  LAPACK, or, on a checkout from before that binding, scipy's f2py
+  `qpot.propagate.zgttrs` on the solver's factors and buffer, so a
+  baseline measures its own solve.
 - L2 `evolve_2ms_s`: one 2 ms `evolve` (20,000 steps), no snapshots.
 - io: `write_record_csv_s`, `write_csv` on the three columns (t_s, norm,
   absorbed_fraction) of the 20,001-row record of a 2 ms `evolve`, and `write_snapshots_s`, the streaming snapshot writer
@@ -46,6 +48,9 @@ and the machine (perfbench's `environment`) are stored next to it.
   memory floor every command pays: a fresh `python -c "import qpot.cli"`
   run the same way; and `tier1_s`, one run of the Tier-1 suite (`pytest`
   over `tests/`) per checkout, after the rounds.
+
+The machine block adds `qpot_lapack`: the module whose zgttrf and zgttrs
+the checkout calls.
 
 Every other figure is sampled in rounds: a round runs each group of
 SAMPLES once, in a fresh child process (`--sample NAME`) with perfbench's
@@ -163,7 +168,8 @@ def inner(layer):
         run_sweep,
     )
     from qpot.io import begin_snapshots_csv, write_csv, write_snapshot_rows
-    from qpot.propagate import CrankNicolson, EvolveConfig, evolve, zgttrs
+    from qpot import propagate
+    from qpot.propagate import CrankNicolson, EvolveConfig, evolve
 
     params, grid, pot = _case()
     if layer == "factor":  # before any packet: the process's first factorization
@@ -175,7 +181,6 @@ def inner(layer):
     def step():
         solver = CrankNicolson(grid, pot, params, DT)
         u = psi.values[1:-1].astype(complex)
-        factors = solver._factors
         b = np.empty((u.size, 1), dtype=complex, order="F")
         v = np.empty_like(u)
 
@@ -193,8 +198,12 @@ def inner(layer):
         stepped = u.copy()
         out = {"step_us": batch(lambda: solver.step_values(stepped)),
                "update_us": batch(update)}
-        update()
-        out["solve_us"] = batch(lambda: zgttrs(*factors, b, overwrite_b=1))
+        np.multiply(u, 2.0, out=solver._col)
+        if hasattr(propagate, "zgttrs"):  # scipy's f2py routine
+            out["solve_us"] = batch(lambda: propagate.zgttrs(
+                *solver._factors, solver._buf, overwrite_b=1))
+        else:
+            out["solve_us"] = batch(lambda: propagate._zgttrs(*solver._args))
         out["norm_us"] = batch(lambda: np.vdot(u, u))
         return {name: (value, "us") for name, value in out.items()}
 
@@ -245,6 +254,15 @@ def inner(layer):
     if layer == "io":
         return io()
     return {layer: (_seconds(timed[layer]), "s")}
+
+
+# the module whose zgttrf and zgttrs qpot.propagate calls
+LAPACK_PROBE = """
+from qpot import propagate
+print("scipy.linalg._flapack" if hasattr(propagate, "zgttrs") else
+      "numpy.linalg._umath_linalg: "
+      + ", ".join(f.__name__ for f in (propagate._zgttrf, propagate._zgttrs)))
+"""
 
 
 def _quartiles(xs):
@@ -340,7 +358,9 @@ def main(argv=None):
         result = {
             "label": labels[root],
             "source": describe(root),
-            "machine": environment(envs[root]),
+            "machine": {**environment(envs[root]), "qpot_lapack": subprocess.run(
+                [sys.executable, "-c", LAPACK_PROBE], env=envs[root], capture_output=True,
+                text=True, check=True, timeout=60).stdout.strip()},
             "layers": {name: {"median": statistics.median(xs), "unit": unit,
                               "n": len(xs), "samples": xs}
                        for name, (xs, unit) in layers[root].items()},

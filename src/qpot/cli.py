@@ -26,7 +26,7 @@ from . import io as iomod
 from .bohmian import weighted_fields
 from .core import DEFAULT_DELTA
 from .engineering import ProfileSpec, engineered_packet, profile_on_grid
-from .errors import ConfigError, QpotError
+from .errors import ConfigError, NumericsError, QpotError
 from .experiments import (
     FITTED_GAUSSIAN,
     PACKETS,
@@ -114,6 +114,9 @@ def cmd_fields(run):
     support = w_q.valid_mask()
     peak_q = float(abs(w_q.values[support]).max())
     peak_res = float(abs(w_res.values[support]).max())
+    peak = max(peak_q, peak_res)
+    if not np.isfinite(peak / run.params.hbar):  # the largest cell written below
+        raise NumericsError(f"weighted field peak {peak!r} over hbar overflows a double")
     # zero outside the support, so that a plot shows exactly the supported
     # region; np.where, as a product with the mask would write -0.0
     wq, wr = (np.where(support, w.values, 0.0) / run.params.hbar for w in (w_q, w_res))

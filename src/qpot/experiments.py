@@ -41,12 +41,12 @@ def _in_lanes(fn, items, lanes=None):
     never more than items: this thread and lanes - 1 bare threads. A count
     that is not a positive integer, a float or a string too, is rejected
     before any item starts. Each lane takes the next item of one shared
-    iterator once it is free; the results come back in item order. zgttrs
-    and numpy's element-wise kernels release the interpreter lock, so
-    evolves step side by side, each bitwise the serial call. A lane that
-    raises drains the iterator, so that no lane starts a further item, and
-    the first exception raised is raised unchanged once the other lanes
-    have finished the item they hold."""
+    iterator once it is free; the results come back in item order. The
+    ctypes zgttrs and numpy's element-wise kernels release the interpreter
+    lock, so evolves step side by side, each bitwise the serial call. A
+    lane that raises drains the iterator, so that no lane starts a further
+    item, and the first exception raised is raised unchanged once the other
+    lanes have finished the item they hold."""
     try:
         count = (os.cpu_count() or 1) if lanes is None else operator.index(lanes)
     except TypeError:

@@ -7,11 +7,8 @@ is unconditionally stable, second order in dt and dz, exactly unitary for
 real V, and contractive when the imaginary part is absorbing.
 """
 
-import importlib.machinery
-import importlib.util
+import ctypes
 import math
-import os
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,32 +16,25 @@ import numpy as np
 from .errors import ConfigError, GridError, NumericsError
 
 
-def _load_flapack():
-    """scipy's f2py LAPACK module, executed without the scipy package inits.
-
-    `scipy.linalg.lapack` re-exports this module's routines, but importing it
-    runs `scipy/__init__` and `scipy/linalg/__init__`, which through scipy's
-    vendored array_api_compat load numpy.testing, numpy.f2py, numpy.ma,
-    numpy.random and more: about 0.3 s and 28 MB per command for two
-    routines. The module is registered under its own name, so a later
-    `import scipy.linalg` reuses it and its routines are the same objects.
-    """
-    name = "scipy.linalg._flapack"
-    if name in sys.modules:
-        return sys.modules[name]
-    scipy = importlib.util.find_spec("scipy")  # top level: does not import it
-    spec = scipy and importlib.machinery.PathFinder.find_spec(
-        name, [os.path.join(d, "linalg") for d in scipy.submodule_search_locations])
-    if spec is None:
-        raise ImportError(f"cannot find {name}", name=name)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
+def _routines(lib):
+    """zgttrf and zgttrs of the ILP64 OpenBLAS numpy's wheels bundle (int64
+    arguments and pivots); a LAPACK that lacks them is an ImportError."""
+    for symbol in ("scipy_zgttrf_64_", "scipy_zgttrs_64_"):
+        if not hasattr(lib, symbol):
+            raise ImportError(f"numpy's LAPACK has no {symbol}")
+        getattr(lib, symbol).restype = None
+    return lib.scipy_zgttrf_64_, lib.scipy_zgttrs_64_
 
 
-_flapack = _load_flapack()
-zgttrf, zgttrs = _flapack.zgttrf, _flapack.zgttrs
+# the LAPACK numpy.linalg links, with no fallback; a CDLL call releases the lock.
+# Each argument is a ctypes object of its Fortran type, built once per solver,
+# so no argtypes are declared: their check would add 0.8 us to every step.
+_zgttrf, _zgttrs = _routines(ctypes.CDLL(np.linalg._umath_linalg.__file__))
+
+
+def _address(array):
+    return ctypes.c_void_p(array.ctypes.data)
+
 
 MAX_STEPS = 2**24  # most steps of one evolve; each step adds a value to every record
 
@@ -104,17 +94,23 @@ class CrankNicolson:
         kin = params.hbar**2 / (2 * params.mass * dz**2)
         diag = 2 * kin + v
         off = -kin * np.ones(n - 3, dtype=complex)
-        *factors, info = zgttrf(lam * off, 1.0 + lam * diag, lam * off)
-        if info != 0:
-            raise NumericsError(f"singular Crank-Nicolson matrix (info {info})")
-        self._factors = factors
-        self._buf = np.empty((n - 2, 1), dtype=complex, order="F")
-        self._col = self._buf[:, 0]
+        arrays = (lam * off, 1.0 + lam * diag, lam * off,  # dl, d, du: factored in place
+                  np.empty(n - 4, dtype=complex), np.empty(n - 2, dtype=np.int64))
+        size, one, info = ctypes.c_int64(n - 2), ctypes.c_int64(1), ctypes.c_int64(0)
+        _zgttrf(ctypes.byref(size), *map(_address, arrays), ctypes.byref(info))
+        if info.value != 0:
+            raise NumericsError(f"singular Crank-Nicolson matrix (info {info.value})")
+        self._factors = arrays  # what the addresses point at
+        self._col = np.empty(n - 2, dtype=complex)
+        # zgttrs(trans, n, nrhs, dl, d, du, du2, ipiv, b, ldb, info, len(trans))
+        self._args = (ctypes.c_char_p(b"N"), ctypes.byref(size), ctypes.byref(one),
+                      *map(_address, arrays), _address(self._col), ctypes.byref(size),
+                      ctypes.byref(info), ctypes.c_size_t(1))
 
     def step_values(self, u):
         """Advance the interior amplitudes u by one dt in place; returns u."""
         np.multiply(u, 2.0, out=self._col)  # exact: A y = 2u is bitwise 2 A^-1 u
-        zgttrs(*self._factors, self._buf, overwrite_b=1)
+        _zgttrs(*self._args)
         return np.subtract(self._col, u, out=u)
 
 

@@ -272,6 +272,17 @@ class TestFields:
             "error: support_cut = 2.0 leaves no supported point")
         assert not out.exists()
 
+    def test_field_overflowing_over_hbar_exits_1(self, tmp_path, capsys):
+        # every weighted field is finite, but its peak over hbar is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warning fails the run
+            code, out = run(tmp_path, ["fields"], "[params]\nc4 = 1e250\n")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: weighted field peak \S+ over hbar overflows a double\n",
+                            err)
+        assert not out.exists()
+
 
 EVOLVE_CFG = """\
 [grid]

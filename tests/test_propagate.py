@@ -1,5 +1,7 @@
 """Stepper tests: stability, dispersion, reversibility, absorption records."""
 
+import ctypes
+import gc
 import tracemalloc
 import warnings
 
@@ -11,7 +13,8 @@ from qpot.core import Grid1D, PhysicalParams, default_grid, moments
 from qpot.engineering import gaussian_packet
 from qpot.errors import ConfigError, GridError, NumericsError
 from qpot.potentials import ComplexPotential, total_potential
-from qpot.propagate import MAX_STEPS, CrankNicolson, EvolveConfig, evolve
+from qpot.propagate import (MAX_STEPS, CrankNicolson, EvolveConfig, _zgttrf, _zgttrs,
+                            evolve)
 
 HBAR = 1.054571817e-34
 
@@ -195,6 +198,23 @@ class TestFactoredFastPath:
             solver.step_values(u)
         assert np.array_equal(u, u_ref)
 
+    def test_factors_outlive_their_inputs(self, stack):
+        # the factored arrays have no reference but the solver's; memory
+        # freed and refilled under them would change the amplitudes
+        grid, pot, params, psi = stack
+        ab, _, _ = self.banded(stack, 1e-7)
+        solver = CrankNicolson(grid, pot, params, 1e-7)
+        gc.collect()
+        junk = [np.full(size, np.nan, dtype=complex)  # noqa: F841
+                for size in (grid.n_points - 2, grid.n_points - 3, grid.n_points - 4)
+                for _ in range(8)]
+        u = psi.values[1:-1].astype(complex)
+        ref = u.copy()
+        for _ in range(20):
+            solver.step_values(u)
+            ref = solve_banded((1, 1), ab, 2 * ref, check_finite=False) - ref
+        assert np.array_equal(u, ref)
+
     def test_matches_explicit_rhs_form(self, stack):
         # the textbook step A u' = (1 - i dt H / 2 hbar) u, absorber on
         grid, pot, params, psi = stack
@@ -275,6 +295,39 @@ class TestFactoredFastPath:
             k = int(round(t / cfg.dt))
             trap = np.sqrt(np.trapezoid(np.abs(vals) ** 2, grid.z))
             assert rec.norms[k] == pytest.approx(trap, rel=1e-14, abs=0)
+
+
+class TestLapackBinding:
+    """The ctypes binding to numpy's LAPACK, beyond what CN systems exercise."""
+
+    @pytest.mark.parametrize("routine", [_zgttrf, _zgttrs])
+    def test_call_releases_the_interpreter_lock(self, routine):
+        # a CDLL function; a PyDLL one would hold the lock through the solve
+        assert not routine._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+
+    def test_pivoting_system_matches_dense_solve(self):
+        # a real well of -2 kin makes the diagonal of A about 1 beside
+        # off-diagonals of modulus 3, so zgttrf swaps rows; physical CN
+        # matrices are diagonally dominant and never do
+        params = PhysicalParams()
+        grid = Grid1D(z_max=1e-6, n_points=40)
+        kin = params.hbar**2 / (2 * params.mass * grid.dz**2)
+        dt = 3 * 4 * params.mass * grid.dz**2 / params.hbar  # lam * kin = 3
+        rng = np.random.default_rng(7)
+        pot = ComplexPotential(grid, -2 * kin * (1 + 0.1 * rng.standard_normal(40)),
+                               -0.2 * kin * rng.random(40))
+        solver = CrankNicolson(grid, pot, params, dt)
+        ipiv = solver._factors[4]
+        assert ipiv.dtype == np.int64
+        assert not np.array_equal(ipiv, np.arange(1, 39))
+        lam = 1j * dt / (2 * params.hbar)
+        off = np.full(37, -lam * kin)
+        a = (np.diag(1.0 + lam * (2 * kin + pot.complex_values()[1:-1]))
+             + np.diag(off, 1) + np.diag(off, -1))
+        u = rng.standard_normal(38) + 1j * rng.standard_normal(38)
+        want = np.linalg.solve(a, 2 * u) - u
+        got = solver.step_values(u.copy())
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestFreeSpreading:
