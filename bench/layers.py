@@ -22,9 +22,7 @@ and the machine (perfbench's `environment`) are stored next to it.
   in place on the solver's own buffer holding 2u) and `norm_us` (`vdot`),
   each the mean over a batch of calls. The updates and the norm are raw
   numpy; the solve is the solver's prebuilt ctypes call into numpy's
-  LAPACK, or, on a checkout from before that binding, scipy's f2py
-  `qpot.propagate.zgttrs` on the solver's factors and buffer, so a
-  baseline measures its own solve.
+  LAPACK.
 - L2 `evolve_2ms_s`: one 2 ms `evolve` (20,000 steps), no snapshots.
 - io: `write_record_csv_s`, `write_csv` on the three columns (t_s, norm,
   absorbed_fraction) of the 20,001-row record of a 2 ms `evolve`, and `write_snapshots_s`, the streaming snapshot writer
@@ -64,11 +62,13 @@ same figures are measured for DIR too, by this file with DIR's `src/` on
 the path, and written to `BENCH_<DIR's describe>.json` at this checkout's
 root; so DIR must offer the qpot functions this file calls, in the
 modules it imports them from (`convergence_report` from
-`qpot.experiments`, `write_csv` from `qpot.io`), and a checkout from before
-those moves cannot be measured. In each round the two sides run each group
-back to back, the side that goes first alternating from round to round, so
-a drift of the host's speed, which on a shared 2-vCPU host is often larger
-than the change being measured, falls on both sides alike. Each file also gets `ratio_to_alternate`: per figure,
+`qpot.experiments`, `write_csv` from `qpot.io`), and the solver's ctypes
+solve (`propagate._zgttrs` on `CrankNicolson._args`); a checkout from
+before those moves or from before that solve cannot be measured. In each
+round the two sides run each group back to back, the side that goes first
+alternating from round to round, so a drift of the host's speed, which on
+a shared 2-vCPU host is often larger than the change being measured, falls
+on both sides alike. Each file also gets `ratio_to_alternate`: per figure,
 the median and quartiles of the paired ratios, the file's k-th sample over
 the other side's, and `resolved`: false, printed as "unresolved", when
 either side's samples spread, (q3 - q1) / median, by more than MAX_SPREAD
@@ -181,12 +181,12 @@ def inner(layer):
     def step():
         solver = CrankNicolson(grid, pot, params, DT)
         u = psi.values[1:-1].astype(complex)
-        b = np.empty((u.size, 1), dtype=complex, order="F")
+        b = np.empty_like(u)
         v = np.empty_like(u)
 
         def update():
-            np.multiply(u, 2.0, out=b[:, 0])
-            np.subtract(b[:, 0], u, out=v)
+            np.multiply(u, 2.0, out=b)
+            np.subtract(b, u, out=v)
 
         def batch(fn):
             def run():
@@ -199,11 +199,7 @@ def inner(layer):
         out = {"step_us": batch(lambda: solver.step_values(stepped)),
                "update_us": batch(update)}
         np.multiply(u, 2.0, out=solver._col)
-        if hasattr(propagate, "zgttrs"):  # scipy's f2py routine
-            out["solve_us"] = batch(lambda: propagate.zgttrs(
-                *solver._factors, solver._buf, overwrite_b=1))
-        else:
-            out["solve_us"] = batch(lambda: propagate._zgttrs(*solver._args))
+        out["solve_us"] = batch(lambda: propagate._zgttrs(*solver._args))
         out["norm_us"] = batch(lambda: np.vdot(u, u))
         return {name: (value, "us") for name, value in out.items()}
 
@@ -259,8 +255,7 @@ def inner(layer):
 # the module whose zgttrf and zgttrs qpot.propagate calls
 LAPACK_PROBE = """
 from qpot import propagate
-print("scipy.linalg._flapack" if hasattr(propagate, "zgttrs") else
-      "numpy.linalg._umath_linalg: "
+print("numpy.linalg._umath_linalg: "
       + ", ".join(f.__name__ for f in (propagate._zgttrf, propagate._zgttrs)))
 """
 

@@ -32,13 +32,12 @@ from .experiments import (
     PACKETS,
     RATIO_FLOOR,
     convergence_report,
+    evolve_packet,
     run_comparison,
     run_fitted_control,
     run_preparation_study,
     run_sweep,
 )
-from .potentials import total_potential
-from .propagate import evolve
 from .version import __version__
 
 
@@ -133,27 +132,26 @@ def cmd_evolve(run):
     name = _packet(run.section)
     config = cfgmod.evolve_from(run.cfg)
     run.evolve = {**vars(config), "packet": name}
-    args = (PACKETS[name](run.grid, run.params), total_potential(run.grid, run.params),
-            run.params, config)
-    record = _evolve_streaming(run, *args) if config.snapshot_stride else evolve(*args)
+    record = (_evolve_streaming(run, name, config) if config.snapshot_stride
+              else evolve_packet(name, run.grid, run.params, config))
     absorbed = record.absorbed_fraction[-1]
     return _Output([_record_csv("record.csv", record)],
                    {"absorbed_final": repr(float(absorbed))},
                    f"wrote {_path(run, 'record.csv')} (absorbed {absorbed:.6e})")
 
 
-def _evolve_streaming(run, psi0, *args):
-    """evolve, each capture appended to snapshots.csv as it is taken; a failed
-    run removes the file, and --out too if this run made it."""
+def _evolve_streaming(run, name, config):
+    """evolve_packet, each capture appended to snapshots.csv as it is taken;
+    a failed run or packet removes the file, and --out if this run made it."""
     made = not os.path.isdir(run.args.out)
     os.makedirs(run.args.out, exist_ok=True)
     part = _path(run, "snapshots.csv.part")
     fh = open(part, "w", encoding="utf-8", newline="\n")
     try:
         with fh:
-            z_cells = iomod.begin_snapshots_csv(fh, psi0.grid.z)
-            record = evolve(psi0, *args, capture=lambda t, psi: (
-                iomod.write_snapshot_rows(fh, z_cells, t, psi)))
+            z_cells = iomod.begin_snapshots_csv(fh, run.grid.z)
+            record = evolve_packet(name, run.grid, run.params, config, capture=(
+                lambda t, psi: iomod.write_snapshot_rows(fh, z_cells, t, psi)))
         os.replace(part, _path(run, "snapshots.csv"))
     except BaseException:
         os.remove(part)

@@ -3,10 +3,11 @@ sweeps, the fitted-Gaussian control, the phase-imprinting study and the
 self-convergence ladder, with the lane scheduler they all run in.
 
 Every experiment evolves packets under the same potential stack (surface
-attraction + trap + absorbing ramp) and reports absorbed fractions. Ratios
-of absorbed fractions are only formed at times where both fractions exceed
-a floor of 1e-12, guarding the 0/0 limit at t -> 0; averaged ratios run
-over the retained times inside the averaging window.
+attraction + trap + absorbing ramp), a packet named in PACKETS through
+evolve_packet, and reports absorbed fractions. Ratios of absorbed fractions
+are only formed at times where both fractions exceed a floor of 1e-12,
+guarding the 0/0 limit at t -> 0; averaged ratios run over the retained
+times inside the averaging window.
 """
 
 import operator
@@ -34,6 +35,13 @@ PACKETS = {
     "engineered": lambda grid, params: engineered_packet(grid, params),
     "gaussian": lambda grid, params: gaussian_packet(grid, params.z0, params.sigma),
 }
+
+
+def evolve_packet(packet, grid, params, config, **kwargs):
+    """evolve of PACKETS[packet] on grid under the potential stack params
+    defines; kwargs, a capture, go to evolve unchanged."""
+    return evolve(PACKETS[packet](grid, params), total_potential(grid, params),
+                  params, config, **kwargs)
 
 
 def _in_lanes(fn, items, lanes=None):
@@ -156,12 +164,13 @@ def _window_config(config, window, name):
     return config
 
 
-def _compare(name, engineered_job, benchmark_job, t_average_window):
-    """Evolve the engineered job and the benchmark job `name`, each the
-    arguments of an evolve call looked up in this module when its lane
-    runs, and form the benchmark / engineered absorption ratio."""
-    rec_eng, rec_bench = _in_lanes(lambda job: evolve(*job),
-                                   [engineered_job, benchmark_job])
+def _compare(name, grid, engineered_params, benchmark_params, config, t_average_window):
+    """Evolve the engineered packet and the Gaussian benchmark `name` on grid,
+    each built and evolved under its own params by evolve_packet in its own
+    lane, and form the benchmark / engineered absorption ratio."""
+    jobs = [("engineered", engineered_params), ("gaussian", benchmark_params)]
+    rec_eng, rec_bench = _in_lanes(
+        lambda job: evolve_packet(job[0], grid, job[1], config), jobs)
     series = absorption_ratio_series(rec_bench, rec_eng, t_window=t_average_window)
     return ComparisonResult({"engineered": rec_eng, name: rec_bench}, *series)
 
@@ -172,11 +181,7 @@ def run_comparison(params, grid=None, config=None, t_average_window=2e-3):
     if grid is None:
         grid = default_grid(params)
     config = _window_config(config, t_average_window, "t_average_window")
-    pot = total_potential(grid, params)
-    eng = engineered_packet(grid, params)
-    gauss = gaussian_packet(grid, params.z0, params.sigma)
-    return _compare("gaussian", (eng, pot, params, config),
-                    (gauss, pot, params, config), t_average_window)
+    return _compare("gaussian", grid, params, params, config, t_average_window)
 
 
 @dataclass
@@ -196,9 +201,7 @@ def _sweep_point(job):
     """A sweep point's packet, built when a lane takes it: its record or QpotError."""
     params, config, packet = job
     try:
-        grid = default_grid(params)
-        return evolve(PACKETS[packet](grid, params), total_potential(grid, params),
-                      params, config)
+        return evolve_packet(packet, default_grid(params), params, config)
     except QpotError as exc:  # a failed point must not sink the sweep
         return exc
 
@@ -280,16 +283,10 @@ def run_fitted_control(params=None, config=None, auto_fit=False,
     placed = (p_eng,) if auto_fit else (p_eng, p_fit)
     grid = default_grid(max(placed, key=lambda p: p.z0 + 6 * p.sigma))
     config = _window_config(config, t_average_window, "t_average_window")
-
-    eng = engineered_packet(grid, p_eng)
     if auto_fit:
-        mean, std, _ = moments(eng)
+        mean, std, _ = moments(engineered_packet(grid, p_eng))
         p_fit = params.replace(z0=mean, sigma=std)
-    fit = gaussian_packet(grid, p_fit.z0, p_fit.sigma)
-    return _compare("fitted_gaussian",
-                    (eng, total_potential(grid, p_eng), p_eng, config),
-                    (fit, total_potential(grid, p_fit), p_fit, config),
-                    t_average_window)
+    return _compare("fitted_gaussian", grid, p_eng, p_fit, config, t_average_window)
 
 
 @dataclass
@@ -400,9 +397,8 @@ def convergence_report(params, packet="engineered", t_final=2e-3, base_grid=None
                     z_min=base_grid.z_min) for k in range(n_refinements + 1)]
     rungs = [(base_grid, EvolveConfig(dt=dt, t_final=t_final)) for dt in dt_ladder]
     rungs += [(g, EvolveConfig(dt=dz_dt, t_final=t_final)) for g in grids]
-    absorbed = _in_lanes(lambda rung: float(evolve(
-        PACKETS[packet](rung[0], params), total_potential(rung[0], params), params,
-        rung[1]).absorbed_fraction[-1]), rungs)
+    absorbed = _in_lanes(lambda rung: float(evolve_packet(
+        packet, rung[0], params, rung[1]).absorbed_fraction[-1]), rungs)
     n_dt = len(dt_ladder)
     dz_rows = [(g.dz, g.n_points, f) for g, f in zip(grids, absorbed[n_dt:])]
     return ConvergenceReport(list(zip(dt_ladder, absorbed[:n_dt])), dz_rows)

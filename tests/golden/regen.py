@@ -46,14 +46,13 @@ def run_case(case, out):
 
 
 def environment():
-    """What the recorded floats depend on beyond qpot: the numpy and scipy
-    builds and the CPU features numpy's kernels dispatch on."""
+    """What the recorded floats depend on beyond qpot: the numpy build, whose
+    LAPACK qpot calls, and the CPU features numpy's kernels dispatch on."""
     from numpy._core import _multiarray_umath as umath
 
     return {
         "machine": platform.machine(),
         "numpy": metadata.version("numpy"),
-        "scipy": metadata.version("scipy"),
         "numpy_cpu_features": sorted(k for k, v in umath.__cpu_features__.items() if v),
     }
 

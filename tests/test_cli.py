@@ -331,9 +331,17 @@ class TestEvolve:
         expected = "t_s,z_m,density\n" + "".join(rows)
         assert (out / "snapshots.csv").read_bytes() == expected.encode()
 
-    @pytest.mark.parametrize("existing", [False, True])
+    # a run that blows up at its second capture, and a packet that cannot be
+    # built on its grid, after snapshots.csv.part is opened
+    @pytest.mark.parametrize("existing, text, error, captures", [
+        pytest.param(existing, text, error, captures, id=f"{label}{existing}")
+        for label, text, error, captures in [
+            ("", EVOLVE_CFG, "non-finite amplitudes at step 51", 2),
+            ("unbuildable-", EVOLVE_CFG.replace("n_points = 2048", "n_points = 64")
+             .replace("gaussian", "engineered"), "does not resolve the profile", 0)]
+        for existing in (False, True)])
     def test_failed_run_leaves_out_as_found(self, tmp_path, monkeypatch, capsys,
-                                            existing):
+                                            existing, text, error, captures):
         written = []
         real_rows = qpot.io.write_snapshot_rows
         real_step = CrankNicolson.step_values
@@ -350,7 +358,7 @@ class TestEvolve:
 
         monkeypatch.setattr(qpot.io, "write_snapshot_rows", rows)
         monkeypatch.setattr(CrankNicolson, "step_values", step)
-        (tmp_path / "run.cfg").write_text(EVOLVE_CFG)
+        (tmp_path / "run.cfg").write_text(text)
         out = tmp_path / "out"
         if existing:
             out.mkdir()
@@ -358,8 +366,8 @@ class TestEvolve:
         code = main(["evolve", "--config", str(tmp_path / "run.cfg"),
                      "--out", str(out)])
         assert code == 1
-        assert "non-finite amplitudes at step 51" in capsys.readouterr().err
-        assert len(written) == 2
+        assert error in capsys.readouterr().err
+        assert len(written) == captures
         if existing:
             assert os.listdir(out) == ["keep.txt"]
         else:

@@ -1,9 +1,9 @@
 """The byte contract: every command, run from each golden case's config,
 writes exactly the files recorded under tests/golden/.
 
-tests/golden/regen.py rewrites the corpus. On a machine whose numpy and
-scipy builds and numpy CPU features match the recorded ones the bytes must
-be identical. Elsewhere numpy's SIMD summation order may differ, so each
+tests/golden/regen.py rewrites the corpus. On a machine whose numpy build
+and numpy CPU features match the recorded ones the bytes must be
+identical. Elsewhere numpy's SIMD summation order may differ, so each
 number is compared to 4 ulp and all other text exactly.
 """
 
@@ -21,7 +21,7 @@ import regen  # noqa: E402
 RECORDED = json.loads((regen.GOLDEN / "environment.json").read_text())
 EXACT = RECORDED == regen.environment()
 if not EXACT:
-    print("golden corpus: recorded on another numpy/scipy build or CPU; "
+    print("golden corpus: recorded on another numpy build or CPU; "
           "numbers are compared to 4 ulp, not byte for byte")
 
 _NUMBER = re.compile(r"([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)")

@@ -141,6 +141,24 @@ def test_every_public_name_has_a_caller_in_src():
     assert CHECKED_BY_ACCEPTANCE <= set(defined)
 
 
+# Where a potential stack is built and a packet evolved: the one owner for a
+# packet named in experiments.PACKETS, and the study whose imprinted packets
+# have no name there.
+EVOLVE_OWNERS = {"experiments.evolve_packet", "experiments.run_preparation_study"}
+
+
+def test_only_the_owners_build_a_stack_and_evolve():
+    """Calls to total_potential and evolve in src/qpot sit in EVOLVE_OWNERS
+    only, so that a change to how a named packet is evolved has one site."""
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            callers.update(f"{path.stem}.{getattr(top, 'name', '<module>')}"
+                           for node in ast.walk(top) if isinstance(node, ast.Call)
+                           and _call_name(node.func) in ("total_potential", "evolve"))
+    assert callers == EVOLVE_OWNERS
+
+
 def _is_dataclass(node):
     return any(getattr(d, "id", getattr(getattr(d, "func", None), "id", None))
                == "dataclass" for d in node.decorator_list)
