@@ -214,15 +214,9 @@ def cmd_fitted(run):
 
 def cmd_prepare(run):
     run.prepare = _settings(run_preparation_study, run.section)
-    kwargs = dict(run.prepare)
-    if "slope_z0_values" in kwargs:
-        if "slopes" in kwargs:
-            raise ConfigError("[prepare] sets both slopes and slope_z0_values")
-        kwargs["slopes"] = tuple(
-            kz0 / run.params.z0 for kz0 in kwargs.pop("slope_z0_values"))
-    run.evolve = _evolve_config(run, kwargs["t_window"])
+    run.evolve = _evolve_config(run, run.prepare["t_window"])
     rows = run_preparation_study(run.params, grid=run.grid, config=run.evolve,
-                                 **kwargs)
+                                 **run.prepare)
     header = ("slope_per_m", "slope_z0", "fidelity", "absorbed_imprinted",
               "absorbed_ideal", "penalty")
     # PreparationRow's fields are in header order

@@ -115,7 +115,6 @@ _SCHEMA = {
         "t_average_window": parse_quantity,
     },
     "prepare": {
-        "slopes": parse_list(parse_quantity),
         "slope_z0_values": parse_list(parse_quantity),
         "t_window": parse_quantity,
     },

@@ -90,14 +90,24 @@ def profile_derivative(z, params, spec=DEFAULT_PROFILE):
     return deriv if deriv.ndim else float(deriv)
 
 
+def _envelope(grid, z0, sigma):
+    """exp(-(z-z0)^2 / 4 sigma^2) on the grid points; warns when more than
+    1e-6 of the probability mass of that Gaussian lies beyond z_max."""
+    tail = 0.5 * math.erfc((grid.z_max - z0) / (math.sqrt(2) * sigma))
+    if tail > 1e-6:
+        warnings.warn(f"{tail:.2e} of the packet mass lies beyond z_max = "
+                      f"{grid.z_max:.2e} m", TruncationWarning, stacklevel=3)
+    return np.exp(-((grid.z - z0) ** 2) / (4 * sigma**2))
+
+
 def engineered_packet(grid, params, spec=DEFAULT_PROFILE):
-    """Engineered profile times Gaussian envelope, normalized, psi(0) = 0."""
+    """Engineered profile times the Gaussian _envelope, normalized, psi(0) = 0."""
     if not grid.resolves_profile(params):
         raise GridError(
             "grid spacing does not resolve the profile oscillation at the "
             f"absorber edge (dz = {grid.dz:.3e} m)"
         )
-    envelope = np.exp(-((grid.z - params.z0) ** 2) / (4 * params.sigma**2))
+    envelope = _envelope(grid, params.z0, params.sigma)
     psi = Wavefunction(grid, profile_on_grid(grid, params, spec) * envelope)
     if psi.norm() == 0:
         raise ConstructionError("engineered packet has zero norm on this grid")
@@ -105,21 +115,14 @@ def engineered_packet(grid, params, spec=DEFAULT_PROFILE):
 
 
 def gaussian_packet(grid, z0, sigma):
-    """Normalized Gaussian exp(-(z-z0)^2 / 4 sigma^2), clamped to 0 at z = 0.
+    """Normalized Gaussian exp(-(z-z0)^2 / 4 sigma^2), 0 at every z <= 0.
 
     Warns when more than 1e-6 of the probability mass lies beyond z_max.
     """
     if z0 <= 0 or sigma <= 0:
         raise ConfigError("gaussian_packet requires z0 > 0 and sigma > 0")
-    tail = 0.5 * math.erfc((grid.z_max - z0) / (math.sqrt(2) * sigma))
-    if tail > 1e-6:
-        warnings.warn(
-            f"{tail:.2e} of the packet mass lies beyond z_max = {grid.z_max:.2e} m",
-            TruncationWarning,
-            stacklevel=2,
-        )
-    vals = np.exp(-((grid.z - z0) ** 2) / (4 * sigma**2)).astype(complex)
-    vals[0] = 0.0
+    vals = _envelope(grid, z0, sigma).astype(complex)
+    vals[grid.z <= 0] = 0.0
     psi = Wavefunction(grid, vals)
     if psi.norm() == 0:
         raise ConstructionError("gaussian packet has zero norm on this grid")

@@ -150,8 +150,10 @@ def absorption_ratio_series(record_num, record_den, t_window):
 
 def _window_config(config, window, name):
     """The run's evolve config, by default one that evolves to `window`; a
-    window that ends after the last evolved step, or a snapshot stride, which
-    no experiment captures, is rejected."""
+    window that is not positive or ends after the last evolved step, or a
+    snapshot stride, which no experiment captures, is rejected."""
+    if not window > 0:  # NaN too
+        raise ConfigError(f"{name} must be positive, got {window!r}")
     if config is None:
         config = EvolveConfig(t_final=window)
     if config.snapshot_stride:
@@ -299,19 +301,18 @@ class PreparationRow:
     penalty: float  # imprinted / ideal absorbed fraction at the window end
 
 
-def run_preparation_study(params, slopes=None, grid=None, config=None,
-                          t_window=2e-3):
+def run_preparation_study(params, slope_z0_values=(0.05, 0.1, 0.3, 1.0), grid=None,
+                          config=None, t_window=2e-3):
     """Fidelity and absorption cost of the two-pulse preparation.
 
-    For each imprint slope K the Gaussian is turned into
-    sin(K z) cos(a/z) Gaussian, compared against the ideal engineered
+    For each imprint slope K = slope_z0_values[i] / z0 the Gaussian is turned
+    into sin(K z) cos(a/z) Gaussian, compared against the ideal engineered
     packet, and both are evolved for t_window under the full stack; a
     config that evolves a whole step past t_window is rejected.
     """
     if grid is None:
         grid = default_grid(params)
-    if slopes is None:
-        slopes = tuple(kz0 / params.z0 for kz0 in (0.05, 0.1, 0.3, 1.0))
+    slopes = tuple(kz0 / params.z0 for kz0 in slope_z0_values)
     config = _window_config(config, t_window, "t_window")
     if config.n_steps * config.dt - t_window >= (1 - 1e-6) * config.dt:
         raise ConfigError(f"t_final = {config.t_final!r} s evolves past t_window")

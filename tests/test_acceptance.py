@@ -350,7 +350,7 @@ def test_criterion_9_soft_phase_imprint_prepares_faithfully():
     ideal packet's."""
     params = PhysicalParams()
     rows = run_preparation_study(
-        params, slopes=(0.05 / params.z0, 0.1 / params.z0), t_window=2e-3
+        params, slope_z0_values=(0.05, 0.1), t_window=2e-3
     )
     fid_ok = all(row.fidelity > 0.99 for row in rows)
     cost_ok = all(0.5 <= row.penalty <= 2.0 for row in rows)

@@ -193,6 +193,22 @@ class TestErrors:
         assert proc.stderr.splitlines()[-1].startswith("error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, key, t_final, window", [
+        ("compare", "t_average_window", "2us", "0"),
+        ("compare", "t_average_window", "2us", "-1us"),
+        ("fitted", "t_average_window", "3us", "0"),
+        ("prepare", "t_window", "2us", "0"),
+    ])
+    def test_non_positive_window_exits_1(self, tmp_path, capsys, command, key,
+                                         t_final, window):
+        # t_final is set, so the window no longer sets the evolved time; such
+        # a compare or fitted run used to exit 0 with "averaged ratio None"
+        code, out = run(tmp_path, [command], f"[evolve]\nt_final = {t_final}\n\n"
+                        f"[{command}]\n{key} = {window}\n")
+        assert code == 1
+        assert f"{key} must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_only_sweep_takes_workers(self, capsys):
         for command in set(_COMMANDS) - {"sweep"}:
             with pytest.raises(SystemExit) as err:
@@ -498,8 +514,21 @@ class TestPrepare:
         code, out = run(tmp_path, ["prepare"],
                         PREPARE_CFG + "slopes = 2e4\n")
         assert code == 1
-        assert "slope_z0_values" in capsys.readouterr().err
+        assert "'slopes'" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_default_slopes_in_the_manifest_replay(self, tmp_path):
+        # no slope key: the manifest records the four K z0 values the run
+        # used, and given back as --config it reproduces prepare.csv
+        code, out = run(tmp_path, ["prepare"],
+                        PREPARE_CFG.replace("slope_z0_values = 0.05\n", ""))
+        assert code == 0
+        manifest = (out / "prepare_manifest.txt").read_text()
+        assert "\nslope_z0_values = 0.05, 0.1, 0.3, 1.0\n" in manifest
+        code, again = run(tmp_path / "replay", ["prepare"], manifest)
+        assert code == 0
+        assert filecmp.cmp(out / "prepare.csv", again / "prepare.csv", shallow=False)
+        assert len((out / "prepare.csv").read_text().splitlines()) == 1 + 4
 
 
 CONVERGE_CFG = """\
@@ -666,7 +695,7 @@ CHANGED = {
     "fitted": {"engineered_z0": "1.5um", "engineered_sigma": "0.9um",
                "gaussian_z0": "2.5um", "gaussian_sigma": "0.9um",
                "auto_fit": "true", "t_average_window": "2us"},
-    "prepare": {"slopes": "3e4", "slope_z0_values": "0.1", "t_window": "2us"},
+    "prepare": {"slope_z0_values": "0.1", "t_window": "2us"},
     "fields": {"support_cut": "1e-3"},
     "profile": {"use_abs": "true"},
     "converge": {"t_final": "4us", "dt_ladder": "0.5us, 0.25us",

@@ -182,6 +182,13 @@ class TestEngineeredPacket:
         assert 3e-6 < mean < 3.5e-6
         assert std < 0.7e-6
 
+    def test_truncation_warning(self, params):
+        # a 2 um box cuts 62% of the default z0 = 2.3 um envelope, as it
+        # does the Gaussian's
+        g = Grid1D(z_max=2e-6, n_points=1000)
+        with pytest.warns(TruncationWarning, match="6.18e-01 of the packet mass"):
+            engineered_packet(g, params)
+
 
 class TestGaussianPacket:
     def test_moments(self, grid):
@@ -201,6 +208,17 @@ class TestGaussianPacket:
         g = Grid1D(z_max=10e-6, n_points=1024)
         with pytest.warns(TruncationWarning):
             gaussian_packet(g, 9.5e-6, 1e-6)
+
+    @pytest.mark.parametrize("z_min", [-1e-6, 0.5e-6])
+    def test_zero_at_every_z_at_or_below_the_surface(self, z_min):
+        # one box reaches below the surface, the other starts above it, where
+        # the first point lies inside the packet
+        g = Grid1D(z_max=3e-6, n_points=401, z_min=z_min)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            psi = gaussian_packet(g, 1e-6, 0.5e-6)
+        assert np.all(psi.values[g.z <= 0] == 0)
+        assert np.all(psi.values[g.z > 0] != 0)
 
     def test_no_warning_when_contained(self, grid):
         with warnings.catch_warnings():

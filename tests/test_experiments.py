@@ -452,8 +452,8 @@ class TestPreparationStudy:
         params = PhysicalParams()
         k = 0.05 / params.z0
         cfg = EvolveConfig(dt=1e-7, t_final=5e-5)
-        [row] = run_preparation_study(params, slopes=(k,), config=cfg,
-                                      t_window=5e-5)
+        [row] = run_preparation_study(params, slope_z0_values=(0.05,),
+                                      config=cfg, t_window=5e-5)
         assert row.slope == k
         assert row.slope_z0 == pytest.approx(0.05)
         assert row.fidelity > 0.99
@@ -466,14 +466,14 @@ class TestPreparationStudy:
         params = PhysicalParams()
         cfg = EvolveConfig(dt=1e-7, t_final=1e-6)
         with pytest.raises(ConfigError, match="t_final"):
-            run_preparation_study(params, slopes=(0.05 / params.z0,),
+            run_preparation_study(params, slope_z0_values=(0.05,),
                                   config=cfg, t_window=t_window)
 
     def test_window_inside_last_step_accepted(self):
         # the last step is read to interpolate at 0.95 us
         params = PhysicalParams()
         cfg = EvolveConfig(dt=1e-7, t_final=1e-6)
-        [row] = run_preparation_study(params, slopes=(0.05 / params.z0,),
+        [row] = run_preparation_study(params, slope_z0_values=(0.05,),
                                       config=cfg, t_window=9.5e-7)
         assert row.absorbed_ideal > 0
 
@@ -506,8 +506,8 @@ class TestSnapshotStrideRejected:
         with pytest.raises(ConfigError, match="snapshot_stride = 10"):
             run_fitted_control(config=self.CFG, t_average_window=1e-5)
         with pytest.raises(ConfigError, match="snapshot_stride = 10"):
-            run_preparation_study(PhysicalParams(), slopes=(1e4,), config=self.CFG,
-                                  t_window=1e-5)
+            run_preparation_study(PhysicalParams(), slope_z0_values=(0.05,),
+                                  config=self.CFG, t_window=1e-5)
         assert evolved == []
 
 
@@ -534,7 +534,7 @@ class TestWindowPastRecord:
     def test_preparation_study(self):
         params = PhysicalParams()
         with pytest.raises(ConfigError, match="t_window"):
-            run_preparation_study(params, slopes=(0.05 / params.z0,),
+            run_preparation_study(params, slope_z0_values=(0.05,),
                                   config=self.CFG, t_window=2e-5)
 
     def test_window_equal_to_evolved_time_accepted(self):
@@ -544,6 +544,48 @@ class TestWindowPastRecord:
         res = run_comparison(PhysicalParams(), config=cfg,
                              t_average_window=2e-5)
         assert res.averaged_ratio == np.mean(res.ratios[res.ratio_times <= 2e-5])
+
+
+class TestNonPositiveWindow:
+    """A window of zero, below zero or NaN averages nothing; every study
+    rejects it before anything is evolved, also when the config sets the
+    evolved time itself."""
+
+    CFG = EvolveConfig(dt=1e-7, t_final=2e-6)
+    WINDOWS = pytest.mark.parametrize("window", [0.0, -1e-6, float("nan")])
+
+    @pytest.fixture
+    def evolved(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("qpot.experiments.evolve",
+                            lambda *args, **kwargs: calls.append(args))
+        return calls
+
+    @WINDOWS
+    def test_comparison(self, evolved, window):
+        with pytest.raises(ConfigError, match="t_average_window must be positive"):
+            run_comparison(PhysicalParams(), config=self.CFG, t_average_window=window)
+        assert evolved == []
+
+    @WINDOWS
+    def test_fitted_control(self, evolved, window):
+        with pytest.raises(ConfigError, match="t_average_window must be positive"):
+            run_fitted_control(config=self.CFG, t_average_window=window)
+        assert evolved == []
+
+    @WINDOWS
+    def test_sweep(self, evolved, window):
+        # SweepSpec rejects 0 and below itself; NaN reaches run_sweep
+        with pytest.raises(ConfigError, match="t_average_window must be positive"):
+            spec = SweepSpec(z0_values=(2.0e-6,), t_average_window=window)
+            run_sweep(PhysicalParams(), spec, config=self.CFG, workers=1)
+        assert evolved == []
+
+    @WINDOWS
+    def test_preparation_study(self, evolved, window):
+        with pytest.raises(ConfigError, match="t_window must be positive"):
+            run_preparation_study(PhysicalParams(), config=self.CFG, t_window=window)
+        assert evolved == []
 
 
 class TestConcurrentEvolves:
@@ -592,8 +634,8 @@ class TestConcurrentEvolves:
         grid = default_grid(params)
         pot = total_potential(grid, params)
         slopes = (0.05 / params.z0, 1.0 / params.z0)
-        rows = run_preparation_study(params, slopes=slopes, config=self.CFG,
-                                     t_window=2e-5)
+        rows = run_preparation_study(params, slope_z0_values=(0.05, 1.0),
+                                     config=self.CFG, t_window=2e-5)
         a_ideal = evolve(real_engineered_packet(grid, params), pot, params,
                          self.CFG).absorbed_at(2e-5)
         assert [row.slope for row in rows] == list(slopes)
@@ -682,10 +724,8 @@ class TestConcurrentEvolves:
         monkeypatch.setattr("qpot.experiments.two_stage_imprint", tracked)
         monkeypatch.setattr("qpot.experiments.evolve", flaky)
         params = PhysicalParams()
-        slopes = tuple(kz0 / params.z0 for kz0 in (0.05, 0.1, 0.3, 1.0))
         with pytest.raises(NumericsError, match="synthetic blow-up"):
-            run_preparation_study(params, slopes=slopes, config=self.CFG,
-                                  t_window=2e-5)
+            run_preparation_study(params, config=self.CFG, t_window=2e-5)
         assert len(started) == 2
 
 

@@ -1,6 +1,7 @@
 """Package-shape guards: one import path per name, no code without a caller."""
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -263,6 +264,32 @@ def test_every_library_option_has_a_caller():
                    and param not in UNSET_BUT_KEPT
                    and not any(param in _SCHEMA[name] for name in spread[call]))
     assert not unset, f"options no caller sets: {', '.join(unset)}"
+
+
+# A key of a spread section that is no parameter of its callee, with its reader.
+READ_ELSEWHERE = {
+    ("evolve", "packet"): "cli.cmd_evolve hands the packet name to "
+                          "experiments.evolve_packet; config.evolve_from drops it",
+}
+
+
+def test_every_spread_key_is_a_parameter_of_its_callee():
+    """Each key of a config section is a parameter or field of the callee the
+    section is spread into, so a command hands its section over with no
+    translation of its own; [grid] is read key by key by config.grid_from."""
+    from qpot import bohmian, core, engineering, experiments, propagate
+
+    names = {}
+    for module in (bohmian, core, engineering, experiments, propagate):
+        names.update(vars(module))
+    unmatched = sorted(
+        f"[{section}] {key} -> {callee}"
+        for callee, sections in _spread_sections().items() for section in sections
+        for key in _SCHEMA[section]
+        if key not in inspect.signature(names[callee]).parameters
+        and (section, key) not in READ_ELSEWHERE)
+    assert unmatched == []
+    assert all(key in _SCHEMA[section] for section, key in READ_ELSEWHERE)
 
 
 def test_config_sections_reach_their_callees():
