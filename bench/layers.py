@@ -27,8 +27,8 @@ and the machine (perfbench's `environment`) are stored next to it.
 - io: `write_record_csv_s`, `write_csv` on the three columns (t_s, norm,
   absorbed_fraction) of the 20,001-row record of a 2 ms `evolve`, and `write_snapshots_s`, the streaming snapshot writer
   (`begin_snapshots_csv`, then `write_snapshot_rows` per capture) over the
-  201 states of that `evolve`, captured every 100 steps and collected once
-  through its `capture`.
+  201 states of that `evolve`, captured every 100 steps
+  (`snapshot_stride=100`) and collected once through its `capture`.
 - L3: `run_comparison_s` over 2 ms with a 2 ms window;
   `run_fitted_control_s` (default pairing) and `run_preparation_study_s`
   (default four slopes) over 0.2 ms; `convergence_report_s`,
@@ -62,13 +62,14 @@ same figures are measured for DIR too, by this file with DIR's `src/` on
 the path, and written to `BENCH_<DIR's describe>.json` at this checkout's
 root; so DIR must offer the qpot functions this file calls, in the
 modules it imports them from (`convergence_report` from
-`qpot.experiments`, `write_csv` from `qpot.io`), and the solver's ctypes
-solve (`propagate._zgttrs` on `CrankNicolson._args`); a checkout from
-before those moves or from before that solve cannot be measured. In each
-round the two sides run each group back to back, the side that goes first
-alternating from round to round, so a drift of the host's speed, which on
-a shared 2-vCPU host is often larger than the change being measured, falls
-on both sides alike. Each file also gets `ratio_to_alternate`: per figure,
+`qpot.experiments`, `write_csv` from `qpot.io`), the solver's ctypes
+solve (`propagate._zgttrs` on `CrankNicolson._args`) and `evolve`'s
+`snapshot_stride` argument, a field of `EvolveConfig` before; a checkout
+from before those moves, that solve or that argument cannot be measured.
+In each round the two sides run each group back to back, the side that
+goes first alternating from round to round, so a drift of the host's
+speed, which on a shared 2-vCPU host is often larger than the change being
+measured, falls on both sides alike. Each file also gets `ratio_to_alternate`: per figure,
 the median and quartiles of the paired ratios, the file's k-th sample over
 the other side's, and `resolved`: false, printed as "unresolved", when
 either side's samples spread, (q3 - q1) / median, by more than MAX_SPREAD
@@ -205,9 +206,9 @@ def inner(layer):
 
     def io():
         captures = []
-        record = evolve(psi, pot, params,
-                        EvolveConfig(dt=DT, t_final=2e-3, snapshot_stride=100),
-                        capture=lambda t, state: captures.append((t, state)))
+        record = evolve(psi, pot, params, EvolveConfig(dt=DT, t_final=2e-3),
+                        capture=lambda t, state: captures.append((t, state)),
+                        snapshot_stride=100)
 
         def write_snapshots(path):
             with open(path, "w", encoding="utf-8", newline="\n") as fh:

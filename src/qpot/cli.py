@@ -70,15 +70,15 @@ def _settings(fn, section):
     return {**defaults, **section}
 
 
-def _evolve_config(run, window):
+def _evolve_config(run, window, name):
     """[evolve] for a command that evolves its own packets and writes no
-    snapshots; t_final defaults to the command's averaging window."""
+    snapshots; t_final defaults to the command's averaging window `name`."""
     section = run.cfg.get("evolve", {})
     for key in ("packet", "snapshot_stride"):
         if section.get(key):
             raise ConfigError(f"[evolve] {key} is read only by qpot evolve, "
                               f"not by qpot {run.args.command}")
-    return cfgmod.evolve_from(run.cfg, t_final=section.get("t_final", window))
+    return cfgmod.evolve_from(run.cfg, window, name)
 
 
 def _path(run, name):
@@ -130,9 +130,10 @@ def cmd_fields(run):
 
 def cmd_evolve(run):
     name = _packet(run.section)
+    stride = run.section.get("snapshot_stride", 0)
     config = cfgmod.evolve_from(run.cfg)
-    run.evolve = {**vars(config), "packet": name}
-    record = (_evolve_streaming(run, name, config) if config.snapshot_stride
+    run.evolve = {**vars(config), "snapshot_stride": stride, "packet": name}
+    record = (_evolve_streaming(run, name, config, stride) if stride
               else evolve_packet(name, run.grid, run.params, config))
     absorbed = record.absorbed_fraction[-1]
     return _Output([_record_csv("record.csv", record)],
@@ -140,7 +141,7 @@ def cmd_evolve(run):
                    f"wrote {_path(run, 'record.csv')} (absorbed {absorbed:.6e})")
 
 
-def _evolve_streaming(run, name, config):
+def _evolve_streaming(run, name, config, stride):
     """evolve_packet, each capture appended to snapshots.csv as it is taken;
     a failed run or packet removes the file, and --out if this run made it."""
     made = not os.path.isdir(run.args.out)
@@ -151,7 +152,8 @@ def _evolve_streaming(run, name, config):
         with fh:
             z_cells = iomod.begin_snapshots_csv(fh, run.grid.z)
             record = evolve_packet(name, run.grid, run.params, config, capture=(
-                lambda t, psi: iomod.write_snapshot_rows(fh, z_cells, t, psi)))
+                lambda t, psi: iomod.write_snapshot_rows(fh, z_cells, t, psi)),
+                snapshot_stride=stride)
         os.replace(part, _path(run, "snapshots.csv"))
     except BaseException:
         os.remove(part)
@@ -163,7 +165,7 @@ def _evolve_streaming(run, name, config):
 
 def cmd_compare(run):
     run.compare = _settings(run_comparison, run.section)
-    run.evolve = _evolve_config(run, run.compare["t_average_window"])
+    run.evolve = _evolve_config(run, run.compare["t_average_window"], "t_average_window")
     result = run_comparison(run.params, grid=run.grid, config=run.evolve,
                             **run.compare)
     return _Output(
@@ -183,7 +185,7 @@ def cmd_compare(run):
 
 def cmd_sweep(run):
     run.sweep = cfgmod.sweep_from(run.cfg)
-    run.evolve = _evolve_config(run, run.sweep.t_average_window)
+    run.evolve = _evolve_config(run, run.sweep.t_average_window, "t_average_window")
     workers = run.args.workers
     rows = run_sweep(run.params, run.sweep, config=run.evolve, workers=workers)
     failed = [r for r in rows if r.failed]
@@ -203,7 +205,7 @@ def cmd_fitted(run):
     run.fitted = _settings(run_fitted_control, run.section)
     if not run.fitted["auto_fit"]:
         run.fitted = {**FITTED_GAUSSIAN, **run.fitted}
-    run.evolve = _evolve_config(run, run.fitted["t_average_window"])
+    run.evolve = _evolve_config(run, run.fitted["t_average_window"], "t_average_window")
     result = run_fitted_control(run.params, config=run.evolve, **run.fitted)
     return _Output(
         _comparison_csvs("ratio_fitted.csv", result),
@@ -214,7 +216,7 @@ def cmd_fitted(run):
 
 def cmd_prepare(run):
     run.prepare = _settings(run_preparation_study, run.section)
-    run.evolve = _evolve_config(run, run.prepare["t_window"])
+    run.evolve = _evolve_config(run, run.prepare["t_window"], "t_window")
     rows = run_preparation_study(run.params, grid=run.grid, config=run.evolve,
                                  **run.prepare)
     header = ("slope_per_m", "slope_z0", "fidelity", "absorbed_imprinted",

@@ -12,7 +12,7 @@ import re
 
 from .core import Grid1D, PhysicalParams, default_grid
 from .errors import ConfigError
-from .experiments import SweepSpec
+from .experiments import SweepSpec, window_config
 from .propagate import EvolveConfig
 
 _UNIT_FACTORS = {"": 1.0, "rad/s": 1.0, "nm": 1e-9, "um": 1e-6, "mm": 1e-3,
@@ -188,10 +188,13 @@ def grid_from(cfg, params=None):
     )
 
 
-def evolve_from(cfg, **overrides):
-    """[evolve] as an EvolveConfig; the packet name is not an evolve setting."""
-    section = {k: v for k, v in cfg.get("evolve", {}).items() if k != "packet"}
-    return EvolveConfig(**{**section, **overrides})
+def evolve_from(cfg, window=None, name=None):
+    """[evolve] as an EvolveConfig; a study's window `name` is its t_final default."""
+    section = {k: v for k, v in cfg.get("evolve", {}).items()
+               if k not in ("packet", "snapshot_stride")}
+    if window is not None and "t_final" not in section:
+        return window_config(None, window, name, dt=section.get("dt", EvolveConfig.dt))
+    return EvolveConfig(**section)
 
 
 def sweep_from(cfg):

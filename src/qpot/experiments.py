@@ -10,7 +10,7 @@ guarding the 0/0 limit at t -> 0; averaged ratios run over the retained
 times inside the averaging window.
 """
 
-import operator
+import numbers
 import os
 import threading
 from dataclasses import dataclass
@@ -39,7 +39,7 @@ PACKETS = {
 
 def evolve_packet(packet, grid, params, config, **kwargs):
     """evolve of PACKETS[packet] on grid under the potential stack params
-    defines; kwargs, a capture, go to evolve unchanged."""
+    defines; kwargs, a capture and its snapshot_stride, go to evolve unchanged."""
     return evolve(PACKETS[packet](grid, params), total_potential(grid, params),
                   params, config, **kwargs)
 
@@ -55,11 +55,8 @@ def _in_lanes(fn, items, lanes=None):
     lane that raises drains the iterator, so that no lane starts a further
     item, and the first exception raised is raised unchanged once the other
     lanes have finished the item they hold."""
-    try:
-        count = (os.cpu_count() or 1) if lanes is None else operator.index(lanes)
-    except TypeError:
-        count = 0
-    if count < 1:
+    count = (os.cpu_count() or 1) if lanes is None else lanes
+    if not (isinstance(count, numbers.Integral) and count >= 1):
         raise ConfigError(f"workers must be a positive integer, got {lanes!r}")
     results = [None] * len(items)
     pending = enumerate(items)  # each next() is atomic under the interpreter lock
@@ -148,17 +145,17 @@ def absorption_ratio_series(record_num, record_den, t_window):
     return t, r, avg, crossover
 
 
-def _window_config(config, window, name):
-    """The run's evolve config, by default one that evolves to `window`; a
-    window that is not positive or ends after the last evolved step, or a
-    snapshot stride, which no experiment captures, is rejected."""
+def window_config(config, window, name, dt=EvolveConfig.dt):
+    """The run's evolve config, by default steps of dt up to `window`, the window
+    named `name`. A window that is not positive, ends after the last evolved step
+    or, as that default t_final, is no whole number of steps is rejected by name."""
     if not window > 0:  # NaN too
         raise ConfigError(f"{name} must be positive, got {window!r}")
     if config is None:
-        config = EvolveConfig(t_final=window)
-    if config.snapshot_stride:
-        raise ConfigError(f"snapshot_stride = {config.snapshot_stride}: "
-                          "experiments capture no snapshots")
+        try:
+            config = EvolveConfig(dt=dt, t_final=window)
+        except ConfigError as exc:
+            raise ConfigError(f"{name} = {window!r} s sets t_final: {exc}") from None
     t_end = config.n_steps * config.dt
     if window - t_end > 1e-6 * config.dt:  # beyond n_steps * dt rounding
         raise ConfigError(
@@ -182,7 +179,7 @@ def run_comparison(params, grid=None, config=None, t_average_window=2e-3):
     envelope parameters under identical potential stacks."""
     if grid is None:
         grid = default_grid(params)
-    config = _window_config(config, t_average_window, "t_average_window")
+    config = window_config(config, t_average_window, "t_average_window")
     return _compare("gaussian", grid, params, params, config, t_average_window)
 
 
@@ -214,13 +211,13 @@ def run_sweep(params_base, sweep, config=None, workers=None):
     A point's two packets are two jobs for `workers` lanes (default: one per
     core), largest grid first; the lane that finishes a point's second packet
     forms its row. Rows come back sorted by z0, the same for any lane count.
-    z0 at or below the absorber edge, a window past the evolved time and a
-    snapshot stride are rejected up front; a QpotError marks its point's row
-    (the engineered packet's first), a packet whose other one has already
-    failed is not evolved, and the sweep goes on, while any other exception
-    stops every lane after its current job and is raised.
+    z0 at or below the absorber edge and a window past the evolved time are
+    rejected up front; a QpotError marks its point's row (the engineered
+    packet's first), a packet whose other one has already failed is not
+    evolved, and the sweep goes on, while any other exception stops every
+    lane after its current job and is raised.
     """
-    config = _window_config(config, sweep.t_average_window, "t_average_window")
+    config = window_config(config, sweep.t_average_window, "t_average_window")
     points = [params_base.replace(z0=z0, sigma=sweep.sigma_for(z0))
               for z0 in sweep.z0_values]
     # the largest grid goes first, so that it never starts last
@@ -284,7 +281,7 @@ def run_fitted_control(params=None, config=None, auto_fit=False,
     p_fit = params.replace(z0=gaussian["gaussian_z0"], sigma=gaussian["gaussian_sigma"])
     placed = (p_eng,) if auto_fit else (p_eng, p_fit)
     grid = default_grid(max(placed, key=lambda p: p.z0 + 6 * p.sigma))
-    config = _window_config(config, t_average_window, "t_average_window")
+    config = window_config(config, t_average_window, "t_average_window")
     if auto_fit:
         mean, std, _ = moments(engineered_packet(grid, p_eng))
         p_fit = params.replace(z0=mean, sigma=std)
@@ -313,7 +310,7 @@ def run_preparation_study(params, slope_z0_values=(0.05, 0.1, 0.3, 1.0), grid=No
     if grid is None:
         grid = default_grid(params)
     slopes = tuple(kz0 / params.z0 for kz0 in slope_z0_values)
-    config = _window_config(config, t_window, "t_window")
+    config = window_config(config, t_window, "t_window")
     if config.n_steps * config.dt - t_window >= (1 - 1e-6) * config.dt:
         raise ConfigError(f"t_final = {config.t_final!r} s evolves past t_window")
     pot = total_potential(grid, params)

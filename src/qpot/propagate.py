@@ -9,6 +9,7 @@ real V, and contractive when the imaginary part is absorbing.
 
 import ctypes
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,22 +44,17 @@ MAX_STEPS = 2**24  # most steps of one evolve; each step adds a value to every r
 class EvolveConfig:
     dt: float = 1e-7  # s (0.1 us)
     t_final: float = 5e-3  # s
-    snapshot_stride: int = 0  # evolve's capture every N steps; 0 = none
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ConfigError(f"dt must be positive, got {self.dt}")
-        if self.t_final < self.dt:
-            raise ConfigError("t_final must be at least one time step")
         steps = self.t_final / self.dt
-        if not steps <= MAX_STEPS:  # NaN fails it too
+        if not 1 <= steps <= MAX_STEPS:  # NaN fails it too
             raise ConfigError(f"t_final = {self.t_final!r} s is {steps!r} steps of "
-                              f"dt = {self.dt!r} s, over {MAX_STEPS}")
+                              f"dt = {self.dt!r} s, not 1 to {MAX_STEPS}")
         if abs(steps - round(steps)) > 1e-6:
             raise ConfigError(f"t_final = {self.t_final!r} s is not a whole "
                               f"number of steps of dt = {self.dt!r} s")
-        if self.snapshot_stride < 0:
-            raise ConfigError("snapshot_stride must be >= 0")
 
     @property
     def n_steps(self):
@@ -114,16 +110,18 @@ class CrankNicolson:
         return np.subtract(self._col, u, out=u)
 
 
-def evolve(psi0, potential, params, config, capture=None):
+def evolve(psi0, potential, params, config, capture=None, snapshot_stride=0):
     """Propagate psi0 and record norm(t) and absorbed fraction 1 - norm^2.
 
     The state is renormalized once at t = 0 so the recorded norms are
     relative; the endpoints are pinned to zero throughout. capture(t, psi)
-    gets a fresh full state at t = 0 and every config.snapshot_stride steps.
+    gets a fresh full state at t = 0 and every snapshot_stride steps.
     """
-    stride = config.snapshot_stride
-    if bool(stride) != (capture is not None):
-        raise ConfigError(f"snapshot_stride = {stride} needs a capture and vice versa")
+    stride = snapshot_stride
+    if not (isinstance(stride, numbers.Integral) and stride >= 0  # no float or string
+            and bool(stride) == (capture is not None)):
+        raise ConfigError(f"snapshot_stride = {stride!r} must be a positive integer "
+                          "with a capture and 0 without one")
     grid = psi0.grid
     dz = grid.dz
     solver = CrankNicolson(grid, potential, params, config.dt)

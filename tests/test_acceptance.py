@@ -133,8 +133,9 @@ def test_criterion_3_propagator_spread_trap_unitarity_reversal():
         gaussian_packet(grid_f, free.z0, free.sigma),
         total_potential(grid_f, free, include_trap=False, include_absorber=False),
         free,
-        EvolveConfig(dt=1e-7, t_final=2e-3, snapshot_stride=20000),
+        EvolveConfig(dt=1e-7, t_final=2e-3),
         capture=lambda t, psi: caps_f.append((t, psi)),
+        snapshot_stride=20000,
     )
     t_end, psi_end = caps_f[-1]
     _, std_end, _ = moments(Wavefunction(grid_f, psi_end))
@@ -151,8 +152,9 @@ def test_criterion_3_propagator_spread_trap_unitarity_reversal():
         gaussian_packet(grid_t, trap.z0, trap.sigma),
         total_potential(grid_t, trap, include_trap=True, include_absorber=False),
         trap,
-        EvolveConfig(dt=1e-7, t_final=1e-3, snapshot_stride=10000),
+        EvolveConfig(dt=1e-7, t_final=1e-3),
         capture=lambda t, psi: caps_t.append((t, np.abs(psi) ** 2)),
+        snapshot_stride=10000,
     )
     rho0 = caps_t[0][1]
     rho1 = caps_t[-1][1]

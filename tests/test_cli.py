@@ -198,15 +198,38 @@ class TestErrors:
         ("compare", "t_average_window", "2us", "-1us"),
         ("fitted", "t_average_window", "3us", "0"),
         ("prepare", "t_window", "2us", "0"),
+        ("compare", "t_average_window", None, "0"),
+        ("compare", "t_average_window", None, "-1us"),
+        ("fitted", "t_average_window", None, "0"),
+        ("prepare", "t_window", None, "0"),
     ])
     def test_non_positive_window_exits_1(self, tmp_path, capsys, command, key,
                                          t_final, window):
-        # t_final is set, so the window no longer sets the evolved time; such
-        # a compare or fitted run used to exit 0 with "averaged ratio None"
-        code, out = run(tmp_path, [command], f"[evolve]\nt_final = {t_final}\n\n"
-                        f"[{command}]\n{key} = {window}\n")
+        # with t_final set, such a compare or fitted run used to exit 0 with
+        # "averaged ratio None"; without it, the window set t_final and the
+        # error named t_final, a key the config does not hold
+        evolve = f"[evolve]\nt_final = {t_final}\n\n" if t_final else ""
+        code, out = run(tmp_path, [command], f"{evolve}[{command}]\n{key} = {window}\n")
         assert code == 1
-        assert f"{key} must be positive" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be positive, got ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, key, window, message", [
+        ("compare", "t_average_window", "0.15us", "is not a whole number of steps"),
+        ("fitted", "t_average_window", "2.5us", "is not a whole number of steps"),
+        ("prepare", "t_window", "0.15us", "is not a whole number of steps"),
+        ("sweep", "t_average_window", "0.05us", "is 0.5 steps"),
+    ])
+    def test_window_that_sets_t_final_is_named(self, tmp_path, capsys, command, key,
+                                               window, message):
+        # with no t_final the window is the run length, at dt = 1 us for fitted
+        evolve = "[evolve]\ndt = 1us\n\n" if command == "fitted" else ""
+        code, out = run(tmp_path, [command], f"{evolve}[{command}]\n{key} = {window}\n")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} = ")
+        assert message in err and "dt = " in err
         assert not out.exists()
 
     def test_only_sweep_takes_workers(self, capsys):
@@ -340,12 +363,25 @@ class TestEvolve:
         caps = []
         real_evolve(gaussian_packet(grid, params.z0, params.sigma),
                     total_potential(grid, params), params, evolve_from(cfg),
-                    capture=lambda t, psi: caps.append((t, psi)))
+                    capture=lambda t, psi: caps.append((t, psi)),
+                    snapshot_stride=cfg["evolve"]["snapshot_stride"])
         assert len(caps) == 4
         rows = [f"{float(t)!r},{z!r},{rho!r}\n" for t, psi in caps
                 for z, rho in zip(grid.z.tolist(), (np.abs(psi) ** 2).tolist())]
         expected = "t_s,z_m,density\n" + "".join(rows)
         assert (out / "snapshots.csv").read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_negative_stride_exits_1(self, tmp_path, capsys, existing):
+        # evolve itself rejects the stride; --out is left as it was found
+        out = tmp_path / "out"
+        if existing:
+            out.mkdir()
+        text = EVOLVE_CFG.replace("snapshot_stride = 50", "snapshot_stride = -2")
+        code, _ = run(tmp_path, ["evolve"], text)
+        assert code == 1
+        assert "error: snapshot_stride = -2 must be" in capsys.readouterr().err
+        assert os.listdir(out) == [] if existing else not out.exists()
 
     # a run that blows up at its second capture, and a packet that cannot be
     # built on its grid, after snapshots.csv.part is opened
@@ -646,6 +682,25 @@ class TestManifestReplay:
         names = sorted(path.name for path in out.iterdir())
         assert names == sorted(path.name for path in again.iterdir())
         for name in names:  # the replayed manifest is the same text, too
+            assert filecmp.cmp(out / name, again / name, shallow=False), name
+
+    def test_manifest_with_a_zero_stride_replays(self, tmp_path):
+        """A study manifest holds no snapshot_stride line; one written while
+        EvolveConfig held the stride records "snapshot_stride = 0" under
+        [evolve], and it still replays to the same bytes."""
+        code, out = run(tmp_path, ["compare"], COMPARE_CFG)
+        assert code == 0
+        text = (out / "compare_manifest.txt").read_text()
+        assert "snapshot_stride" not in text
+        # the line sat after t_final, in schema order
+        old = re.sub(r"\[evolve\]\ndt = .*\nt_final = .*\n",
+                     r"\g<0>snapshot_stride = 0\n", text)
+        assert old.count("snapshot_stride = 0") == 1
+        code, again = run(tmp_path / "replay", ["compare"], old)
+        assert code == 0
+        names = sorted(path.name for path in out.iterdir())
+        assert names == sorted(path.name for path in again.iterdir())
+        for name in names:
             assert filecmp.cmp(out / name, again / name, shallow=False), name
 
 

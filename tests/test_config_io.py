@@ -142,8 +142,13 @@ class TestBuilders:
         ev = evolve_from(cfg)
         assert ev.dt == pytest.approx(1e-7)
         assert ev.t_final == pytest.approx(2e-3)
-        ev2 = evolve_from(cfg, t_final=1e-4)
-        assert ev2.t_final == 1e-4
+        # a study's window is t_final only where [evolve] sets none
+        assert evolve_from(cfg, 1e-4, "t_average_window") == ev
+        del cfg["evolve"]["t_final"]
+        ev2 = evolve_from(cfg, 1e-4, "t_average_window")
+        assert (ev2.dt, ev2.t_final) == (ev.dt, 1e-4)
+        cfg["evolve"]["snapshot_stride"] = 5  # qpot evolve's, dropped like packet
+        assert evolve_from(cfg) == evolve_from({"evolve": {"dt": ev.dt}})
 
     def test_sweep_from_fills_defaults(self):
         default = SweepSpec()

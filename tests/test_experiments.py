@@ -478,39 +478,6 @@ class TestPreparationStudy:
         assert row.absorbed_ideal > 0
 
 
-class TestSnapshotStrideRejected:
-    """No experiment captures snapshots, so a stride is rejected before any
-    packet is evolved, on this thread and not inside a worker."""
-
-    CFG = EvolveConfig(dt=1e-7, t_final=1e-5, snapshot_stride=10)
-
-    @pytest.fixture
-    def evolved(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr("qpot.experiments.evolve",
-                            lambda *args, **kwargs: calls.append(args))
-        return calls
-
-    def test_comparison(self, evolved):
-        with pytest.raises(ConfigError, match="snapshot_stride = 10"):
-            run_comparison(PhysicalParams(), config=self.CFG, t_average_window=1e-5)
-        assert evolved == []
-
-    def test_sweep(self, evolved):
-        spec = SweepSpec(z0_values=(2.0e-6, 2.5e-6), t_average_window=1e-5)
-        with pytest.raises(ConfigError, match="snapshot_stride = 10"):
-            run_sweep(PhysicalParams(), spec, config=self.CFG, workers=2)
-        assert evolved == []
-
-    def test_fitted_control_and_preparation_study(self, evolved):
-        with pytest.raises(ConfigError, match="snapshot_stride = 10"):
-            run_fitted_control(config=self.CFG, t_average_window=1e-5)
-        with pytest.raises(ConfigError, match="snapshot_stride = 10"):
-            run_preparation_study(PhysicalParams(), slope_z0_values=(0.05,),
-                                  config=self.CFG, t_window=1e-5)
-        assert evolved == []
-
-
 class TestWindowPastRecord:
     """An averaging window that ends after the evolved time is rejected
     before anything is evolved."""

@@ -148,16 +148,36 @@ def test_every_public_name_has_a_caller_in_src():
 EVOLVE_OWNERS = {"experiments.evolve_packet", "experiments.run_preparation_study"}
 
 
-def test_only_the_owners_build_a_stack_and_evolve():
-    """Calls to total_potential and evolve in src/qpot sit in EVOLVE_OWNERS
-    only, so that a change to how a named packet is evolved has one site."""
+def _callers(names, passes=lambda call: True):
+    """module.name of each top-level statement of src/qpot holding a call to
+    one of `names` that `passes`."""
     callers = set()
     for path in sorted(SRC.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
             callers.update(f"{path.stem}.{getattr(top, 'name', '<module>')}"
                            for node in ast.walk(top) if isinstance(node, ast.Call)
-                           and _call_name(node.func) in ("total_potential", "evolve"))
-    assert callers == EVOLVE_OWNERS
+                           and _call_name(node.func) in names and passes(node))
+    return callers
+
+
+def test_only_the_owners_build_a_stack_and_evolve():
+    """Calls to total_potential and evolve in src/qpot sit in EVOLVE_OWNERS
+    only, so that a change to how a named packet is evolved has one site."""
+    assert _callers(("total_potential", "evolve")) == EVOLVE_OWNERS
+
+
+def _captures(call):
+    """Whether an evolve or evolve_packet call passes a capture or a snapshot
+    stride: by name, or as a fifth positional argument."""
+    named = {k.arg for k in call.keywords}
+    return len(call.args) > 4 or bool(named & {"capture", "snapshot_stride"})
+
+
+def test_only_qpot_evolve_captures():
+    """The one call in src/qpot that hands evolve or evolve_packet a capture
+    or a snapshot stride is qpot evolve's snapshot writer: no study takes
+    snapshots, so none can be handed a stride."""
+    assert _callers(("evolve", "evolve_packet"), _captures) == {"cli._evolve_streaming"}
 
 
 def _is_dataclass(node):
@@ -270,6 +290,9 @@ def test_every_library_option_has_a_caller():
 READ_ELSEWHERE = {
     ("evolve", "packet"): "cli.cmd_evolve hands the packet name to "
                           "experiments.evolve_packet; config.evolve_from drops it",
+    ("evolve", "snapshot_stride"): "cli.cmd_evolve hands the stride to "
+                                   "propagate.evolve through evolve_packet; "
+                                   "config.evolve_from drops it",
 }
 
 

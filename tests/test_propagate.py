@@ -2,8 +2,10 @@
 
 import ctypes
 import gc
+import re
 import tracemalloc
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -44,13 +46,13 @@ class TestEvolveConfig:
         assert cfg.dt == 1e-7
         assert cfg.t_final == 5e-3
         assert cfg.n_steps == 50000
-        assert cfg.snapshot_stride == 0
+        assert [f.name for f in fields(cfg)] == ["dt", "t_final"]  # the time grid alone
 
     @pytest.mark.parametrize("kwargs", [
         {"dt": 0.0},
         {"dt": -1e-7},
         {"dt": 1e-7, "t_final": 1e-8},
-        {"snapshot_stride": -1},
+        {"t_final": -1e-7},
     ])
     def test_rejects_bad_settings(self, kwargs):
         with pytest.raises(ConfigError):
@@ -104,9 +106,10 @@ class TestStep:
         # peak, so evolve's initial renormalization is a no-op here.
         psi = gaussian_packet(grid, 5e-6, 0.7e-6)
         pot = free_potential(grid)
-        cfg = EvolveConfig(dt=1e-7, t_final=1e-7, snapshot_stride=1)
+        cfg = EvolveConfig(dt=1e-7, t_final=1e-7)
         caps = []
-        evolve(psi, pot, params, cfg, capture=lambda t, psi: caps.append((t, psi)))
+        evolve(psi, pot, params, cfg, capture=lambda t, psi: caps.append((t, psi)),
+               snapshot_stride=1)
         u = psi.values[1:-1].copy()
         CrankNicolson(grid, pot, params, 1e-7).step_values(u)
         stored = caps[-1][1]
@@ -271,15 +274,16 @@ class TestFactoredFastPath:
         # each capture copies the state; a capture aliasing the stepped
         # amplitudes would show the final state at every stride
         grid, pot, params, psi = stack
-        cfg = EvolveConfig(dt=1e-7, t_final=2e-5, snapshot_stride=50)
+        cfg = EvolveConfig(dt=1e-7, t_final=2e-5)
         caps = []
-        evolve(psi, pot, params, cfg, capture=lambda t, psi: caps.append((t, psi)))
+        evolve(psi, pot, params, cfg, capture=lambda t, psi: caps.append((t, psi)),
+               snapshot_stride=50)
         assert len(caps) == 5
         for k in (1, 2, 3):
             short_caps = []
-            short = evolve(psi, pot, params, EvolveConfig(
-                dt=1e-7, t_final=k * 5e-6, snapshot_stride=50),
-                capture=lambda t, psi: short_caps.append((t, psi)))
+            short = evolve(psi, pot, params, EvolveConfig(dt=1e-7, t_final=k * 5e-6),
+                           capture=lambda t, psi: short_caps.append((t, psi)),
+                           snapshot_stride=50)
             assert short.times.size == 50 * k + 1
             assert caps[k][0] == short_caps[-1][0]
             assert np.array_equal(caps[k][1], short_caps[-1][1])
@@ -287,10 +291,10 @@ class TestFactoredFastPath:
 
     def test_recorded_norm_is_the_trapezoid_norm(self, stack):
         grid, pot, params, psi = stack
-        cfg = EvolveConfig(dt=1e-7, t_final=2e-5, snapshot_stride=50)
+        cfg = EvolveConfig(dt=1e-7, t_final=2e-5)
         caps = []
         rec = evolve(psi, pot, params, cfg,
-                     capture=lambda t, psi: caps.append((t, psi)))
+                     capture=lambda t, psi: caps.append((t, psi)), snapshot_stride=50)
         for t, vals in caps[1:]:
             k = int(round(t / cfg.dt))
             trap = np.sqrt(np.trapezoid(np.abs(vals) ** 2, grid.z))
@@ -337,11 +341,11 @@ class TestFreeSpreading:
         grid = Grid1D(z_max=20e-6, n_points=4096)
         params = PhysicalParams(z0=10e-6, c4=0.0, absorber_strength=0.0)
         psi = gaussian_packet(grid, 10e-6, 1e-6)
-        cfg = EvolveConfig(dt=1e-7, t_final=1e-3, snapshot_stride=10000)
+        cfg = EvolveConfig(dt=1e-7, t_final=1e-3)
         assert cfg.n_steps == 10000
         caps = []
         evolve(psi, free_potential(grid), params, cfg,
-               capture=lambda t, psi: caps.append((t, psi)))
+               capture=lambda t, psi: caps.append((t, psi)), snapshot_stride=10000)
         t, final_vals = caps[-1]
         assert t == pytest.approx(1e-3)
         mean, std, _ = moments(psi.with_values(final_vals))
@@ -368,9 +372,10 @@ def trap_run():
     psi = gaussian_packet(grid, 7e-6, 1e-6)
     pot = total_potential(grid, params, include_trap=True,
                           include_absorber=False)
-    cfg = EvolveConfig(dt=1e-7, t_final=1e-3, snapshot_stride=10000)
+    cfg = EvolveConfig(dt=1e-7, t_final=1e-3)
     caps = []
-    rec = evolve(psi, pot, params, cfg, capture=lambda t, psi: caps.append((t, psi)))
+    rec = evolve(psi, pot, params, cfg, capture=lambda t, psi: caps.append((t, psi)),
+                 snapshot_stride=10000)
     return params, psi, pot, rec, caps
 
 
@@ -466,10 +471,10 @@ class TestSnapshots:
         grid = Grid1D(z_max=10e-6, n_points=512)
         params = PhysicalParams(c4=0.0, absorber_strength=0.0)
         psi = gaussian_packet(grid, 5e-6, 1e-6)
-        cfg = EvolveConfig(dt=1e-7, t_final=1e-5, snapshot_stride=10)
+        cfg = EvolveConfig(dt=1e-7, t_final=1e-5)
         caps = []
         rec = evolve(psi, free_potential(grid), params, cfg,
-                     capture=lambda t, psi: caps.append((t, psi)))
+                     capture=lambda t, psi: caps.append((t, psi)), snapshot_stride=10)
         assert cfg.n_steps == 100
         assert len(rec.times) == 101
         assert len(caps) == 11
@@ -478,13 +483,29 @@ class TestSnapshots:
         assert all(vals.shape == (512,) and vals[0] == vals[-1] == 0.0
                    for _, vals in caps)
 
-    @pytest.mark.parametrize("stride, capture", [(10, None), (0, lambda t, psi: None)])
-    def test_stride_and_capture_go_together(self, stride, capture):
+    # a stride is a whole number of steps, positive with a capture and 0
+    # without one: 2.5 once captured at steps 0, 5, 10, ... as if it were 5
+    @pytest.mark.parametrize("stride, capture", [
+        (10, None), (0, lambda t, psi: None), (2.5, lambda t, psi: None),
+        (2.0, lambda t, psi: None), ("2", lambda t, psi: None),
+        (-2, lambda t, psi: None), (-2, None)])
+    def test_stride_and_capture_go_together(self, stride, capture, monkeypatch):
         grid = Grid1D(z_max=10e-6, n_points=512)
         psi = gaussian_packet(grid, 5e-6, 1e-6)
-        cfg = EvolveConfig(dt=1e-7, t_final=1e-5, snapshot_stride=stride)
-        with pytest.raises(ConfigError, match="snapshot_stride"):
-            evolve(psi, free_potential(grid), PhysicalParams(), cfg, capture=capture)
+        cfg = EvolveConfig(dt=1e-7, t_final=2e-6)
+        monkeypatch.setattr(CrankNicolson, "__init__", None)  # rejected before any step
+        message = re.escape(f"snapshot_stride = {stride!r} must be")
+        with pytest.raises(ConfigError, match=message):
+            evolve(psi, free_potential(grid), PhysicalParams(), cfg, capture=capture,
+                   snapshot_stride=stride)
+
+    def test_numpy_integer_stride(self):
+        grid = Grid1D(z_max=10e-6, n_points=512)
+        psi = gaussian_packet(grid, 5e-6, 1e-6)
+        caps = []
+        evolve(psi, free_potential(grid), PhysicalParams(), EvolveConfig(t_final=2e-6),
+               capture=lambda t, psi: caps.append(t), snapshot_stride=np.int64(5))
+        assert caps == pytest.approx([0.0, 5e-7, 1e-6, 1.5e-6, 2e-6])
 
     def test_captures_are_not_kept(self):
         """201 captures of 4096 points through a discarding capture: the
@@ -493,12 +514,12 @@ class TestSnapshots:
         grid = Grid1D(z_max=10e-6, n_points=4096)
         params = PhysicalParams(c4=0.0, absorber_strength=0.0)
         psi = gaussian_packet(grid, 5e-6, 1e-6)
-        cfg = EvolveConfig(dt=1e-7, t_final=2e-5, snapshot_stride=1)
+        cfg = EvolveConfig(dt=1e-7, t_final=2e-5)
         count = []
         tracemalloc.start()
         try:
             evolve(psi, free_potential(grid), params, cfg,
-                   capture=lambda t, psi: count.append(t))
+                   capture=lambda t, psi: count.append(t), snapshot_stride=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
