@@ -1,4 +1,4 @@
-"""Command-line interface.
+"""Command-line interface: the command table and its I/O.
 
 Every subcommand reads an optional config file, runs one experiment and
 writes CSV files plus a run-manifest into the output directory. A
@@ -6,9 +6,9 @@ command's row in _COMMANDS lists the config sections and the [params]
 keys it reads; its manifest records exactly those with the values the run
 used, so the manifest given back as --config replays the run. A [grid] or
 [evolve] section or a [params] key given to a command that does not read
-it is an error, and so are [evolve] packet and a nonzero snapshot_stride
-outside `qpot evolve`. Runs are fully deterministic; sweep's --workers
-only changes how packets are scheduled, never the numbers.
+it is an error; a value is checked where qpot.config parses it or the
+library reads it, and any bad one exits 1. Runs are fully deterministic;
+sweep's --workers only changes how packets are scheduled, never the numbers.
 """
 
 import argparse
@@ -29,7 +29,6 @@ from .engineering import ProfileSpec, engineered_packet, profile_on_grid
 from .errors import ConfigError, NumericsError, QpotError
 from .experiments import (
     FITTED_GAUSSIAN,
-    PACKETS,
     RATIO_FLOOR,
     convergence_report,
     evolve_packet,
@@ -41,10 +40,6 @@ from .experiments import (
 from .version import __version__
 
 
-class _UsageError(Exception):
-    """A config value no command can act on; exits 2 like a bad flag."""
-
-
 class _Output(NamedTuple):
     """What a command hands back to the driver."""
 
@@ -54,31 +49,12 @@ class _Output(NamedTuple):
     errors: tuple = ()  # stderr lines; any makes the command exit 1
 
 
-def _packet(section):
-    """The section's packet name (default engineered), a key of PACKETS."""
-    name = section.get("packet", "engineered")
-    if name not in PACKETS:
-        raise _UsageError(f"unknown packet {name!r}")
-    return name
-
-
 def _settings(fn, section):
     """The section over fn's keyword defaults: every setting the run used."""
     defaults = {name: p.default
                 for name, p in inspect.signature(fn).parameters.items()
                 if p.default is not p.empty and p.default is not None}
     return {**defaults, **section}
-
-
-def _evolve_config(run, window, name):
-    """[evolve] for a command that evolves its own packets and writes no
-    snapshots; t_final defaults to the command's averaging window `name`."""
-    section = run.cfg.get("evolve", {})
-    for key in ("packet", "snapshot_stride"):
-        if section.get(key):
-            raise ConfigError(f"[evolve] {key} is read only by qpot evolve, "
-                              f"not by qpot {run.args.command}")
-    return cfgmod.evolve_from(run.cfg, window, name)
 
 
 def _path(run, name):
@@ -129,7 +105,7 @@ def cmd_fields(run):
 
 
 def cmd_evolve(run):
-    name = _packet(run.section)
+    name = run.section.get("packet", "engineered")
     stride = run.section.get("snapshot_stride", 0)
     config = cfgmod.evolve_from(run.cfg)
     run.evolve = {**vars(config), "snapshot_stride": stride, "packet": name}
@@ -165,7 +141,8 @@ def _evolve_streaming(run, name, config, stride):
 
 def cmd_compare(run):
     run.compare = _settings(run_comparison, run.section)
-    run.evolve = _evolve_config(run, run.compare["t_average_window"], "t_average_window")
+    run.evolve = cfgmod.evolve_from(run.cfg, run.compare["t_average_window"],
+                                    "t_average_window")
     result = run_comparison(run.params, grid=run.grid, config=run.evolve,
                             **run.compare)
     return _Output(
@@ -185,7 +162,8 @@ def cmd_compare(run):
 
 def cmd_sweep(run):
     run.sweep = cfgmod.sweep_from(run.cfg)
-    run.evolve = _evolve_config(run, run.sweep.t_average_window, "t_average_window")
+    run.evolve = cfgmod.evolve_from(run.cfg, run.sweep.t_average_window,
+                                    "t_average_window")
     workers = run.args.workers
     rows = run_sweep(run.params, run.sweep, config=run.evolve, workers=workers)
     failed = [r for r in rows if r.failed]
@@ -205,7 +183,8 @@ def cmd_fitted(run):
     run.fitted = _settings(run_fitted_control, run.section)
     if not run.fitted["auto_fit"]:
         run.fitted = {**FITTED_GAUSSIAN, **run.fitted}
-    run.evolve = _evolve_config(run, run.fitted["t_average_window"], "t_average_window")
+    run.evolve = cfgmod.evolve_from(run.cfg, run.fitted["t_average_window"],
+                                    "t_average_window")
     result = run_fitted_control(run.params, config=run.evolve, **run.fitted)
     return _Output(
         _comparison_csvs("ratio_fitted.csv", result),
@@ -216,7 +195,7 @@ def cmd_fitted(run):
 
 def cmd_prepare(run):
     run.prepare = _settings(run_preparation_study, run.section)
-    run.evolve = _evolve_config(run, run.prepare["t_window"], "t_window")
+    run.evolve = cfgmod.evolve_from(run.cfg, run.prepare["t_window"], "t_window")
     rows = run_preparation_study(run.params, grid=run.grid, config=run.evolve,
                                  **run.prepare)
     header = ("slope_per_m", "slope_z0", "fidelity", "absorbed_imprinted",
@@ -227,7 +206,6 @@ def cmd_prepare(run):
 
 
 def cmd_converge(run):
-    _packet(run.section)  # an unknown packet exits 2 here, as in qpot evolve
     run.converge = _settings(convergence_report, run.section)
     report = convergence_report(run.params, base_grid=run.grid, **run.converge)
     # the refinement ladders in long form, one row per run
@@ -341,9 +319,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except _UsageError as exc:
-        print(exc, file=sys.stderr)
-        return 2
     except (QpotError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -12,7 +12,7 @@ import re
 
 from .core import Grid1D, PhysicalParams, default_grid
 from .errors import ConfigError
-from .experiments import SweepSpec, window_config
+from .experiments import PACKETS, SweepSpec, window_config
 from .propagate import EvolveConfig
 
 _UNIT_FACTORS = {"": 1.0, "rad/s": 1.0, "nm": 1e-9, "um": 1e-6, "mm": 1e-3,
@@ -55,8 +55,19 @@ def parse_int(text):
         raise ConfigError(f"cannot parse integer {text!r}") from None
 
 
-def parse_word(text):
-    return text.strip()
+def parse_count(text):
+    value = parse_int(text)
+    if value < 0:
+        raise ConfigError(f"expected a non-negative integer, got {value}")
+    return value
+
+
+def parse_packet(text):
+    """A packet name: a key of experiments.PACKETS."""
+    name = text.strip()
+    if name not in PACKETS:
+        raise ConfigError(f"unknown packet {name!r}")
+    return name
 
 
 def parse_list(item_parser):
@@ -95,8 +106,8 @@ _SCHEMA = {
     "evolve": {
         "dt": parse_quantity,
         "t_final": parse_quantity,
-        "snapshot_stride": parse_int,
-        "packet": parse_word,
+        "snapshot_stride": parse_count,
+        "packet": parse_packet,
     },
     "sweep": {
         "z0_values": parse_list(parse_quantity),
@@ -128,7 +139,7 @@ _SCHEMA = {
         "t_final": parse_quantity,
         "dt_ladder": parse_list(parse_quantity),
         "n_refinements": parse_int,
-        "packet": parse_word,
+        "packet": parse_packet,
     },
 }
 
@@ -189,9 +200,13 @@ def grid_from(cfg, params=None):
 
 
 def evolve_from(cfg, window=None, name=None):
-    """[evolve] as an EvolveConfig; a study's window `name` is its t_final default."""
-    section = {k: v for k, v in cfg.get("evolve", {}).items()
-               if k not in ("packet", "snapshot_stride")}
+    """[evolve] as an EvolveConfig, without packet and snapshot_stride, which
+    are qpot evolve's own: a study (window given) rejects a packet or a nonzero
+    stride. A study's window `name` is its t_final default."""
+    section = dict(cfg.get("evolve", {}))
+    for key in ("packet", "snapshot_stride"):
+        if section.pop(key, None) and window is not None:
+            raise ConfigError(f"[evolve] {key} is read only by qpot evolve, not by a study")
     if window is not None and "t_final" not in section:
         return window_config(None, window, name, dt=section.get("dt", EvolveConfig.dt))
     return EvolveConfig(**section)

@@ -103,8 +103,6 @@ class SweepSpec:
         if kind == "fixed" and value <= 0:
             raise ConfigError("fixed sigma must be positive")
         object.__setattr__(self, "sigma_rule", (kind, float(value)))
-        if self.t_average_window <= 0:
-            raise ConfigError("t_average_window must be positive")
 
     def sigma_for(self, z0):
         kind, value = self.sigma_rule

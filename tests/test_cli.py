@@ -69,12 +69,13 @@ class TestErrors:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_unknown_packet_exits_2(self, tmp_path, capsys):
+    def test_unknown_packet_exits_1(self, tmp_path, capsys):
+        # rejected as it is parsed, like any bad value, naming its line
         for command in ("evolve", "converge"):
             code, out = run(tmp_path / command, [command],
                             f"[{command}]\npacket = plane\nt_final = 1us\n")
-            assert code == 2
-            assert "unknown packet" in capsys.readouterr().err
+            assert code == 1
+            assert capsys.readouterr().err == "error: line 2: unknown packet 'plane'\n"
             assert not out.exists()
 
     @pytest.mark.parametrize("command,text,fragment", [
@@ -202,6 +203,10 @@ class TestErrors:
         ("compare", "t_average_window", None, "-1us"),
         ("fitted", "t_average_window", None, "0"),
         ("prepare", "t_window", None, "0"),
+        ("sweep", "t_average_window", "2us", "0"),
+        ("sweep", "t_average_window", "2us", "-1us"),
+        ("sweep", "t_average_window", None, "0"),
+        ("sweep", "t_average_window", None, "-1us"),
     ])
     def test_non_positive_window_exits_1(self, tmp_path, capsys, command, key,
                                          t_final, window):
@@ -373,14 +378,33 @@ class TestEvolve:
 
     @pytest.mark.parametrize("existing", [False, True])
     def test_negative_stride_exits_1(self, tmp_path, capsys, existing):
-        # evolve itself rejects the stride; --out is left as it was found
+        # rejected as it is parsed; --out is left as it was found
         out = tmp_path / "out"
         if existing:
             out.mkdir()
         text = EVOLVE_CFG.replace("snapshot_stride = 50", "snapshot_stride = -2")
         code, _ = run(tmp_path, ["evolve"], text)
         assert code == 1
-        assert "error: snapshot_stride = -2 must be" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: line 7: expected a non-negative integer, got -2\n")
+        assert os.listdir(out) == [] if existing else not out.exists()
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_unknown_packet_builds_nothing(self, tmp_path, monkeypatch, capsys,
+                                           existing):
+        # a snapshot run with an unknown packet exits before any grid is built
+        # or --out is touched
+        def no_grid(*args):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr("qpot.config.default_grid", no_grid)
+        out = tmp_path / "out"
+        if existing:
+            out.mkdir()
+        text = EVOLVE_CFG.replace("packet = gaussian", "packet = plane")
+        code, _ = run(tmp_path, ["evolve"], text)
+        assert code == 1
+        assert capsys.readouterr().err == "error: line 8: unknown packet 'plane'\n"
         assert os.listdir(out) == [] if existing else not out.exists()
 
     # a run that blows up at its second capture, and a packet that cannot be

@@ -13,8 +13,10 @@ from qpot.config import (
     params_from,
     parse_bool,
     parse_config_text,
+    parse_count,
     parse_int,
     parse_list,
+    parse_packet,
     parse_quantity,
     parse_rule,
     sweep_from,
@@ -63,6 +65,16 @@ class TestParsers:
         assert parse_list(parse_quantity)("1um, 2um") == (1e-6, 2e-6)
         with pytest.raises(ConfigError):
             parse_list(parse_quantity)(" , ")
+
+    def test_counts_and_packets(self):
+        assert parse_count(" 0 ") == 0 and parse_count("50") == 50
+        with pytest.raises(ConfigError, match="non-negative integer, got -2"):
+            parse_count("-2")
+        with pytest.raises(ConfigError, match="cannot parse integer"):
+            parse_count("2.5")
+        assert parse_packet(" gaussian ") == "gaussian"
+        with pytest.raises(ConfigError, match="unknown packet 'plane'"):
+            parse_packet("plane")
 
     def test_rules(self):
         assert parse_rule("ratio 0.5") == ("ratio", 0.5)
@@ -143,12 +155,20 @@ class TestBuilders:
         assert ev.dt == pytest.approx(1e-7)
         assert ev.t_final == pytest.approx(2e-3)
         # a study's window is t_final only where [evolve] sets none
-        assert evolve_from(cfg, 1e-4, "t_average_window") == ev
-        del cfg["evolve"]["t_final"]
-        ev2 = evolve_from(cfg, 1e-4, "t_average_window")
+        study = {"evolve": {k: v for k, v in cfg["evolve"].items() if k != "packet"}}
+        assert evolve_from(study, 1e-4, "t_average_window") == ev
+        del cfg["evolve"]["t_final"], study["evolve"]["t_final"]
+        ev2 = evolve_from(study, 1e-4, "t_average_window")
         assert (ev2.dt, ev2.t_final) == (ev.dt, 1e-4)
         cfg["evolve"]["snapshot_stride"] = 5  # qpot evolve's, dropped like packet
         assert evolve_from(cfg) == evolve_from({"evolve": {"dt": ev.dt}})
+        # a study rejects both, but an old manifest's stride of 0 replays
+        for key, value in [("packet", "engineered"), ("snapshot_stride", 5)]:
+            with pytest.raises(ConfigError, match=rf"\[evolve\] {key} is read only by "
+                                                  "qpot evolve"):
+                evolve_from({"evolve": {key: value}}, 1e-4, "t_average_window")
+        study["evolve"]["snapshot_stride"] = 0
+        assert evolve_from(study, 1e-4, "t_average_window") == ev2
 
     def test_sweep_from_fills_defaults(self):
         default = SweepSpec()

@@ -115,7 +115,6 @@ class TestSweepSpec:
         {"sigma_rule": ("ratio", 1.5)},
         {"sigma_rule": ("fixed", -1e-6)},
         {"sigma_rule": ("fixed", 0.0)},
-        {"t_average_window": 0.0},
     ])
     def test_rejects_bad_spec(self, kwargs):
         with pytest.raises(ConfigError):
@@ -542,7 +541,7 @@ class TestNonPositiveWindow:
 
     @WINDOWS
     def test_sweep(self, evolved, window):
-        # SweepSpec rejects 0 and below itself; NaN reaches run_sweep
+        # SweepSpec takes any window; run_sweep's window_config rejects it
         with pytest.raises(ConfigError, match="t_average_window must be positive"):
             spec = SweepSpec(z0_values=(2.0e-6,), t_average_window=window)
             run_sweep(PhysicalParams(), spec, config=self.CFG, workers=1)

@@ -166,6 +166,14 @@ def test_only_the_owners_build_a_stack_and_evolve():
     assert _callers(("total_potential", "evolve")) == EVOLVE_OWNERS
 
 
+def test_the_cli_checks_no_config_value():
+    """In cli.py only _run raises ConfigError, for which command reads which
+    section and [params] key; every value is checked where config parses it
+    or the library reads it, and no private error takes another exit code."""
+    assert {c for c in _callers(("ConfigError",)) if c.startswith("cli.")} == {"cli._run"}
+    assert "_UsageError" not in (SRC / "cli.py").read_text(encoding="utf-8")
+
+
 def _captures(call):
     """Whether an evolve or evolve_packet call passes a capture or a snapshot
     stride: by name, or as a fifth positional argument."""
@@ -289,10 +297,12 @@ def test_every_library_option_has_a_caller():
 # A key of a spread section that is no parameter of its callee, with its reader.
 READ_ELSEWHERE = {
     ("evolve", "packet"): "cli.cmd_evolve hands the packet name to "
-                          "experiments.evolve_packet; config.evolve_from drops it",
+                          "experiments.evolve_packet; config.evolve_from drops "
+                          "it, and rejects it for a study",
     ("evolve", "snapshot_stride"): "cli.cmd_evolve hands the stride to "
                                    "propagate.evolve through evolve_packet; "
-                                   "config.evolve_from drops it",
+                                   "config.evolve_from drops it, and rejects it "
+                                   "for a study",
 }
 
 
