@@ -161,13 +161,15 @@ def window_config(config, window, name, dt=EvolveConfig.dt):
     return config
 
 
-def _compare(name, grid, engineered_params, benchmark_params, config, t_average_window):
+def _compare(name, grid, engineered_params, benchmark_params, config, t_average_window,
+             lanes=None):
     """Evolve the engineered packet and the Gaussian benchmark `name` on grid,
-    each built and evolved under its own params by evolve_packet in its own
-    lane, and form the benchmark / engineered absorption ratio."""
+    each built and evolved under its own params by evolve_packet, in `lanes`
+    lanes (one lane: the engineered packet first), and form the benchmark /
+    engineered absorption ratio."""
     jobs = [("engineered", engineered_params), ("gaussian", benchmark_params)]
     rec_eng, rec_bench = _in_lanes(
-        lambda job: evolve_packet(job[0], grid, job[1], config), jobs)
+        lambda job: evolve_packet(job[0], grid, job[1], config), jobs, lanes)
     series = absorption_ratio_series(rec_bench, rec_eng, t_window=t_average_window)
     return ComparisonResult({"engineered": rec_eng, name: rec_bench}, *series)
 
@@ -194,55 +196,37 @@ class SweepRow:
         return bool(self.error)
 
 
-def _sweep_point(job):
-    """A sweep point's packet, built when a lane takes it: its record or QpotError."""
-    params, config, packet = job
+def _sweep_point(params, config, t_average_window):
+    """A sweep point's row: its comparison on one lane, engineered packet
+    first, or the QpotError that stopped it."""
     try:
-        return evolve_packet(packet, default_grid(params), params, config)
+        res = _compare("gaussian", default_grid(params), params, params, config,
+                       t_average_window, lanes=1)
     except QpotError as exc:  # a failed point must not sink the sweep
-        return exc
+        return SweepRow(params.z0, params.sigma, error=f"{type(exc).__name__}: {exc}")
+    return SweepRow(params.z0, params.sigma, res.averaged_ratio, res.crossover_time)
 
 
 def run_sweep(params_base, sweep, config=None, workers=None):
     """Averaged absorbed-fraction ratios across the z0 grid.
 
-    A point's two packets are two jobs for `workers` lanes (default: one per
-    core), largest grid first; the lane that finishes a point's second packet
-    forms its row. Rows come back sorted by z0, the same for any lane count.
-    z0 at or below the absorber edge and a window past the evolved time are
-    rejected up front; a QpotError marks its point's row (the engineered
-    packet's first), a packet whose other one has already failed is not
-    evolved, and the sweep goes on, while any other exception stops every
-    lane after its current job and is raised.
+    Each point is one comparison on one of `workers` lanes (default: one per
+    core), largest grid first; a lane evolves the point's engineered packet,
+    then its Gaussian. Rows come back sorted by z0, the same for any lane
+    count. z0 at or below the absorber edge and a window past the evolved
+    time are rejected up front. A QpotError marks its point's row and the
+    sweep goes on (a point whose engineered packet fails evolves no
+    Gaussian), while any other exception stops every lane after its current
+    point and is raised.
     """
     config = window_config(config, sweep.t_average_window, "t_average_window")
     points = [params_base.replace(z0=z0, sigma=sweep.sigma_for(z0))
               for z0 in sweep.z0_values]
     # the largest grid goes first, so that it never starts last
     points.sort(key=lambda p: default_grid(p).n_points, reverse=True)
-    firsts = {}  # point index -> its first finished packet's result, until its row
-
-    def row_when_paired(job):
-        k, packet = job
-        # a point whose other packet has failed needs no evolve of this one
-        failed = isinstance(firsts.get(k), QpotError)
-        result = None if failed else _sweep_point((points[k], config, packet))
-        # one atomic setdefault: exactly one of a point's two lanes finds the other's
-        first = firsts.setdefault(k, result)
-        if first is result:
-            return None
-        del firsts[k]
-        eng, gauss = (result, first) if packet == "engineered" else (first, result)
-        failure = next((r for r in (eng, gauss) if isinstance(r, QpotError)), None)
-        if failure is not None:
-            return SweepRow(z0=points[k].z0, sigma=points[k].sigma,
-                            error=f"{type(failure).__name__}: {failure}")
-        _, _, avg, cross = absorption_ratio_series(gauss, eng, sweep.t_average_window)
-        return SweepRow(z0=points[k].z0, sigma=points[k].sigma,
-                        averaged_ratio=avg, crossover_time=cross)
-    jobs = [(k, kind) for k in range(len(points)) for kind in ("engineered", "gaussian")]
-    rows = _in_lanes(row_when_paired, jobs, workers)
-    return sorted(filter(None, rows), key=lambda r: r.z0)
+    rows = _in_lanes(lambda p: _sweep_point(p, config, sweep.t_average_window),
+                     points, workers)
+    return sorted(rows, key=lambda r: r.z0)
 
 
 # where run_fitted_control places the Gaussian unless auto_fit or the caller does

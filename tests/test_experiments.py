@@ -25,6 +25,7 @@ from qpot.errors import (
 )
 from qpot.experiments import (
     ComparisonResult,
+    SweepRow,
     SweepSpec,
     _in_lanes,
     absorption_ratio_series,
@@ -175,13 +176,14 @@ class TestRunComparison:
 
 
 class TestRunSweep:
-    def test_single_point_matches_run_comparison(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_single_point_matches_run_comparison(self, workers):
         params = PhysicalParams()
         cfg = EvolveConfig(dt=2e-7, t_final=5e-5)
         spec = SweepSpec(z0_values=(params.z0,),
                          sigma_rule=("fixed", params.sigma),
                          t_average_window=5e-5)
-        [row] = run_sweep(params, spec, config=cfg, workers=1)
+        [row] = run_sweep(params, spec, config=cfg, workers=workers)
         res = run_comparison(params, config=cfg, t_average_window=5e-5)
         assert not row.failed
         assert row.averaged_ratio == res.averaged_ratio
@@ -196,12 +198,11 @@ class TestRunSweep:
     def test_largest_grid_submitted_first(self, monkeypatch):
         submitted = []
 
-        def record(job):
-            params, _, packet = job
+        def record(packet, grid, params, config):
             submitted.append((params.z0, packet))
             return fake_record([0.0, 1e-3], [0.0, 0.5])
 
-        monkeypatch.setattr("qpot.experiments._sweep_point", record)
+        monkeypatch.setattr("qpot.experiments.evolve_packet", record)
         # boxes of 4096, 4096, 6553 and 5734 points
         spec = SweepSpec(z0_values=(1.5e-6, 2e-6, 4e-6, 3.5e-6))
         rows = run_sweep(PhysicalParams(), spec, workers=1)
@@ -216,13 +217,12 @@ class TestRunSweep:
     ])
     def test_failed_row_carries_the_engineered_error_first(self, monkeypatch,
                                                            failing, error):
-        def point(job):
-            _, _, packet = job
+        def point(packet, grid, params, config):
             if packet in failing:
-                return NumericsError(f"{packet} blew up")
+                raise NumericsError(f"{packet} blew up")
             return fake_record([0.0, 1e-3], [0.0, 0.5])
 
-        monkeypatch.setattr("qpot.experiments._sweep_point", point)
+        monkeypatch.setattr("qpot.experiments.evolve_packet", point)
         [row] = run_sweep(PhysicalParams(), SweepSpec(z0_values=(2e-6,)), workers=2)
         assert row.error == error
         assert row.averaged_ratio is None
@@ -241,19 +241,26 @@ class TestRunSweep:
         assert not rows[1].failed
         assert rows[1].averaged_ratio is not None
 
-    def test_failed_packet_spares_its_partner_the_evolve(self, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_packet_spares_its_partner_the_evolve(self, monkeypatch, workers):
         evolved = []
 
         def counted(*args):
             evolved.append(args[2].z0)
             return evolve(*args)
 
-        monkeypatch.setattr("qpot.experiments.engineered_packet", fails_at_2um)
+        def fails_late_at_2um(grid, params, spec=DEFAULT_PROFILE):
+            if abs(params.z0 - 2.0e-6) < 1e-12:
+                time.sleep(0.2)  # a free lane could take the point's Gaussian meanwhile
+            return fails_at_2um(grid, params, spec)
+
+        monkeypatch.setattr("qpot.experiments.engineered_packet", fails_late_at_2um)
         monkeypatch.setattr("qpot.experiments.evolve", counted)
         cfg = EvolveConfig(dt=2e-7, t_final=2e-5)
-        spec = SweepSpec(z0_values=(2.3e-6, 2.0e-6), t_average_window=2e-5)
-        rows = run_sweep(PhysicalParams(), spec, config=cfg, workers=1)
-        # the 2.0 um point's engineered packet fails first; its Gaussian is skipped
+        # both boxes are 4096 points, so the failing point is taken first
+        spec = SweepSpec(z0_values=(2.0e-6, 2.3e-6), t_average_window=2e-5)
+        rows = run_sweep(PhysicalParams(), spec, config=cfg, workers=workers)
+        # the 2.0 um point's engineered packet fails; its Gaussian is never evolved
         assert evolved == [2.3e-6, 2.3e-6]
         assert rows[0].error == "ConstructionError: synthetic failure"
 
@@ -282,14 +289,13 @@ class TestRunSweep:
     def test_lanes_share_the_points_without_loss_or_repeat(self, monkeypatch):
         taken = []
 
-        def instant(job):
+        def instant(packet, grid, params, config):
             # the Gaussian absorbs z0 / 1 um times the engineered packet
-            params, _, packet = job
             taken.append((params.z0, packet))
             scale = params.z0 * 1e6 if packet == "gaussian" else 1.0
             return fake_record([0.0, 1e-3], [0.0, 0.01 * scale])
 
-        monkeypatch.setattr("qpot.experiments._sweep_point", instant)
+        monkeypatch.setattr("qpot.experiments.evolve_packet", instant)
         z0s = tuple(1.5e-6 + 0.1e-6 * k for k in range(24))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # lanes race for the shared iterator
@@ -309,20 +315,20 @@ class TestRunSweep:
         started = []
         both_hold_a_job = threading.Barrier(2, timeout=10)
 
-        def point(job):
-            started.append(job)
+        def point(params, config, t_average_window):
+            started.append(params.z0)
             both_hold_a_job.wait()
             in_caller = threading.current_thread() is threading.main_thread()
             if in_caller == bug_in_caller:
                 raise ValueError("synthetic bug")
             time.sleep(0.5)
-            return fake_record([0.0, 1e-3], [0.0, 0.5])
+            return SweepRow(params.z0, params.sigma)
 
         monkeypatch.setattr("qpot.experiments._sweep_point", point)
         with pytest.raises(ValueError, match="synthetic bug"):
             run_sweep(PhysicalParams(), SweepSpec(), workers=2)
-        # the other lane finishes the job it holds, and the ten jobs after
-        # the two first are never started
+        # the other lane finishes the point it holds, and the four points
+        # after the two first are never started
         assert len(started) == 2
 
     def test_records_are_freed_with_their_row(self, monkeypatch):
@@ -330,13 +336,13 @@ class TestRunSweep:
         # end of the sweep, whose records a 2 ms run makes 480 KB each
         returned, alive_at_start = [], []
 
-        def point(job):
+        def point(packet, grid, params, config):
             alive_at_start.append(sum(ref() is not None for ref in returned))
             record = fake_record([0.0, 1e-3], [0.0, 0.5])
             returned.append(weakref.ref(record))
             return record
 
-        monkeypatch.setattr("qpot.experiments._sweep_point", point)
+        monkeypatch.setattr("qpot.experiments.evolve_packet", point)
         rows = run_sweep(PhysicalParams(), SweepSpec(), workers=1)
         assert len(rows) == 6 and len(alive_at_start) == 12
         assert alive_at_start == [0, 1] * 6  # only the running point's first
@@ -344,15 +350,12 @@ class TestRunSweep:
     def test_lanes_bound_the_evolves_in_flight(self, monkeypatch):
         # --workers N is N evolves in flight, not N points of two packets each
         lock, in_flight, peak = threading.Lock(), [0], [0]
-        side_by_side = None  # a barrier both packets must reach together
 
         def counted(*args):
             with lock:
                 in_flight[0] += 1
                 peak[0] = max(peak[0], in_flight[0])
             try:
-                if side_by_side is not None:
-                    side_by_side.wait()
                 time.sleep(0.05)
                 return evolve(*args)
             finally:
@@ -365,11 +368,6 @@ class TestRunSweep:
         assert not any(r.failed for r in run_sweep(PhysicalParams(), spec,
                                                    config=cfg, workers=2))
         assert peak[0] == 2
-        # one point on two lanes still evolves its two packets side by side
-        side_by_side = threading.Barrier(2, timeout=10)
-        spec = SweepSpec(z0_values=(2.0e-6,), t_average_window=2e-5)
-        [row] = run_sweep(PhysicalParams(), spec, config=cfg, workers=2)
-        assert not row.failed
 
     def test_two_lanes_load_no_multiprocessing(self):
         code = (

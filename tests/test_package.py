@@ -166,6 +166,13 @@ def test_only_the_owners_build_a_stack_and_evolve():
     assert _callers(("total_potential", "evolve")) == EVOLVE_OWNERS
 
 
+def test_only_compare_forms_a_ratio():
+    """In src/qpot only experiments._compare calls absorption_ratio_series:
+    a sweep point, a comparison and the fitted control each form their
+    benchmark / engineered ratio through it."""
+    assert _callers(("absorption_ratio_series",)) == {"experiments._compare"}
+
+
 def test_the_cli_checks_no_config_value():
     """In cli.py only _run raises ConfigError, for which command reads which
     section and [params] key; every value is checked where config parses it
