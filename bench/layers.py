@@ -78,6 +78,15 @@ such a ratio cannot show a 10% change. A ratio of fewer than MIN_PAIRS = 5
 pairs is unresolved too: the quartiles of 3 samples do not bound this
 host's run-to-run spread, so a claim needs `--repeats` 5 or more. With a
 baseline, a run took 7 m 25 s and 7 m 47 s on that host.
+
+A resolved ratio is a change, `changed`: true, only when its whole quartile
+range lies outside 1 +- MAX_SPREAD / 2, that is below 0.95 or above 1.05;
+any other resolved ratio prints as "within A/A". An A/A run (two copies of
+one tree, one as `--baseline`) shows why a quartile range that misses 1.0
+is not enough: the run order leaves offsets wider than a tight figure's
+quartile range. That run read `run_sweep_2w_s` x0.936 [0.934, 0.977],
+`cli_sweep_wall_s` x0.970 [0.965, 0.971] and `cli_snapshots_peak_rss_mb`
+x1.001 [1.001, 1.001], all resolved, and under this rule none is a change.
 """
 
 import argparse
@@ -275,12 +284,14 @@ def _spread(xs):
 
 
 def _ratio(xs, ys):
-    """The paired ratios xs[k] / ys[k], and whether they can be read: at
-    least MIN_PAIRS of them, and both sides tight enough, (q3 - q1) / median
-    at most MAX_SPREAD."""
-    ratios = [x / y for x, y in zip(xs, ys)]
-    return {**_quartiles(ratios), "resolved": len(ratios) >= MIN_PAIRS
-            and max(_spread(xs), _spread(ys)) <= MAX_SPREAD}
+    """The paired ratios xs[k] / ys[k]; whether they can be read: at least
+    MIN_PAIRS of them, and both sides tight enough, (q3 - q1) / median at
+    most MAX_SPREAD; and whether a resolved one is a change: its quartile
+    range wholly outside 1 +- MAX_SPREAD / 2."""
+    q = _quartiles([x / y for x, y in zip(xs, ys)])
+    resolved = q["n"] >= MIN_PAIRS and max(_spread(xs), _spread(ys)) <= MAX_SPREAD
+    changed = resolved and (q["q3"] < 1 - MAX_SPREAD / 2 or q["q1"] > 1 + MAX_SPREAD / 2)
+    return {**q, "resolved": resolved, "changed": changed}
 
 
 def _sides(k, roots):
@@ -376,7 +387,8 @@ def main(argv=None):
             if ratio:
                 line += (f"  x{ratio['median']:.3f} "
                          f"[{ratio['q1']:.3f}, {ratio['q3']:.3f}]")
-                line += "" if ratio["resolved"] else " unresolved"
+                line += ("" if ratio["changed"] else " within A/A" if ratio["resolved"]
+                         else " unresolved")
             print(line)
         print(f"wrote {outs[root]}")
     return 0

@@ -12,10 +12,10 @@ and a two-point guard band is eroded around them.
 
 import numpy as np
 
-from .core import HBAR, RealField
+from .core import RealField
 from .engineering import (DEFAULT_PROFILE, engineered_profile, profile_derivative,
                           profile_factor, profile_on_grid)
-from .errors import DomainError, EmptyFieldError, GridError, NodeSingularity
+from .errors import DomainError, EmptyFieldError, NodeSingularity, NumericsError
 
 AMPLITUDE_CUT = 1e-6  # relative sqrt(rho) threshold for masking
 CURVATURE_CUT = 0.05  # dimensionless curvature |d2(sqrt rho)| h^2 / sqrt(rho)
@@ -40,8 +40,8 @@ def _widen(bad, guard):
     return out
 
 
-def quantum_potential(rho, mass):
-    """Q = -(hbar^2/2m) (sqrt rho)''/sqrt(rho) with node-aware masking.
+def quantum_potential(grid, rho, params):
+    """Q = -(hbar^2/2m) (sqrt rho)''/sqrt(rho) of the density rho on grid, masked.
 
     The second derivative is a 3-point central stencil refined by one
     Richardson step (combining spacings h and 2h). A point is masked when
@@ -52,10 +52,9 @@ def quantum_potential(rho, mass):
     unresolved node or numerical junk, not physics. A guard band is then
     eroded around every masked point.
     """
-    if isinstance(rho, RealField):
-        grid, vals = rho.grid, rho.values
-    else:
-        raise GridError("quantum_potential expects a RealField density")
+    vals = np.asarray(rho, dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise NumericsError("non-finite value in the density")
     if np.any(vals < 0):
         raise DomainError("density must be non-negative")
     dz = grid.dz
@@ -82,7 +81,7 @@ def quantum_potential(rho, mass):
         raise EmptyFieldError("all points masked in quantum_potential")
 
     q = np.zeros_like(vals)
-    q[valid] = -(HBAR**2 / (2 * mass)) * d2[valid] / amp[valid]
+    q[valid] = -(params.hbar**2 / (2 * params.mass)) * d2[valid] / amp[valid]
     return RealField(grid, q, valid)
 
 

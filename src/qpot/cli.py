@@ -86,7 +86,7 @@ def cmd_profile(run):
 def cmd_fields(run):
     run.fields = _settings(weighted_fields, run.section)
     w_q, w_res, rho = weighted_fields(run.grid, run.params, **run.fields)
-    support = w_q.valid_mask()
+    support = w_q.valid
     peak_q = float(abs(w_q.values[support]).max())
     peak_res = float(abs(w_res.values[support]).max())
     peak = max(peak_q, peak_res)

@@ -160,34 +160,22 @@ class Wavefunction:
 
 @dataclass(frozen=True)
 class RealField:
-    """Real scalar field on a grid with an optional validity mask."""
+    """Real scalar field on a grid, finite wherever its mask is valid."""
 
     grid: Grid1D
     values: np.ndarray
-    valid: np.ndarray | None = None
+    valid: np.ndarray
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        if vals.shape != self.grid.z.shape:
-            raise GridError(
-                f"values shape {vals.shape} does not match grid ({self.grid.n_points},)"
-            )
+        mask = np.asarray(self.valid, dtype=bool)
+        if vals.shape != self.grid.z.shape or mask.shape != vals.shape:
+            raise GridError(f"values {vals.shape} and mask {mask.shape} do not match "
+                            f"grid ({self.grid.n_points},)")
+        if not np.all(np.isfinite(vals[mask])):
+            raise NumericsError("non-finite value at a valid grid point")
         object.__setattr__(self, "values", vals)
-        if self.valid is not None:
-            mask = np.asarray(self.valid, dtype=bool)
-            if mask.shape != vals.shape:
-                raise GridError("validity mask shape does not match values")
-            object.__setattr__(self, "valid", mask)
-            if not np.all(np.isfinite(vals[mask])):
-                raise NumericsError("non-finite value at a valid grid point")
-        else:
-            if not np.all(np.isfinite(vals)):
-                raise NumericsError("non-finite value in unmasked field")
-
-    def valid_mask(self):
-        if self.valid is None:
-            return np.ones_like(self.values, dtype=bool)
-        return self.valid
+        object.__setattr__(self, "valid", mask)
 
 
 def normalize(psi):

@@ -337,12 +337,16 @@ class ConvergenceReport:
     def dt_halving_change(self):
         """Relative change over the last halving of the dt ladder."""
         (_, coarse), (_, fine) = self.dt_rows[-2:]
+        if fine == 0:  # _first_order's zero rule
+            return float("inf") if coarse else 0.0
         return abs(fine - coarse) / abs(fine)
 
     @property
     def dz_halving_change(self):
         """Relative change over the first halving of dz, from the base grid."""
         (_, _, base), (_, _, fine) = self.dz_rows[:2]
+        if fine == 0:
+            return float("inf") if base else 0.0
         return abs(fine - base) / abs(fine)
 
 

@@ -22,7 +22,6 @@ from qpot.core import (
     HBAR,
     Grid1D,
     PhysicalParams,
-    RealField,
     Wavefunction,
     default_grid,
     moments,
@@ -62,7 +61,7 @@ def test_criterion_1_profile_curvature_cancels_surface_attraction():
     worst = {}
     for label, spec in (("cos", ProfileSpec()), ("sin", ProfileSpec(c1=0.0, c2=1.0))):
         p = engineered_profile(z, params, spec)
-        q = quantum_potential(RealField(grid, p**2), params.mass)
+        q = quantum_potential(grid, p**2, params)
         # node guard: drop points where the oscillating factor is under 2%
         # of its amplitude, then widen the exclusion by three grid points
         alpha = p / z
@@ -95,7 +94,7 @@ def test_criterion_2_residual_closed_form_matches_numerics():
         grid = default_grid(params)
         z = grid.z
         psi = engineered_packet(grid, params)
-        q = quantum_potential(RealField(grid, psi.density()), params.mass)
+        q = quantum_potential(grid, psi.density(), params)
         ok = q.valid & profile_node_mask(grid, params, rel_tol=1e-2, guard=8)
         ok &= z >= 0.3e-6
         assert ok.sum() > 500
@@ -327,14 +326,14 @@ def test_criterion_8_weighted_residual_small_and_shrinks_with_width():
     sigma^2 shrinks the residual peak at least threefold."""
     params = PhysicalParams()
     w_q, w_res, _ = weighted_fields(default_grid(params), params)
-    sup = w_res.valid_mask()
+    sup = w_res.valid
     peak_res = float(np.abs(w_res.values[sup]).max())
     peak_q = float(np.abs(w_q.values[sup]).max())
     small = peak_res < 0.1 * peak_q
 
     wide = params.replace(sigma=2.0e-6)
     _, w_res2, _ = weighted_fields(default_grid(wide), wide)
-    peak_res2 = float(np.abs(w_res2.values[w_res2.valid_mask()]).max())
+    peak_res2 = float(np.abs(w_res2.values[w_res2.valid]).max())
     reduction = peak_res / peak_res2
     shrinks = reduction >= 3.0
     report(

@@ -76,3 +76,23 @@ def test_ratio_needs_five_pairs_to_resolve():
     assert (three["n"], three["resolved"]) == (3, False)
     assert (five["n"], five["resolved"]) == (5, True)
     assert five["median"] == pytest.approx(0.5)
+
+
+def test_only_a_ratio_outside_the_a_a_band_is_a_change():
+    # a resolved x0.94 whose quartile range reaches into 1 +- MAX_SPREAD / 2,
+    # as an A/A run read for run_sweep_2w_s (x0.936 [0.934, 0.977]), and a
+    # resolved x0.80 wholly outside it
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); import layers\n"
+            "tight = [1.0, 1.01, 1.02, 1.01, 1.0]\n"
+            "a_a = [0.934, 0.936, 0.977, 0.934, 0.98]\n"
+            "print(json.dumps([layers._ratio(tight, [x / r for x, r in zip(tight, a_a)]),\n"
+            "                  layers._ratio(tight, [x / 0.8 for x in tight])]))")
+    proc = subprocess.run([sys.executable, "-c", code, str(LAYERS.parent)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    within, change = json.loads(proc.stdout)
+    assert within["median"] == pytest.approx(0.936)
+    assert (within["q1"], within["q3"]) == pytest.approx((0.934, 0.977))
+    assert (within["resolved"], within["changed"]) == (True, False)
+    assert change["median"] == pytest.approx(0.8)
+    assert (change["resolved"], change["changed"]) == (True, True)

@@ -8,9 +8,9 @@ from qpot.bohmian import (
     residual_potential_expanded,
     weighted_fields,
 )
-from qpot.core import Grid1D, PhysicalParams, RealField, default_grid
+from qpot.core import Grid1D, PhysicalParams, default_grid
 from qpot.engineering import ProfileSpec, engineered_profile
-from qpot.errors import DomainError, EmptyFieldError, NodeSingularity
+from qpot.errors import DomainError, EmptyFieldError, NodeSingularity, NumericsError
 from qpot.potentials import casimir_polder
 
 
@@ -31,20 +31,19 @@ def nearest_index(grid, z):
 
 class TestQuantumPotential:
     def test_uniform_density(self, grid, params):
-        rho = RealField(grid, np.ones(grid.n_points))
-        q = quantum_potential(rho, params.mass)
-        inner = q.valid_mask()
+        q = quantum_potential(grid, np.ones(grid.n_points), params)
+        inner = q.valid
         assert np.any(inner)
         assert np.all(q.values[inner] == 0.0)
 
     def test_gaussian_closed_form(self, grid, params):
         z0, sig = 5e-6, 1e-6
-        rho = RealField(grid, np.exp(-((grid.z - z0) ** 2) / (2 * sig**2)))
-        q = quantum_potential(rho, params.mass)
+        rho = np.exp(-((grid.z - z0) ** 2) / (2 * sig**2))
+        q = quantum_potential(grid, rho, params)
         s = grid.z - z0
         pref = params.hbar**2 / (4 * params.mass * sig**2)
         analytic = pref * (1 - s**2 / (2 * sig**2))
-        ok = q.valid_mask()
+        ok = q.valid
         assert np.allclose(q.values[ok], analytic[ok], atol=1e-4 * pref)
         # peak value at the center: hbar^2 / (4 m sigma^2)
         i0 = nearest_index(grid, z0)
@@ -53,9 +52,9 @@ class TestQuantumPotential:
 
     def test_scale_invariance(self, grid, params):
         vals = np.exp(-((grid.z - 5e-6) ** 2) / 2e-12)
-        qa = quantum_potential(RealField(grid, vals), params.mass)
-        qb = quantum_potential(RealField(grid, 7.3e4 * vals), params.mass)
-        ok = qa.valid_mask() & qb.valid_mask()
+        qa = quantum_potential(grid, vals, params)
+        qb = quantum_potential(grid, 7.3e4 * vals, params)
+        ok = qa.valid & qb.valid
         # Pointwise agreement relative to the field scale.  The floor is
         # set by conditioning, not the algorithm: the scaled input array
         # already carries 0.5 ulp of rounding per element, and the second
@@ -69,12 +68,18 @@ class TestQuantumPotential:
         vals = np.ones(grid.n_points)
         vals[10] = -1e-3
         with pytest.raises(DomainError):
-            quantum_potential(RealField(grid, vals), params.mass)
+            quantum_potential(grid, vals, params)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_density(self, grid, params, bad):
+        vals = np.ones(grid.n_points)
+        vals[10] = bad
+        with pytest.raises(NumericsError, match="non-finite value"):
+            quantum_potential(grid, vals, params)
 
     def test_empty(self, grid, params):
         with pytest.raises(EmptyFieldError):
-            quantum_potential(RealField(grid, np.zeros(grid.n_points)),
-                              params.mass)
+            quantum_potential(grid, np.zeros(grid.n_points), params)
 
     def test_cancels_surface_attraction(self, grid, params):
         # untruncated P^2: the quantum potential reproduces +c4/z^4
@@ -82,8 +87,8 @@ class TestQuantumPotential:
         vals = np.zeros_like(z)
         pos = z > 0
         vals[pos] = engineered_profile(z[pos], params) ** 2
-        q = quantum_potential(RealField(grid, vals), params.mass)
-        ok = (q.valid_mask() & profile_node_mask(grid, params)
+        q = quantum_potential(grid, vals, params)
+        ok = (q.valid & profile_node_mask(grid, params)
               & (z >= 0.5e-6) & (z <= 5e-6))
         assert np.count_nonzero(ok) > 500
         resid = q.values[ok] + casimir_polder(z[ok], params)
@@ -140,8 +145,8 @@ class TestResidualPotential:
         from qpot.engineering import engineered_packet
 
         psi = engineered_packet(grid, params)
-        q = quantum_potential(RealField(grid, psi.density()), params.mass)
-        ok = q.valid_mask() & profile_node_mask(grid, params) & (grid.z >= 0.3e-6)
+        q = quantum_potential(grid, psi.density(), params)
+        ok = q.valid & profile_node_mask(grid, params) & (grid.z >= 0.3e-6)
         z = grid.z[ok]
         closed = residual_potential(z, params)
         numeric = q.values[ok] + casimir_polder(z, params)
@@ -169,7 +174,7 @@ class TestWeightedFields:
 
     def test_residual_is_small_fraction(self, grid, params):
         w_q, w_res, _ = weighted_fields(grid, params)
-        ok = w_q.valid_mask()
+        ok = w_q.valid
         ratio = np.abs(w_res.values[ok]).max() / np.abs(w_q.values[ok]).max()
         assert 1e-4 < ratio < 0.1
 
@@ -179,13 +184,13 @@ class TestWeightedFields:
         node = 2 * params.profile_scale / np.pi
         i = nearest_index(grid, node)
         assert np.isfinite(w_q.values[i])
-        assert abs(w_q.values[i]) <= np.abs(w_q.values[w_q.valid_mask()]).max()
+        assert abs(w_q.values[i]) <= np.abs(w_q.values[w_q.valid]).max()
 
     def test_wider_envelope_shrinks_residual(self, grid, params):
         _, res_1, _ = weighted_fields(grid, params)
         _, res_2, _ = weighted_fields(grid, params.replace(sigma=2e-6))
-        p1 = np.abs(res_1.values[res_1.valid_mask()]).max()
-        p2 = np.abs(res_2.values[res_2.valid_mask()]).max()
+        p1 = np.abs(res_1.values[res_1.valid]).max()
+        p2 = np.abs(res_2.values[res_2.valid]).max()
         assert p1 / p2 >= 3.0
 
     def test_density_normalized(self, grid, params):

@@ -302,11 +302,11 @@ class TestFields:
         params = PhysicalParams()
         w_q, _, _ = weighted_fields(default_grid(params), params)
         data = np.loadtxt(out / "fields.csv", delimiter=",", skiprows=1)
-        outside = ~w_q.valid_mask()
+        outside = ~w_q.valid
         assert outside.any()
         assert np.all(data[outside, 2] == 0.0)
         assert np.all(data[outside, 3] == 0.0)
-        inside = w_q.valid_mask()
+        inside = w_q.valid
         assert np.allclose(data[inside, 2], w_q.values[inside] / params.hbar)
 
     def test_cut_leaving_no_support_exits_1(self, tmp_path, capsys):
@@ -613,6 +613,16 @@ class TestConverge:
         assert len(lines) == 1 + 2 + 2
         manifest = (out / "converge_manifest.txt").read_text()
         assert "# dz_halving_change: " in manifest
+
+    def test_nothing_absorbed_exits_0(self, tmp_path):
+        # with the absorber off both dt rungs absorb exactly 0.0, and the
+        # change over the halving is 0, not a division by zero
+        code, out = run(tmp_path, ["converge"],
+                        "[params]\nabsorber_strength = 0\n\n[converge]\n"
+                        "t_final = 0.8us\ndt_ladder = 8e-7, 4e-7\nn_refinements = 1\n")
+        assert code == 0
+        manifest = (out / "converge_manifest.txt").read_text()
+        assert "# dt_halving_change: 0.0\n" in manifest
 
     @pytest.mark.parametrize("line, fragment", [
         ("dt_ladder = 1us", "needs 2 or more dt rungs"),

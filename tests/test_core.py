@@ -130,12 +130,19 @@ class TestPhysicalParams:
 
 
 class TestRealField:
-    @pytest.mark.parametrize("valid", [None, [True, True, False]])
-    def test_non_finite_value_raises_numerics_error(self, valid):
+    def test_non_finite_value_raises_numerics_error(self):
         grid = Grid1D(z_max=1e-6, n_points=3)
         with pytest.raises(NumericsError, match="non-finite value"):
-            RealField(grid, [0.0, np.inf, 1.0], valid)
+            RealField(grid, [0.0, np.inf, 1.0], [True, True, False])
         assert RealField(grid, [0.0, 1.0, np.nan], [True, True, False]).values[1] == 1.0
+
+    def test_mask_is_required(self):
+        with pytest.raises(TypeError):
+            RealField(Grid1D(z_max=1e-6, n_points=3), [0.0, 1.0, 2.0])
+
+    def test_mask_shape_must_match(self):
+        with pytest.raises(GridError, match="do not match"):
+            RealField(Grid1D(z_max=1e-6, n_points=3), [0.0, 1.0, 2.0], [True, False])
 
 
 class TestGrid1D:

@@ -3,6 +3,7 @@
 import ast
 import inspect
 import os
+import re
 import subprocess
 import sys
 from collections import defaultdict
@@ -140,6 +141,14 @@ def test_every_public_name_has_a_caller_in_src():
                       if fn not in used | CHECKED_BY_ACCEPTANCE)
     assert uncalled == []
     assert CHECKED_BY_ACCEPTANCE <= set(defined)
+
+
+def test_only_core_names_hbar():
+    """One spelling of hbar: core.HBAR backs PhysicalParams.hbar, and every
+    other module reads params.hbar."""
+    naming = [p.name for p in sorted(SRC.glob("*.py"))
+              if re.search(r"\bHBAR\b", p.read_text(encoding="utf-8"))]
+    assert naming == ["core.py"]
 
 
 # Where a potential stack is built and a packet evolved: the one owner for a
