@@ -60,10 +60,12 @@ One checkout took 4 m 13 s at the default 5 repeats on a 2-vCPU host.
 With `--baseline DIR` (another checkout, such as the parent commit) the
 same figures are measured for DIR too, by this file with DIR's `src/` on
 the path, and written to `BENCH_<DIR's describe>.json` at this checkout's
-root; so DIR must offer the qpot functions this file calls, in the
-modules it imports them from (`convergence_report` from
-`qpot.experiments`, `write_csv` from `qpot.io`), the solver's ctypes
-solve (`propagate._zgttrs` on `CrankNicolson._args`) and `evolve`'s
+root. A `--label` or `--out` that names that same file is rejected
+before any child starts: two clean copies of one commit describe alike.
+DIR must offer the qpot functions this file calls, in the modules it
+imports them from (`convergence_report` from `qpot.experiments`,
+`write_csv` from `qpot.io`), the solver's ctypes solve
+(`propagate._zgttrs` on `CrankNicolson._args`) and `evolve`'s
 `snapshot_stride` argument, a field of `EvolveConfig` before; a checkout
 from before those moves, that solve or that argument cannot be measured.
 In each round the two sides run each group back to back, the side that
@@ -87,6 +89,9 @@ is not enough: the run order leaves offsets wider than a tight figure's
 quartile range. That run read `run_sweep_2w_s` x0.936 [0.934, 0.977],
 `cli_sweep_wall_s` x0.970 [0.965, 0.971] and `cli_snapshots_peak_rss_mb`
 x1.001 [1.001, 1.001], all resolved, and under this rule none is a change.
+A later A/A run at 5 repeats read no figure as changed, 12 within A/A and
+11 unresolved; its widest resolved offset was `run_sweep_2w_s` x1.063
+[0.971, 1.085].
 """
 
 import argparse
@@ -335,6 +340,9 @@ def main(argv=None):
     outs = {root: ROOT / f"BENCH_{labels[root]}.json" for root in roots}
     if args.out:
         outs[ROOT] = Path(args.out)
+    if args.baseline and outs[ROOT].resolve() == outs[roots[1]].resolve():
+        parser.error(f"--label/--out would write this checkout's figures over the "
+                     f"baseline's {outs[roots[1]]}")
 
     def child(root, name):
         # this file measures every checkout, so both run the same operations

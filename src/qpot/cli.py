@@ -208,19 +208,11 @@ def cmd_prepare(run):
 def cmd_converge(run):
     run.converge = _settings(convergence_report, run.section)
     report = convergence_report(run.params, base_grid=run.grid, **run.converge)
-    # the refinement ladders in long form, one row per run
-    rows = [("dt", dt, "", f) for dt, f in report.dt_rows]
-    rows += [("dz", dz, n, f) for dz, n, f in report.dz_rows]
     return _Output(
         [("converge.csv", ("ladder", "step", "n_points", "absorbed_fraction"),
-          *zip(*rows))],
-        {
-            "dt_order": repr(report.dt_order()),
-            "dz_order": repr(report.dz_order()),
-            "dt_halving_change": repr(report.dt_halving_change),
-            "dz_halving_change": repr(report.dz_halving_change),
-        },
-        f"dt order {report.dt_order():.2f}, dz order {report.dz_order():.2f}, "
+          *zip(*report.rows))],
+        {name: repr(value) for name, value in vars(report).items() if name != "rows"},
+        f"dt order {report.dt_order:.2f}, dz order {report.dz_order:.2f}, "
         f"dt halving change {report.dt_halving_change:.3e}, "
         f"dz halving change {report.dz_halving_change:.3e}",
     )

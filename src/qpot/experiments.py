@@ -304,7 +304,7 @@ def run_preparation_study(params, slope_z0_values=(0.05, 0.1, 0.3, 1.0), grid=No
     rows = []
     for k, psi, rec in zip(slopes, imprinted, recs):
         a_imp = rec.absorbed_at(t_window)
-        penalty = a_imp / a_ideal if a_ideal > 0 else float("nan")
+        penalty = a_imp / a_ideal if a_ideal >= RATIO_FLOOR else float("nan")
         rows.append(PreparationRow(
             slope=k, slope_z0=k * params.z0, fidelity=fidelity(psi, ideal),
             absorbed_imprinted=a_imp, absorbed_ideal=a_ideal, penalty=penalty,
@@ -312,7 +312,7 @@ def run_preparation_study(params, slope_z0_values=(0.05, 0.1, 0.3, 1.0), grid=No
     return rows
 
 
-def _first_order(values):
+def _order(values):
     """log2 |d1 / d2| of the first refinement triplet: the observed order."""
     if len(values) < 3:
         return float("nan")
@@ -322,32 +322,21 @@ def _first_order(values):
     return float(np.log2(abs(d1 / d2)))
 
 
+def _change(coarse, fine):
+    """Relative change over one halving: 0 when neither value moved off 0,
+    inf when only the fine one is 0."""
+    if fine == 0:
+        return float("inf") if coarse else 0.0
+    return abs(fine - coarse) / abs(fine)
+
+
 @dataclass
 class ConvergenceReport:
-    dt_rows: list  # (dt, absorbed_fraction)
-    dz_rows: list  # (dz, n_points, absorbed_fraction)
-
-    def dt_order(self):
-        return _first_order([f for _, f in self.dt_rows])
-
-    def dz_order(self):
-        return _first_order([f for _, _, f in self.dz_rows])
-
-    @property
-    def dt_halving_change(self):
-        """Relative change over the last halving of the dt ladder."""
-        (_, coarse), (_, fine) = self.dt_rows[-2:]
-        if fine == 0:  # _first_order's zero rule
-            return float("inf") if coarse else 0.0
-        return abs(fine - coarse) / abs(fine)
-
-    @property
-    def dz_halving_change(self):
-        """Relative change over the first halving of dz, from the base grid."""
-        (_, _, base), (_, _, fine) = self.dz_rows[:2]
-        if fine == 0:
-            return float("inf") if base else 0.0
-        return abs(fine - base) / abs(fine)
+    rows: list  # (ladder, step, n_points, absorbed_fraction), the dt rungs first
+    dt_order: float
+    dz_order: float
+    dt_halving_change: float  # over the last halving of the dt ladder
+    dz_halving_change: float  # over the first halving of dz, from the base grid
 
 
 def convergence_report(params, packet="engineered", t_final=2e-3, base_grid=None,
@@ -384,5 +373,10 @@ def convergence_report(params, packet="engineered", t_final=2e-3, base_grid=None
     absorbed = _in_lanes(lambda rung: float(evolve_packet(
         packet, rung[0], params, rung[1]).absorbed_fraction[-1]), rungs)
     n_dt = len(dt_ladder)
-    dz_rows = [(g.dz, g.n_points, f) for g, f in zip(grids, absorbed[n_dt:])]
-    return ConvergenceReport(list(zip(dt_ladder, absorbed[:n_dt])), dz_rows)
+    rows = [("dt", dt, None, f) for dt, f in zip(dt_ladder, absorbed)]
+    rows += [("dz", g.dz, g.n_points, f) for g, f in zip(grids, absorbed[n_dt:])]
+    # a fraction under RATIO_FLOOR is rounding noise, and each figure reads it as 0
+    floored = [f if f >= RATIO_FLOOR else 0.0 for f in absorbed]
+    dt_f, dz_f = floored[:n_dt], floored[n_dt:]
+    return ConvergenceReport(rows, _order(dt_f), _order(dz_f), _change(*dt_f[-2:]),
+                             _change(*dz_f[:2]))

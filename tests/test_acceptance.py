@@ -203,7 +203,7 @@ def test_criterion_4_absorbed_fraction_self_convergence():
     # halving changes at production resolution; the dt ladder is coarse-led
     # by design, so its first triplet also gives a usable dt order
     rep = convergence_report(params)
-    dt_order = rep.dt_order()
+    dt_order = rep.dt_order
 
     # The potential's slope jumps at the absorber edge z = delta. Sampling
     # that kink pointwise adds an O(dz^2) error whose sign depends on where
@@ -217,7 +217,7 @@ def test_criterion_4_absorbed_fraction_self_convergence():
         base_grid=Grid1D(z_max=10e-6, n_points=1201),
         dt_ladder=(8e-7, 4e-7),
     )
-    dz_order = rep_dz.dz_order()
+    dz_order = rep_dz.dz_order
 
     passed = (
         rep.dt_halving_change < 1e-2

@@ -96,3 +96,15 @@ def test_only_a_ratio_outside_the_a_a_band_is_a_change():
     assert (within["resolved"], within["changed"]) == (True, False)
     assert change["median"] == pytest.approx(0.8)
     assert (change["resolved"], change["changed"]) == (True, True)
+
+
+def test_label_of_the_baseline_file_rejected_before_any_child(tmp_path):
+    # an empty directory describes as "unknown", so --label unknown would
+    # write both sides' figures to one BENCH_unknown.json
+    baseline = tmp_path / "baseline"
+    baseline.mkdir()
+    proc = subprocess.run([sys.executable, str(LAYERS), "--baseline", str(baseline),
+                           "--label", "unknown"], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 2
+    assert "--label/--out" in proc.stderr

@@ -590,6 +590,18 @@ class TestPrepare:
         assert filecmp.cmp(out / "prepare.csv", again / "prepare.csv", shallow=False)
         assert len((out / "prepare.csv").read_text().splitlines()) == 1 + 4
 
+    def test_nothing_absorbed_gives_no_penalty(self, tmp_path):
+        # with the absorber off each absorbed fraction is a rounding residue
+        # of 1 - norm**2, and a ratio of residues is no penalty
+        code, out = run(tmp_path, ["prepare"],
+                        "[params]\nabsorber_strength = 0\nz0 = 0.6um\nsigma = 0.1um\n\n"
+                        "[grid]\nz_max = 1.5um\nn_points = 257\n\n"
+                        "[evolve]\ndt = 0.1us\n\n[prepare]\nt_window = 2us\n")
+        assert code == 0
+        lines = (out / "prepare.csv").read_text().splitlines()
+        assert len(lines) == 1 + 4
+        assert [line.split(",")[-1] for line in lines[1:]] == ["nan"] * 4
+
 
 CONVERGE_CFG = """\
 [grid]
@@ -616,13 +628,15 @@ class TestConverge:
 
     def test_nothing_absorbed_exits_0(self, tmp_path):
         # with the absorber off both dt rungs absorb exactly 0.0, and the
-        # change over the halving is 0, not a division by zero
+        # change over the halving is 0, not a division by zero; the finer dz
+        # rung's rounding residue is read as 0 too, not as a 100% change
         code, out = run(tmp_path, ["converge"],
                         "[params]\nabsorber_strength = 0\n\n[converge]\n"
                         "t_final = 0.8us\ndt_ladder = 8e-7, 4e-7\nn_refinements = 1\n")
         assert code == 0
         manifest = (out / "converge_manifest.txt").read_text()
         assert "# dt_halving_change: 0.0\n" in manifest
+        assert "# dz_halving_change: 0.0\n" in manifest
 
     @pytest.mark.parametrize("line, fragment", [
         ("dt_ladder = 1us", "needs 2 or more dt rungs"),

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 import warnings
 import weakref
 from pathlib import Path
@@ -726,11 +727,22 @@ class TestConvergenceLadder:
         dt_ladder = (1e-6, 5e-7, 2.5e-7)
         rep = self.report(dt_ladder=dt_ladder, n_refinements=2)
         assert len(evolved) == 6
-        assert rep.dt_rows == [(dt, self.absorbed(self.BASE, dt)) for dt in dt_ladder]
         grids = [Grid1D(z_max=1.5e-6, n_points=n) for n in (257, 513, 1025)]
-        assert rep.dz_rows == [(g.dz, g.n_points, self.absorbed(g, 2.5e-7))
-                               for g in grids]
-        assert all(f > 0 for _, f in rep.dt_rows)
+        assert rep.rows == (
+            [("dt", dt, None, self.absorbed(self.BASE, dt)) for dt in dt_ladder]
+            + [("dz", g.dz, g.n_points, self.absorbed(g, 2.5e-7)) for g in grids])
+        assert all(f > 0 for ladder, _, _, f in rep.rows if ladder == "dt")
+
+    def test_fractions_under_the_floor_read_as_0(self, monkeypatch):
+        # rungs keyed by (n_points, dt): the dt ladder moves from 1e-3 to
+        # noise, the dz ladder from noise to noise of the other sign
+        fractions = {(257, 8e-7): 1e-3, (257, 4e-7): 3e-13, (513, 4e-7): -4.4e-16}
+        monkeypatch.setattr("qpot.experiments.evolve_packet", lambda _, grid, p, config: (
+            types.SimpleNamespace(absorbed_fraction=[fractions[grid.n_points, config.dt]])))
+        rep = self.report(dt_ladder=(8e-7, 4e-7), n_refinements=1)
+        assert [f for *_, f in rep.rows] == [1e-3, 3e-13, 3e-13, -4.4e-16]
+        assert rep.dt_halving_change == float("inf")  # only the fine rung is noise
+        assert rep.dz_halving_change == 0.0  # both rungs are noise
 
     def test_bad_dt_rung_raises_before_any_evolve(self, evolved):
         with pytest.raises(ConfigError, match="dt = 3e-07"):
@@ -780,10 +792,8 @@ class TestConvergenceReport:
                                  t_final=1e-4, base_grid=base,
                                  dt_ladder=(8e-7, 4e-7, 2e-7),
                                  n_refinements=2)
-        assert len(rep.dt_rows) == 3
-        assert len(rep.dz_rows) == 3
-        assert [n for _, n, _ in rep.dz_rows] == [513, 1025, 2049]
-        assert all(0.0 < f < 1.0 for _, f in rep.dt_rows)
-        assert all(0.0 < f < 1.0 for _, _, f in rep.dz_rows)
+        assert [ladder for ladder, *_ in rep.rows] == ["dt"] * 3 + ["dz"] * 3
+        assert [n for _, _, n, _ in rep.rows] == [None] * 3 + [513, 1025, 2049]
+        assert all(0.0 < f < 1.0 for *_, f in rep.rows)
         assert rep.dt_halving_change >= 0.0
         assert rep.dz_halving_change >= 0.0
