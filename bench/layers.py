@@ -45,7 +45,8 @@ and the machine (perfbench's `environment`) are stored next to it.
   `cli_import_s` and `cli_import_peak_rss_mb`, the start-up time and the
   memory floor every command pays: a fresh `python -c "import qpot.cli"`
   run the same way; and `tier1_s`, one run of the Tier-1 suite (`pytest`
-  over `tests/`) per checkout, after the rounds.
+  over `tests/`) per checkout, after the rounds. With a baseline it gets no
+  ratio: both sides' seconds print as "one run per side, unpaired".
 
 The machine block adds `qpot_lapack`: the module whose zgttrf and zgttrs
 the checkout calls.
@@ -71,8 +72,9 @@ from before those moves, that solve or that argument cannot be measured.
 In each round the two sides run each group back to back, the side that
 goes first alternating from round to round, so a drift of the host's
 speed, which on a shared 2-vCPU host is often larger than the change being
-measured, falls on both sides alike. Each file also gets `ratio_to_alternate`: per figure,
-the median and quartiles of the paired ratios, the file's k-th sample over
+measured, falls on both sides alike. Each file also gets
+`ratio_to_alternate`: per figure sampled in rounds, the median and
+quartiles of the paired ratios, the file's k-th sample over
 the other side's, and `resolved`: false, printed as "unresolved", when
 either side's samples spread, (q3 - q1) / median, by more than MAX_SPREAD
 = 0.10, as heap-layout-bound figures can from one fresh child to the next;
@@ -299,6 +301,13 @@ def _ratio(xs, ys):
     return {**q, "resolved": resolved, "changed": changed}
 
 
+def _ratio_table(layers, other):
+    """ratio_to_alternate: _ratio of each figure sampled in rounds against the
+    other side's; tier1_s, one run per side, is paired with nothing."""
+    return {name: _ratio(xs, other[name][0])
+            for name, (xs, _) in layers.items() if name != "tier1_s"}
+
+
 def _sides(k, roots):
     """The checkouts in the order of round k: the first side alternates."""
     return roots if k % 2 == 0 else roots[::-1]
@@ -383,9 +392,7 @@ def main(argv=None):
         if args.baseline:
             other = roots[1 - roots.index(root)]
             result["alternated_with"] = labels[other]
-            result["ratio_to_alternate"] = {
-                name: _ratio(xs, layers[other][name][0])
-                for name, (xs, _) in layers[root].items()}
+            result["ratio_to_alternate"] = _ratio_table(layers[root], layers[other])
         outs[root].write_text(json.dumps(result, indent=1, sort_keys=True) + "\n",
                               encoding="utf-8")
         for name, entry in result["layers"].items():
@@ -397,6 +404,9 @@ def main(argv=None):
                          f"[{ratio['q1']:.3f}, {ratio['q3']:.3f}]")
                 line += ("" if ratio["changed"] else " within A/A" if ratio["resolved"]
                          else " unresolved")
+            elif args.baseline:  # tier1_s
+                line += (f"  vs {layers[other][name][0][0]:.6g} s at {labels[other]}, "
+                         f"one run per side, unpaired")
             print(line)
         print(f"wrote {outs[root]}")
     return 0

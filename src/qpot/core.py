@@ -20,7 +20,7 @@ DEFAULT_DELTA = 0.15e-6  # m
 DEFAULT_Z_MAX, DEFAULT_POINTS = 10e-6, 4096  # default_grid's box: 10 um, 4096 points
 MAX_DEFAULT_POINTS = 2**20  # most points of any grid, and so of default_grid's box
 POINTS_PER_CYCLE = 10  # resolves_profile's points per profile cycle
-_MAY_BE_ZERO = ("c4", "absorber_strength")  # every other field is positive
+_MAY_BE_ZERO = ("c4", "trap_omega", "absorber_strength")  # 0 drops the term; others > 0
 _MAX_TRAP_OMEGA = float(np.sqrt(np.finfo(float).max))  # the trap squares it
 
 
@@ -90,7 +90,7 @@ class PhysicalParams:
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform spatial grid on [z_min, z_max], z_min fixed at the surface."""
+    """Uniform spatial grid on [z_min, z_max]; z_min defaults to the surface."""
 
     z_max: float
     n_points: int

@@ -19,13 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Wavefunction, normalize
-from .errors import (
-    ConfigError,
-    ConstructionError,
-    DomainError,
-    GridError,
-    TruncationWarning,
-)
+from .errors import ConfigError, DomainError, GridError, TruncationWarning
 
 
 @dataclass(frozen=True)
@@ -108,10 +102,7 @@ def engineered_packet(grid, params, spec=DEFAULT_PROFILE):
             f"absorber edge (dz = {grid.dz:.3e} m)"
         )
     envelope = _envelope(grid, params.z0, params.sigma)
-    psi = Wavefunction(grid, profile_on_grid(grid, params, spec) * envelope)
-    if psi.norm() == 0:
-        raise ConstructionError("engineered packet has zero norm on this grid")
-    return normalize(psi)
+    return normalize(Wavefunction(grid, profile_on_grid(grid, params, spec) * envelope))
 
 
 def gaussian_packet(grid, z0, sigma):
@@ -123,10 +114,7 @@ def gaussian_packet(grid, z0, sigma):
         raise ConfigError("gaussian_packet requires z0 > 0 and sigma > 0")
     vals = _envelope(grid, z0, sigma).astype(complex)
     vals[grid.z <= 0] = 0.0
-    psi = Wavefunction(grid, vals)
-    if psi.norm() == 0:
-        raise ConstructionError("gaussian packet has zero norm on this grid")
-    return normalize(psi)
+    return normalize(Wavefunction(grid, vals))
 
 
 def phase_imprint(psi, phi, a, b):
@@ -136,10 +124,7 @@ def phase_imprint(psi, phi, a, b):
     pure sinusoid of phi: a = b gives cos(phi), a = -b gives i sin(phi).
     """
     factor = a * np.exp(1j * phi) + b * np.exp(-1j * phi)
-    out = psi.with_values(psi.values * factor)
-    if out.norm() == 0:
-        raise ConstructionError("phase imprint annihilated the packet")
-    return normalize(out)
+    return normalize(psi.with_values(psi.values * factor))
 
 
 def two_stage_imprint(grid, params, slope):

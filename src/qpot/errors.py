@@ -21,10 +21,6 @@ class NormalizationError(QpotError):
     """Wavefunction norm is zero or otherwise unusable."""
 
 
-class ConstructionError(QpotError):
-    """A packet constructor produced an unusable state (e.g. zero norm)."""
-
-
 class NodeSingularity(QpotError):
     """Evaluation requested too close to a node of the oscillating profile."""
 

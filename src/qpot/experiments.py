@@ -292,6 +292,8 @@ def run_preparation_study(params, slope_z0_values=(0.05, 0.1, 0.3, 1.0), grid=No
     if grid is None:
         grid = default_grid(params)
     slopes = tuple(kz0 / params.z0 for kz0 in slope_z0_values)
+    if 0 in slopes:  # sin(0 z) = 0: the imprint leaves no packet
+        raise ConfigError(f"slope_z0_values = {slope_z0_values!r} holds a zero slope")
     config = window_config(config, t_window, "t_window")
     if config.n_steps * config.dt - t_window >= (1 - 1e-6) * config.dt:
         raise ConfigError(f"t_final = {config.t_final!r} s evolves past t_window")

@@ -1,9 +1,10 @@
 """Potential landscape near the surface.
 
 Real part: attractive -c4/z^4 surface potential, flattened to a constant
-plateau below the absorber edge delta, plus an optional harmonic trap
-centered at z0. Imaginary part: an absorbing ramp growing linearly from zero
-at z = delta to -i * absorber_strength at the surface.
+plateau below the absorber edge delta, plus a harmonic trap centered at z0.
+Imaginary part: an absorbing ramp growing linearly from zero at z = delta to
+-i * absorber_strength at the surface. A term whose strength (c4,
+trap_omega, absorber_strength) is 0 is left out.
 """
 
 from dataclasses import dataclass
@@ -43,22 +44,17 @@ def casimir_polder(z, params):
     return out if out.ndim else float(out)
 
 
-def total_potential(grid, params, include_trap=True, include_absorber=True):
+def total_potential(grid, params):
     """The landscape of the module docstring on the grid: -c4/z^4, held at its
-    value at delta below delta so it is finite at z = 0, (+ the trap
-    (1/2) m omega^2 (z - z0)^2) - i * the ramp, absorber_strength at z = 0."""
+    value at delta below delta so it is finite at z = 0, + the trap
+    (1/2) m omega^2 (z - z0)^2 - i * the ramp, absorber_strength at z = 0."""
     if not (grid.z_min <= params.delta <= grid.z_max):
         raise GridError("absorber edge delta lies outside the grid")
     z = grid.z
     real = np.full_like(z, casimir_polder(params.delta, params))
     above = z >= params.delta
     real[above] = casimir_polder(z[above], params)
-    if include_trap:
-        real += 0.5 * params.mass * params.trap_omega**2 * (z - params.z0) ** 2
-    if include_absorber:
-        imag = -np.where(z < params.delta,
-                         params.absorber_strength * (params.delta - z) / params.delta,
-                         0.0)
-    else:
-        imag = np.zeros_like(real)
+    real += 0.5 * params.mass * params.trap_omega**2 * (z - params.z0) ** 2
+    imag = -np.where(z < params.delta,
+                     params.absorber_strength * (params.delta - z) / params.delta, 0.0)
     return ComplexPotential(grid, real, imag)

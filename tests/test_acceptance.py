@@ -125,12 +125,12 @@ def test_criterion_3_propagator_spread_trap_unitarity_reversal():
     stationary trap ground state, norm conservation over 1e4 steps with
     real potentials, and time-reversal recovery."""
     # free spreading, box wide enough that the pinned walls stay dark
-    free = PhysicalParams(z0=12e-6, sigma=1e-6, c4=0.0)
+    free = PhysicalParams(z0=12e-6, sigma=1e-6, c4=0.0, trap_omega=0.0)
     grid_f = Grid1D(z_max=24e-6, n_points=4096)
     caps_f = []
     evolve(
         gaussian_packet(grid_f, free.z0, free.sigma),
-        total_potential(grid_f, free, include_trap=False, include_absorber=False),
+        total_potential(grid_f, free),
         free,
         EvolveConfig(dt=1e-7, t_final=2e-3),
         capture=lambda t, psi: caps_f.append((t, psi)),
@@ -149,7 +149,7 @@ def test_criterion_3_propagator_spread_trap_unitarity_reversal():
     caps_t = []
     rec_t = evolve(
         gaussian_packet(grid_t, trap.z0, trap.sigma),
-        total_potential(grid_t, trap, include_trap=True, include_absorber=False),
+        total_potential(grid_t, trap),
         trap,
         EvolveConfig(dt=1e-7, t_final=1e-3),
         capture=lambda t, psi: caps_t.append((t, np.abs(psi) ** 2)),
@@ -161,11 +161,11 @@ def test_criterion_3_propagator_spread_trap_unitarity_reversal():
     norm_drift = float(np.abs(rec_t.norms - 1.0).max())
 
     # forward N steps, conjugate, forward N steps, conjugate: identity
-    rev = PhysicalParams(z0=3e-6, sigma=0.6e-6)
+    rev = PhysicalParams(z0=3e-6, sigma=0.6e-6, absorber_strength=0.0)
     grid_r = default_grid(rev)
     solver = CrankNicolson(
         grid_r,
-        total_potential(grid_r, rev, include_trap=True, include_absorber=False),
+        total_potential(grid_r, rev),
         rev,
         1e-7,
     )

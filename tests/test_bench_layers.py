@@ -98,6 +98,22 @@ def test_only_a_ratio_outside_the_a_a_band_is_a_change():
     assert (change["resolved"], change["changed"]) == (True, True)
 
 
+def test_tier1_s_gets_no_ratio():
+    # one run of the suite per side pairs with nothing; every figure sampled
+    # in rounds keeps its ratio
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); import layers\n"
+            "tight = [1.0, 1.01, 1.02, 1.01, 1.0]\n"
+            "side = {'tier1_s': ([95.0], 's'), 'step_us': (tight, 'us'),\n"
+            "        'cli_compare_wall_s': (tight, 's')}\n"
+            "print(json.dumps(layers._ratio_table(side, side)))")
+    proc = subprocess.run([sys.executable, "-c", code, str(LAYERS.parent)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    table = json.loads(proc.stdout)
+    assert sorted(table) == ["cli_compare_wall_s", "step_us"]
+    assert all(ratio["resolved"] and ratio["median"] == 1.0 for ratio in table.values())
+
+
 def test_label_of_the_baseline_file_rejected_before_any_child(tmp_path):
     # an empty directory describes as "unknown", so --label unknown would
     # write both sides' figures to one BENCH_unknown.json

@@ -355,6 +355,21 @@ class TestEvolve:
         assert "# packet:" not in manifest  # [evolve] records it
         assert "\npacket = gaussian\n" in manifest[manifest.index("[evolve]"):]
 
+    def test_zero_trap_omega_runs_and_replays(self, tmp_path):
+        # trap_omega = 0 leaves the trap out, as c4 = 0 and absorber_strength
+        # = 0 leave out their terms, and the manifest records it
+        text = "[params]\ntrap_omega = 0\n\n" + EVOLVE_CFG
+        code, out = run(tmp_path, ["evolve"], text)
+        assert code == 0
+        manifest = (out / "evolve_manifest.txt").read_text()
+        assert "\ntrap_omega = 0.0\n" in manifest
+        code, again = run(tmp_path / "replay", ["evolve"], manifest)
+        assert code == 0
+        names = sorted(path.name for path in out.iterdir())
+        assert names == sorted(path.name for path in again.iterdir())
+        for name in names:
+            assert filecmp.cmp(out / name, again / name, shallow=False), name
+
     def test_snapshots_are_the_captures(self, tmp_path):
         # a stride of 30 does not divide the 100 steps: captures at 0, 30, 60, 90
         text = EVOLVE_CFG.replace("snapshot_stride = 50", "snapshot_stride = 30")
@@ -575,6 +590,18 @@ class TestPrepare:
                         PREPARE_CFG + "slopes = 2e4\n")
         assert code == 1
         assert "'slopes'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_slope_is_rejected_by_its_key(self, tmp_path, monkeypatch, capsys):
+        # sin(0 z) = 0 leaves no packet; the key is named before any is built
+        built = []
+        monkeypatch.setattr("qpot.experiments.engineered_packet",
+                            lambda *a: built.append(a))
+        text = PREPARE_CFG.replace("= 0.05", "= 0, 1")
+        code, out = run(tmp_path, ["prepare"], text)
+        assert code == 1
+        assert "slope_z0_values" in capsys.readouterr().err
+        assert built == []
         assert not out.exists()
 
     def test_default_slopes_in_the_manifest_replay(self, tmp_path):

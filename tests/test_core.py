@@ -61,7 +61,7 @@ class TestPhysicalParams:
             {"z0": 0.1e-6},  # below the absorber edge
             {"delta": 0.0},
             {"absorber_strength": -1.0},
-            {"trap_omega": 0.0},
+            {"trap_omega": -1.0},
             {"c4": -1e-56},
         ],
     )
@@ -78,7 +78,7 @@ class TestPhysicalParams:
 
     def test_rejects_a_trap_omega_whose_square_overflows(self):
         assert PhysicalParams(trap_omega=1e154).trap_omega == 1e154
-        with pytest.raises(ConfigError, match=r"trap_omega must lie in \(0, 1.34"):
+        with pytest.raises(ConfigError, match=r"trap_omega must lie in \[0, 1.34"):
             PhysicalParams(trap_omega=1e200)
 
     @pytest.mark.parametrize("kwargs, label", [

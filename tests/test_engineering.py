@@ -16,9 +16,9 @@ from qpot.engineering import (
 )
 from qpot.errors import (
     ConfigError,
-    ConstructionError,
     DomainError,
     GridError,
+    NormalizationError,
     TruncationWarning,
 )
 
@@ -189,6 +189,14 @@ class TestEngineeredPacket:
         with pytest.warns(TruncationWarning, match="6.18e-01 of the packet mass"):
             engineered_packet(g, params)
 
+    def test_envelope_underflowing_on_the_box_is_no_packet(self):
+        # 96 sigma beyond a 2 um box the envelope is 0 at every point
+        params = PhysicalParams(z0=50e-6, sigma=0.5e-6)
+        g = Grid1D(z_max=2e-6, n_points=1000)
+        with pytest.warns(TruncationWarning), \
+                pytest.raises(NormalizationError, match="norm 0.0"):
+            engineered_packet(g, params)
+
 
 class TestGaussianPacket:
     def test_moments(self, grid):
@@ -208,6 +216,12 @@ class TestGaussianPacket:
         g = Grid1D(z_max=10e-6, n_points=1024)
         with pytest.warns(TruncationWarning):
             gaussian_packet(g, 9.5e-6, 1e-6)
+
+    def test_envelope_underflowing_on_the_box_is_no_packet(self):
+        g = Grid1D(z_max=2e-6, n_points=1000)
+        with pytest.warns(TruncationWarning), \
+                pytest.raises(NormalizationError, match="norm 0.0"):
+            gaussian_packet(g, 50e-6, 0.5e-6)
 
     @pytest.mark.parametrize("z_min", [-1e-6, 0.5e-6])
     def test_zero_at_every_z_at_or_below_the_surface(self, z_min):
@@ -258,7 +272,7 @@ class TestImprinting:
         # sin(0) and a vanishing pair of amplitudes both zero the packet
         psi = gaussian_packet(grid, 3e-6, 0.8e-6)
         for a, b in ((0.5, -0.5), (0.0, 0.0)):
-            with pytest.raises(ConstructionError):
+            with pytest.raises(NormalizationError):
                 phase_imprint(psi, np.zeros_like(grid.z), a, b)
 
 

@@ -20,7 +20,7 @@ from qpot.engineering import engineered_packet as real_engineered_packet
 from qpot.engineering import DEFAULT_PROFILE, gaussian_packet, two_stage_imprint
 from qpot.errors import (
     ConfigError,
-    ConstructionError,
+    NormalizationError,
     NumericsError,
     TruncationWarning,
 )
@@ -41,9 +41,9 @@ from qpot.propagate import EvolveConfig, ExperimentRecord, evolve
 
 
 def fails_at_2um(grid, params, spec=DEFAULT_PROFILE):
-    """engineered_packet, but raising ConstructionError at z0 = 2.0 um."""
+    """engineered_packet, but raising NormalizationError at z0 = 2.0 um."""
     if abs(params.z0 - 2.0e-6) < 1e-12:
-        raise ConstructionError("synthetic failure")
+        raise NormalizationError("synthetic failure")
     return real_engineered_packet(grid, params, spec)
 
 
@@ -237,7 +237,7 @@ class TestRunSweep:
         rows = run_sweep(params, spec, config=cfg, workers=workers)
         assert [r.z0 for r in rows] == [2.0e-6, 2.3e-6]
         assert rows[0].failed
-        assert rows[0].error.startswith("ConstructionError")
+        assert rows[0].error.startswith("NormalizationError")
         assert rows[0].averaged_ratio is None
         assert not rows[1].failed
         assert rows[1].averaged_ratio is not None
@@ -263,7 +263,7 @@ class TestRunSweep:
         rows = run_sweep(PhysicalParams(), spec, config=cfg, workers=workers)
         # the 2.0 um point's engineered packet fails; its Gaussian is never evolved
         assert evolved == [2.3e-6, 2.3e-6]
-        assert rows[0].error == "ConstructionError: synthetic failure"
+        assert rows[0].error == "NormalizationError: synthetic failure"
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_programming_error_propagates(self, monkeypatch, workers):

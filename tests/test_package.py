@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import qpot
+from qpot import errors
 from qpot.config import _SCHEMA
 
 SRC = Path(qpot.__file__).resolve().parent
@@ -141,6 +142,27 @@ def test_every_public_name_has_a_caller_in_src():
                       if fn not in used | CHECKED_BY_ACCEPTANCE)
     assert uncalled == []
     assert CHECKED_BY_ACCEPTANCE <= set(defined)
+
+
+def test_every_error_class_is_raised():
+    """Each QpotError subclass of errors.py appears in a raise, and
+    TruncationWarning in a warnings.warn call, in another module of
+    src/qpot; an import alone does not count."""
+    raised, warned = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(_call_name(exc))
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) == "warnings.warn":
+                warned.update(_call_name(arg) for arg in node.args)
+    classes = {name for name, obj in vars(errors).items() if isinstance(obj, type)
+               and issubclass(obj, errors.QpotError) and obj is not errors.QpotError}
+    assert "NumericsError" in classes
+    assert sorted(classes - raised) == []
+    assert "TruncationWarning" in warned
 
 
 def test_only_core_names_hbar():

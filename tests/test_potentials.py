@@ -23,7 +23,7 @@ def nearest_index(grid, z):
 
 def surface_part(grid, params):
     """The real part without the trap: the modified surface potential."""
-    return total_potential(grid, params, include_trap=False).real_part
+    return total_potential(grid, params.replace(trap_omega=0.0)).real_part
 
 
 def absorber_part(grid, params):
@@ -33,7 +33,7 @@ def absorber_part(grid, params):
 
 def trap_part(grid, params):
     """The trap, as the real part with the trap less the one without."""
-    with_trap = total_potential(grid, params, include_absorber=False).real_part
+    with_trap = total_potential(grid, params).real_part
     return with_trap - surface_part(grid, params)
 
 
@@ -90,9 +90,10 @@ def test_modified_cp_is_the_quartic_formula_bitwise(z0, delta, c4):
 
 def test_modified_cp_edge_outside_grid(params):
     small = Grid1D(z_max=0.1e-6, n_points=64)
-    for flags in ((True, True), (False, False)):  # checked once, whatever is on
+    # checked once, whatever is on
+    for variant in (params, params.replace(trap_omega=0.0, absorber_strength=0.0)):
         with pytest.raises(GridError, match="delta lies outside the grid"):
-            total_potential(small, params, *flags)
+            total_potential(small, variant)
 
 
 def test_absorber_ramp(grid, params):
@@ -145,11 +146,11 @@ def test_total_potential_composition(grid, params):
     assert np.all(pot.imag_part <= 0)
 
 
-def test_total_potential_flags(grid, params):
-    no_trap = total_potential(grid, params, include_trap=False)
+def test_a_zero_strength_leaves_its_term_out(grid, params):
+    no_trap = total_potential(grid, params.replace(trap_omega=0.0))
     assert np.array_equal(no_trap.real_part, surface_part(grid, params))
     assert np.array_equal(no_trap.imag_part, total_potential(grid, params).imag_part)
-    unitary = total_potential(grid, params, include_absorber=False)
+    unitary = total_potential(grid, params.replace(absorber_strength=0.0))
     assert np.all(unitary.imag_part == 0.0)
 
 

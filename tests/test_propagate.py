@@ -119,7 +119,7 @@ class TestStep:
 
     def test_real_potential_preserves_norm(self, grid, params):
         psi = gaussian_packet(grid, 5e-6, 0.7e-6)
-        pot = total_potential(grid, params, include_absorber=False)
+        pot = total_potential(grid, params.replace(absorber_strength=0.0))
         u = psi.values[1:-1].copy()
         CrankNicolson(grid, pot, params, 1e-7).step_values(u)
         out = psi.with_values(np.concatenate(([0.0], u, [0.0])))
@@ -370,8 +370,7 @@ def trap_run():
                             absorber_strength=0.0)
     grid = Grid1D(z_max=14e-6, n_points=4096)
     psi = gaussian_packet(grid, 7e-6, 1e-6)
-    pot = total_potential(grid, params, include_trap=True,
-                          include_absorber=False)
+    pot = total_potential(grid, params)
     cfg = EvolveConfig(dt=1e-7, t_final=1e-3)
     caps = []
     rec = evolve(psi, pot, params, cfg, capture=lambda t, psi: caps.append((t, psi)),
@@ -418,8 +417,7 @@ class TestTimeReversal:
         grid = default_grid()
         params = PhysicalParams()
         psi = gaussian_packet(grid, 3e-6, 0.6e-6)
-        pot = total_potential(grid, params, include_trap=True,
-                              include_absorber=False)
+        pot = total_potential(grid, params.replace(absorber_strength=0.0))
         solver = CrankNicolson(grid, pot, params, 1e-7)
         u0 = psi.values[1:-1].astype(complex)
         u = u0.copy()
@@ -441,7 +439,7 @@ def absorber_record():
     params = PhysicalParams(z0=1.5e-6, sigma=0.3e-6)
     grid = Grid1D(z_max=10e-6, n_points=4096)
     psi = gaussian_packet(grid, 1.5e-6, 0.3e-6)
-    pot = total_potential(grid, params, include_trap=False)
+    pot = total_potential(grid, params.replace(trap_omega=0.0))
     return evolve(psi, pot, params, ABSORBER_CONFIG)
 
 
