@@ -74,7 +74,6 @@ def quantum_potential(grid, rho, params):
         junk = (curv_h > CURVATURE_CUT) | (curv_2h > CURVATURE_CUT)
     valid &= ~junk
     valid &= np.isfinite(d2)
-    valid[:2] = valid[-2:] = False
     valid = ~_widen(~valid, GUARD_BAND)
 
     if not np.any(valid):

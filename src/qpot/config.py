@@ -12,11 +12,11 @@ import re
 
 from .core import Grid1D, PhysicalParams, default_grid
 from .errors import ConfigError
-from .experiments import PACKETS, SweepSpec, window_config
+from .experiments import SweepSpec, check_packet, window_config
 from .propagate import EvolveConfig
 
 _UNIT_FACTORS = {"": 1.0, "rad/s": 1.0, "nm": 1e-9, "um": 1e-6, "mm": 1e-3,
-                 "ns": 1e-9, "us": 1e-6, "ms": 1e-3, "kg": 1.0, "Hz": 1.0, "m": 1.0,
+                 "ns": 1e-9, "us": 1e-6, "ms": 1e-3, "kg": 1.0, "m": 1.0,
                  "s": 1.0, "J": 1.0}  # "": a bare number, already SI
 
 _NUMBER = re.compile(
@@ -64,10 +64,7 @@ def parse_count(text):
 
 def parse_packet(text):
     """A packet name: a key of experiments.PACKETS."""
-    name = text.strip()
-    if name not in PACKETS:
-        raise ConfigError(f"unknown packet {name!r}")
-    return name
+    return check_packet(text.strip())
 
 
 def parse_list(item_parser):
@@ -191,12 +188,8 @@ def params_from(cfg):
 
 
 def grid_from(cfg, params=None):
-    section = cfg.get("grid", {})
     base = default_grid(params)
-    return Grid1D(
-        z_max=section.get("z_max", base.z_max),
-        n_points=section.get("n_points", base.n_points),
-    )
+    return Grid1D(**{"z_max": base.z_max, "n_points": base.n_points, **cfg.get("grid", {})})
 
 
 def evolve_from(cfg, window=None, name=None):

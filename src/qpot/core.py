@@ -22,6 +22,10 @@ MAX_DEFAULT_POINTS = 2**20  # most points of any grid, and so of default_grid's 
 POINTS_PER_CYCLE = 10  # resolves_profile's points per profile cycle
 _MAY_BE_ZERO = ("c4", "trap_omega", "absorber_strength")  # 0 drops the term; others > 0
 _MAX_TRAP_OMEGA = float(np.sqrt(np.finfo(float).max))  # the trap squares it
+_DERIVED = {  # a field left None takes its formula's value: name -> (formula, value)
+    "absorber_strength": ("c4 / delta**4", lambda p: p.c4 / p.delta**4),
+    "trap_omega": ("hbar / (2 mass sigma**2)", lambda p: p.hbar / (2 * p.mass * p.sigma**2)),
+}
 
 
 @dataclass(frozen=True)
@@ -47,18 +51,10 @@ class PhysicalParams:
     hbar = HBAR
 
     def __post_init__(self):
-        derived = {"absorber_strength": ("c4 / delta**4", lambda: self.c4 / self.delta**4),
-                   "trap_omega": ("hbar / (2 mass sigma**2)",
-                                  lambda: self.hbar / (2 * self.mass * self.sigma**2))}
         for name in (f.name for f in fields(self)):
             value, label = getattr(self, name), name
             if value is None:
-                formula, derive = derived[name]
-                label = f"{name} = {formula}"
-                try:
-                    value = derive()
-                except ArithmeticError:  # a power or quotient out of double range
-                    value = float("nan")
+                label, value = f"{name} = {_DERIVED[name][0]}", self._formula(name)
                 object.__setattr__(self, name, value)
             # one rule for every field, and one that NaN fails
             high = _MAX_TRAP_OMEGA if name == "trap_omega" else np.inf
@@ -70,22 +66,24 @@ class PhysicalParams:
                 f"z0 = {self.z0} must exceed the absorber edge delta = {self.delta}"
             )
 
+    def _formula(self, name):
+        try:
+            return _DERIVED[name][1](self)
+        except ArithmeticError:  # a power or quotient out of double range
+            return float("nan")
+
     @property
     def profile_scale(self):
         """Characteristic length sqrt(2 m c4)/hbar of the profile oscillation."""
         return np.sqrt(2 * self.mass * self.c4) / self.hbar
 
     def replace(self, **kwargs):
-        """Copy with some fields replaced; derived defaults are recomputed
-        when their inputs change unless explicitly pinned."""
-        current = asdict(self)
-        # recompute derived quantities if their inputs moved
-        if ("sigma" in kwargs or "mass" in kwargs) and "trap_omega" not in kwargs:
-            current["trap_omega"] = None
-        if ("c4" in kwargs or "delta" in kwargs) and "absorber_strength" not in kwargs:
-            current["absorber_strength"] = None
-        current.update(kwargs)
-        return PhysicalParams(**current)
+        """Copy with some fields replaced. A derived field that still holds its
+        formula's value is derived again from the new inputs; one set to any
+        other value keeps it."""
+        current = {name: None if name in _DERIVED and value == self._formula(name)
+                   else value for name, value in asdict(self).items()}
+        return PhysicalParams(**{**current, **kwargs})
 
 
 @dataclass(frozen=True)

@@ -37,11 +37,18 @@ PACKETS = {
 }
 
 
+def check_packet(name):
+    """name, once it is a key of PACKETS."""
+    if name not in PACKETS:
+        raise ConfigError(f"unknown packet {name!r}")
+    return name
+
+
 def evolve_packet(packet, grid, params, config, **kwargs):
     """evolve of PACKETS[packet] on grid under the potential stack params
     defines; kwargs, a capture and its snapshot_stride, go to evolve unchanged."""
-    return evolve(PACKETS[packet](grid, params), total_potential(grid, params),
-                  params, config, **kwargs)
+    return evolve(PACKETS[check_packet(packet)](grid, params),
+                  total_potential(grid, params), params, config, **kwargs)
 
 
 def _in_lanes(fn, items, lanes=None):
@@ -347,13 +354,12 @@ def convergence_report(params, packet="engineered", t_final=2e-3, base_grid=None
 
     Each rung rebuilds the packet and the potential stack on its grid. The dt
     ladder, each rung half the one before, runs on the base grid; the dz
-    ladder subdivides it n_refinements times at the finest production dt.
+    ladder subdivides it n_refinements times at max(min(dt_ladder), EvolveConfig.dt).
     Every rung is built before the first evolve; the rungs run in lanes. The
     dt ladder starts coarse, as temporal error at production time steps sits
     very close to the double-precision floor of this observable.
     """
-    if packet not in PACKETS:
-        raise ConfigError(f"unknown packet {packet!r}")
+    check_packet(packet)
     if len(dt_ladder) < 2 or n_refinements < 1:
         raise ConfigError(f"a convergence ladder needs 2 or more dt rungs and "
                           f"n_refinements >= 1, not {len(dt_ladder)} and {n_refinements}")
@@ -367,7 +373,7 @@ def convergence_report(params, packet="engineered", t_final=2e-3, base_grid=None
     if n_finest > MAX_DEFAULT_POINTS:
         raise ConfigError(f"n_refinements = {n_refinements} refines {base_grid.n_points} "
                           f"grid points past {MAX_DEFAULT_POINTS}")
-    dz_dt = 1e-7 if min(dt_ladder) <= 1e-7 else min(dt_ladder)
+    dz_dt = max(min(dt_ladder), EvolveConfig.dt)
     grids = [Grid1D(z_max=base_grid.z_max, n_points=(base_grid.n_points - 1) * 2**k + 1,
                     z_min=base_grid.z_min) for k in range(n_refinements + 1)]
     rungs = [(base_grid, EvolveConfig(dt=dt, t_final=t_final)) for dt in dt_ladder]

@@ -77,6 +77,11 @@ class TestQuantumPotential:
         with pytest.raises(NumericsError, match="non-finite value"):
             quantum_potential(grid, vals, params)
 
+    def test_stencil_ends_are_masked(self, grid, params):
+        # the 2h stencil has no neighbours for the two points at each end
+        q = quantum_potential(grid, np.ones(grid.n_points), params)
+        assert not q.valid[:2].any() and not q.valid[-2:].any()
+
     def test_empty(self, grid, params):
         with pytest.raises(EmptyFieldError):
             quantum_potential(grid, np.zeros(grid.n_points), params)
@@ -163,6 +168,13 @@ class TestResidualPotential:
         q = np.abs(residual_potential(zs, params))
         slope = np.log(q[1] / q[0]) / np.log(zs[0] / zs[1])
         assert 1.8 <= slope <= 2.2
+
+
+    @pytest.mark.parametrize("form", [residual_potential, residual_potential_expanded])
+    @pytest.mark.parametrize("z", [0.0, np.array([1e-6, -1e-9, 2e-6])])
+    def test_rejects_z_at_or_below_the_surface(self, params, form, z):
+        with pytest.raises(DomainError, match=f"^{form.__name__} requires z > 0$"):
+            form(z, params)
 
 
 class TestWeightedFields:

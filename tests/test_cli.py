@@ -78,6 +78,15 @@ class TestErrors:
             assert capsys.readouterr().err == "error: line 2: unknown packet 'plane'\n"
             assert not out.exists()
 
+    def test_hertz_is_no_unit(self, tmp_path, capsys):
+        # trap_omega is an angular frequency: 100Hz read as 100 rad/s would
+        # set a trap 2 pi below the one meant
+        code, out = run(tmp_path, ["evolve"], "[params]\ntrap_omega = 100Hz\n")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: line 2: unknown unit suffix 'Hz' in '100Hz'\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command,text,fragment", [
         ("sweep", "[grid]\nn_points = 1024\n", "[grid]"),
         ("fitted", "[grid]\nn_points = 1024\n", "[grid]"),

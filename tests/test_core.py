@@ -120,13 +120,33 @@ class TestPhysicalParams:
 
     def test_replace_keeps_pinned_values(self):
         p = PhysicalParams(trap_omega=123.0).replace(sigma=2e-6)
-        # an explicitly pinned trap frequency survives a sigma change only
-        # when re-pinned; replace() treats derived defaults as derived
-        assert p.trap_omega == pytest.approx(
-            p.hbar / (2 * p.mass * (2e-6) ** 2), rel=1e-14
-        )
+        # a trap frequency set to other than its formula's value survives a
+        # sigma change; only a field that holds its formula's value is derived
+        assert p.trap_omega == 123.0
         q = PhysicalParams().replace(sigma=2e-6, trap_omega=123.0)
         assert q.trap_omega == 123.0
+
+    def test_replace_keeps_a_zero_strength(self):
+        # a term switched off by a zero strength stays off when its inputs move
+        assert PhysicalParams(trap_omega=0.0).replace(sigma=0.5e-6).trap_omega == 0.0
+        p = PhysicalParams(absorber_strength=0.0).replace(delta=1e-7)
+        assert p.absorber_strength == 0.0
+
+    def test_replace_derives_a_formula_value_again(self):
+        moved = {"mass": 1e-25, "c4": 1e-55, "sigma": 0.5e-6, "delta": 1e-7}
+        p = PhysicalParams()
+        for key, value in moved.items():  # one input at a time: still derived
+            p = p.replace(**{key: value})
+        fresh = PhysicalParams(**moved)
+        for name in ("absorber_strength", "trap_omega"):
+            assert getattr(p, name).hex() == getattr(fresh, name).hex()
+        assert fresh.absorber_strength != PhysicalParams().absorber_strength
+        assert fresh.trap_omega != PhysicalParams().trap_omega
+
+    def test_replace_keeps_a_value_whose_formula_leaves_double_range(self):
+        # c4 / delta**4 divides by an underflowed zero here: no formula value
+        p = PhysicalParams(delta=1e-100, c4=1e-56, absorber_strength=1e-28)
+        assert p.replace(z0=3e-6).absorber_strength == 1e-28
 
 
 class TestRealField:

@@ -31,6 +31,7 @@ from qpot.experiments import (
     _in_lanes,
     absorption_ratio_series,
     convergence_report,
+    evolve_packet,
     run_comparison,
     run_fitted_control,
     run_preparation_study,
@@ -764,6 +765,24 @@ class TestConvergenceLadder:
         with pytest.raises(ConfigError, match="unknown packet 'sine'"):
             convergence_report(self.PARAMS, packet="sine")
         assert evolved == []
+
+    def test_evolve_packet_rejects_an_unknown_packet(self, evolved):
+        # the one packet-name check, the one parse_packet and the ladder call
+        with pytest.raises(ConfigError, match="^unknown packet 'sine'$"):
+            evolve_packet("sine", self.BASE, self.PARAMS,
+                          EvolveConfig(dt=1e-7, t_final=self.T_FINAL))
+        assert evolved == []
+
+    @pytest.mark.parametrize("dt_ladder, dz_dt", [((2e-7, 1e-7, 5e-8), 1e-7),
+                                                  ((8e-7, 4e-7), 4e-7)])
+    def test_dz_rungs_run_at_the_production_dt_or_coarser(self, monkeypatch, dt_ladder,
+                                                           dz_dt):
+        seen = set()
+        monkeypatch.setattr("qpot.experiments.evolve_packet", lambda _, grid, p, config: (
+            seen.add((grid.n_points, config.dt))
+            or types.SimpleNamespace(absorbed_fraction=[1e-3])))
+        self.report(dt_ladder=dt_ladder, n_refinements=1)
+        assert seen == {(257, dt) for dt in dt_ladder} | {(257, dz_dt), (513, dz_dt)}
 
     @pytest.mark.parametrize("kwargs", [{"dt_ladder": (1e-6,)}, {"n_refinements": 0},
                                         {"n_refinements": -1}])

@@ -347,7 +347,7 @@ READ_ELSEWHERE = {
 def test_every_spread_key_is_a_parameter_of_its_callee():
     """Each key of a config section is a parameter or field of the callee the
     section is spread into, so a command hands its section over with no
-    translation of its own; [grid] is read key by key by config.grid_from."""
+    translation of its own."""
     from qpot import bohmian, core, engineering, experiments, propagate
 
     names = {}
@@ -368,7 +368,7 @@ def test_config_sections_reach_their_callees():
     ** spread in a command cannot quietly credit its section to another
     callee."""
     assert _spread_sections() == {
-        "PhysicalParams": {"params"}, "EvolveConfig": {"evolve"},
+        "PhysicalParams": {"params"}, "Grid1D": {"grid"}, "EvolveConfig": {"evolve"},
         "SweepSpec": {"sweep"}, "ProfileSpec": {"profile"},
         "weighted_fields": {"fields"}, "run_comparison": {"compare"},
         "run_fitted_control": {"fitted"}, "run_preparation_study": {"prepare"},
