@@ -2,41 +2,54 @@
 
 The format is flat ``key = value`` text grouped under ``[section]``
 headers, one experiment per file. Values are SI numbers, optionally with
-a unit suffix (``z0 = 2.3um``, ``t_final = 2ms``), booleans, bare words
-or comma-separated lists of any of these. ``#`` starts a comment. Unknown
-sections and unknown keys are errors rather than silent no-ops.
+a unit suffix of the key's dimension (``z0 = 2.3um``, ``t_final = 2ms``),
+booleans, bare words or comma-separated lists of any of these. ``#``
+starts a comment. Unknown sections and unknown keys are errors rather than
+silent no-ops.
 """
 
 import math
 import re
+from functools import partial
 
 from .core import Grid1D, PhysicalParams, default_grid
 from .errors import ConfigError
 from .experiments import SweepSpec, check_packet, window_config
 from .propagate import EvolveConfig
 
-_UNIT_FACTORS = {"": 1.0, "rad/s": 1.0, "nm": 1e-9, "um": 1e-6, "mm": 1e-3,
-                 "ns": 1e-9, "us": 1e-6, "ms": 1e-3, "kg": 1.0, "m": 1.0,
-                 "s": 1.0, "J": 1.0}  # "": a bare number, already SI
+# suffix: (dimension, factor to SI); "": a bare number, already SI in any dimension
+_UNITS = {"": (None, 1.0), "nm": ("a length", 1e-9), "um": ("a length", 1e-6),
+          "mm": ("a length", 1e-3), "m": ("a length", 1.0), "ns": ("a time", 1e-9),
+          "us": ("a time", 1e-6), "ms": ("a time", 1e-3), "s": ("a time", 1.0),
+          "kg": ("a mass", 1.0), "rad/s": ("a rate", 1.0), "J": ("an energy", 1.0)}
 
 _NUMBER = re.compile(
     r"^\s*([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*([A-Za-z/]*)\s*$"
 )
 
 
-def parse_quantity(text):
-    """A number with an optional SI unit suffix, returned in base SI; one that
-    overflows a double is rejected."""
+def parse_quantity(text, dimension):
+    """A number of `dimension` with an optional unit suffix of that dimension,
+    returned in base SI; one that overflows a double is rejected."""
     m = _NUMBER.match(text)
     if not m:
         raise ConfigError(f"cannot parse quantity {text!r}")
     value, suffix = float(m.group(1)), m.group(2)
-    if suffix not in _UNIT_FACTORS:
+    if suffix not in _UNITS:
         raise ConfigError(f"unknown unit suffix {suffix!r} in {text!r}")
-    value *= _UNIT_FACTORS[suffix]
+    unit, factor = _UNITS[suffix]
+    if unit not in (None, dimension):
+        raise ConfigError(f"{text!r} is {unit}, not {dimension}")
+    value *= factor
     if math.isinf(value):
         raise ConfigError(f"quantity {text!r} overflows a double")
     return value
+
+
+# Parsers of the quantity keys by dimension; c4, in J m^4, takes no suffix.
+_LENGTH = partial(parse_quantity, dimension="a length")
+_TIME = partial(parse_quantity, dimension="a time")
+_PURE = partial(parse_quantity, dimension="a pure number")
 
 
 def parse_bool(text):
@@ -83,58 +96,58 @@ def parse_rule(text):
     if len(parts) != 2 or parts[0] not in ("ratio", "fixed"):
         raise ConfigError(f"cannot parse width rule {text!r}; "
                           "expected 'ratio R' or 'fixed SIGMA'")
-    return (parts[0], parse_quantity(parts[1]))
+    return (parts[0], (_PURE if parts[0] == "ratio" else _LENGTH)(parts[1]))
 
 
 _SCHEMA = {
     "params": {
-        "mass": parse_quantity,
-        "c4": parse_quantity,
-        "z0": parse_quantity,
-        "sigma": parse_quantity,
-        "delta": parse_quantity,
-        "absorber_strength": parse_quantity,
-        "trap_omega": parse_quantity,
+        "mass": partial(parse_quantity, dimension="a mass"),
+        "c4": partial(parse_quantity, dimension="a J m^4 coefficient"),
+        "z0": _LENGTH,
+        "sigma": _LENGTH,
+        "delta": _LENGTH,
+        "absorber_strength": partial(parse_quantity, dimension="an energy"),
+        "trap_omega": partial(parse_quantity, dimension="a rate"),
     },
     "grid": {
-        "z_max": parse_quantity,
+        "z_max": _LENGTH,
         "n_points": parse_int,
     },
     "evolve": {
-        "dt": parse_quantity,
-        "t_final": parse_quantity,
+        "dt": _TIME,
+        "t_final": _TIME,
         "snapshot_stride": parse_count,
         "packet": parse_packet,
     },
     "sweep": {
-        "z0_values": parse_list(parse_quantity),
+        "z0_values": parse_list(_LENGTH),
         "sigma_rule": parse_rule,
-        "t_average_window": parse_quantity,
+        "t_average_window": _TIME,
     },
     "compare": {
-        "t_average_window": parse_quantity,
+        "t_average_window": _TIME,
     },
     "fitted": {
-        "engineered_z0": parse_quantity,
-        "engineered_sigma": parse_quantity,
-        "gaussian_z0": parse_quantity,
-        "gaussian_sigma": parse_quantity,
+        "engineered_z0": _LENGTH,
+        "engineered_sigma": _LENGTH,
+        "gaussian_z0": _LENGTH,
+        "gaussian_sigma": _LENGTH,
         "auto_fit": parse_bool,
-        "t_average_window": parse_quantity,
+        "t_average_window": _TIME,
     },
     "prepare": {
-        "slope_z0_values": parse_list(parse_quantity),
-        "t_window": parse_quantity,
+        "slope_z0_values": parse_list(_PURE),
+        "t_window": _TIME,
     },
     "fields": {
-        "support_cut": parse_quantity,
+        "support_cut": _PURE,
     },
     "profile": {
         "use_abs": parse_bool,
     },
     "converge": {
-        "t_final": parse_quantity,
-        "dt_ladder": parse_list(parse_quantity),
+        "t_final": _TIME,
+        "dt_ladder": parse_list(_TIME),
         "n_refinements": parse_int,
         "packet": parse_packet,
     },

@@ -21,14 +21,6 @@ class NormalizationError(QpotError):
     """Wavefunction norm is zero or otherwise unusable."""
 
 
-class NodeSingularity(QpotError):
-    """Evaluation requested too close to a node of the oscillating profile."""
-
-    def __init__(self, z):
-        self.z = z
-        super().__init__(f"profile node too close to z = {z!r}")
-
-
 class EmptyFieldError(QpotError):
     """Every grid point of a derived field was masked invalid."""
 

@@ -11,13 +11,13 @@ minutes of wall time on one core, most of it in the position sweep.
 
 import numpy as np
 
-from qpot.bohmian import (
+from oracles import (
     profile_node_mask,
     quantum_potential,
     residual_potential,
     residual_potential_expanded,
-    weighted_fields,
 )
+from qpot.bohmian import weighted_fields
 from qpot.core import (
     HBAR,
     Grid1D,

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from qpot.bohmian import (
+from oracles import (
+    NodeSingularity,
     profile_node_mask,
     quantum_potential,
     residual_potential,
     residual_potential_expanded,
-    weighted_fields,
 )
+from qpot.bohmian import weighted_fields
 from qpot.core import Grid1D, PhysicalParams, default_grid
 from qpot.engineering import ProfileSpec, engineered_profile
-from qpot.errors import DomainError, EmptyFieldError, NodeSingularity, NumericsError
+from qpot.errors import DomainError, EmptyFieldError, NumericsError
 from qpot.potentials import casimir_polder
 
 
@@ -204,6 +205,21 @@ class TestWeightedFields:
         p1 = np.abs(res_1.values[res_1.valid]).max()
         p2 = np.abs(res_2.values[res_2.valid]).max()
         assert p1 / p2 >= 3.0
+
+    @pytest.mark.parametrize("kwargs", [{}, {"sigma": 2e-6},
+                                        {"z0": 1.5e-6, "sigma": 0.75e-6}])
+    def test_matches_the_closed_form(self, params, kwargs):
+        # the shipped fields restate the oracle's residual, weighted by rho
+        params = params.replace(**kwargs)
+        grid = default_grid(params)
+        w_q, w_res, rho = weighted_fields(grid, params)
+        ok = w_q.valid & profile_node_mask(grid, params)
+        z = grid.z[ok]
+        closed = residual_potential(z, params)
+        for field, q in ((w_res, closed), (w_q, params.c4 / z**4 + closed)):
+            peak = np.abs(field.values[field.valid]).max()
+            gap = np.abs(field.values[ok] - rho.values[ok] * q).max()
+            assert gap <= 1e-12 * peak
 
     def test_density_normalized(self, grid, params):
         _, _, rho = weighted_fields(grid, params)

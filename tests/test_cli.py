@@ -87,6 +87,30 @@ class TestErrors:
             "error: line 2: unknown unit suffix 'Hz' in '100Hz'\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,section,line,message", [
+        ("evolve", "evolve", "t_final = 2um", "'2um' is a length, not a time"),
+        ("evolve", "params", "z0 = 2ms", "'2ms' is a time, not a length"),
+        ("evolve", "params", "mass = 3nm", "'3nm' is a length, not a mass"),
+        ("evolve", "params", "trap_omega = 100J", "'100J' is an energy, not a rate"),
+        ("evolve", "params", "absorber_strength = 1kg",
+         "'1kg' is a mass, not an energy"),
+        ("evolve", "params", "c4 = 1e-55J",
+         "'1e-55J' is an energy, not a J m^4 coefficient"),
+        ("fields", "fields", "support_cut = 1e-6s",
+         "'1e-6s' is a time, not a pure number"),
+        ("sweep", "sweep", "sigma_rule = ratio 0.5um",
+         "'0.5um' is a length, not a pure number"),
+        ("prepare", "prepare", "slope_z0_values = 0.1um, 1",
+         "'0.1um' is a length, not a pure number"),
+    ])
+    def test_a_suffix_of_another_dimension_is_rejected(self, tmp_path, capsys, command,
+                                                       section, line, message):
+        # one case per dimension: 2um as a t_final would run 2 us, not 2 s
+        code, out = run(tmp_path, [command], f"[{section}]\n{line}\n")
+        assert code == 1
+        assert capsys.readouterr().err == f"error: line 2: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command,text,fragment", [
         ("sweep", "[grid]\nn_points = 1024\n", "[grid]"),
         ("fitted", "[grid]\nn_points = 1024\n", "[grid]"),
@@ -822,7 +846,7 @@ HONOUR_CASES = {
 }
 
 CHANGED = {
-    "params": {"mass": "1.5e-25kg", "c4": "1e-55J", "z0": "2.5um",
+    "params": {"mass": "1.5e-25kg", "c4": "1e-55", "z0": "2.5um",
                "sigma": "0.9um", "delta": "0.2um", "absorber_strength": "1e-28J",
                "trap_omega": "100rad/s"},
     "grid": {"z_max": "9um", "n_points": "1400"},

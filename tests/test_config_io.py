@@ -2,6 +2,7 @@
 
 import tracemalloc
 from dataclasses import astuple
+from functools import partial
 
 import numpy as np
 import pytest
@@ -29,26 +30,31 @@ from qpot.propagate import ExperimentRecord
 from qpot.version import __version__
 
 
+# (text, its key's dimension, value in SI); a case's id is text-value
+QUANTITIES = [
+    ("2.3um", "a length", 2.3e-6),
+    ("0.1us", "a time", 1e-7),
+    ("150nm", "a length", 1.5e-7),
+    ("2ms", "a time", 2e-3),
+    ("5", "a pure number", 5.0),
+    ("1.5e-7 m", "a length", 1.5e-7),
+    ("366.17 rad/s", "a rate", 366.17),
+    ("-4.2e-3s", "a time", -4.2e-3),
+    ("1.44e-25kg", "a mass", 1.44e-25),
+    ("9.1e-56J", "an energy", 9.1e-56),
+]
+
+
 class TestParsers:
-    @pytest.mark.parametrize("text,expected", [
-        ("2.3um", 2.3e-6),
-        ("0.1us", 1e-7),
-        ("150nm", 1.5e-7),
-        ("2ms", 2e-3),
-        ("5", 5.0),
-        ("1.5e-7 m", 1.5e-7),
-        ("366.17 rad/s", 366.17),
-        ("-4.2e-3s", -4.2e-3),
-        ("1.44e-25kg", 1.44e-25),
-        ("9.1e-56J", 9.1e-56),
-    ])
-    def test_quantities(self, text, expected):
-        assert parse_quantity(text) == pytest.approx(expected, rel=1e-15)
+    @pytest.mark.parametrize("text,dimension,expected", QUANTITIES,
+                             ids=[f"{text}-{value}" for text, _, value in QUANTITIES])
+    def test_quantities(self, text, dimension, expected):
+        assert parse_quantity(text, dimension) == pytest.approx(expected, rel=1e-15)
 
     @pytest.mark.parametrize("text", ["3km", "abc", "", "1..2", "2 um s"])
     def test_bad_quantities(self, text):
         with pytest.raises(ConfigError):
-            parse_quantity(text)
+            parse_quantity(text, "a length")
 
     def test_bools(self):
         for t in ("true", "Yes", "on", "1"):
@@ -62,9 +68,10 @@ class TestParsers:
         assert parse_int(" 42 ") == 42
         with pytest.raises(ConfigError):
             parse_int("4.2")
-        assert parse_list(parse_quantity)("1um, 2um") == (1e-6, 2e-6)
+        length = partial(parse_quantity, dimension="a length")
+        assert parse_list(length)("1um, 2um") == (1e-6, 2e-6)
         with pytest.raises(ConfigError):
-            parse_list(parse_quantity)(" , ")
+            parse_list(length)(" , ")
 
     def test_counts_and_packets(self):
         assert parse_count(" 0 ") == 0 and parse_count("50") == 50

@@ -92,7 +92,7 @@ class TestPhysicalParams:
             PhysicalParams(**kwargs)
 
     def test_hbar_is_the_package_constant(self):
-        # one hbar for the solver, the closed forms and quantum_potential
+        # one hbar for the solver, weighted_fields and the oracles in tests/oracles.py
         p = PhysicalParams()
         assert p.hbar is HBAR
         assert "hbar" not in asdict(p)

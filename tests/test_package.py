@@ -64,11 +64,6 @@ except ImportError as exc:
     print(exc, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
-# Library results the acceptance checks call; no command reads them.
-CHECKED_BY_ACCEPTANCE = {"quantum_potential", "residual_potential",
-                         "residual_potential_expanded", "profile_node_mask"}
-
-
 def _fresh(code, *args):
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
@@ -139,9 +134,27 @@ def test_every_public_name_has_a_caller_in_src():
             elif isinstance(node, ast.alias):
                 used.add(node.name)
     uncalled = sorted(f"{module}:{fn}" for fn, module in defined.items()
-                      if fn not in used | CHECKED_BY_ACCEPTANCE)
+                      if fn not in used)
     assert uncalled == []
-    assert CHECKED_BY_ACCEPTANCE <= set(defined)
+
+
+def test_every_oracle_is_used_by_a_test():
+    """A public top-level def or class of tests/oracles.py is used, as a name
+    or an attribute, in some tests/test_*.py; an import alone does not count,
+    so an oracle no test reads cannot stay."""
+    oracles = ast.parse((ROOT / "tests" / "oracles.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in oracles.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith("_")}
+    used = set()
+    for path in sorted((ROOT / "tests").glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert "quantum_potential" in defined
+    assert sorted(defined - used) == []
 
 
 def test_every_error_class_is_raised():
