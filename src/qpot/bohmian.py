@@ -9,25 +9,25 @@ not, and `weighted_fields` returns it.
 
 import numpy as np
 
-from .core import RealField
-from .engineering import DEFAULT_PROFILE, profile_derivative, profile_on_grid
-from .errors import EmptyFieldError
+from .engineering import DEFAULT_PROFILE, check_grid, profile_derivative, profile_on_grid
+from .errors import EmptyFieldError, NumericsError
 
 
 def weighted_fields(grid, params, spec=DEFAULT_PROFILE, support_cut=1e-6):
     """Density-weighted fields of the truncated engineered packet.
 
-    Returns (rho * Q, rho * (Q + V_surface), rho) as RealFields. The
-    product rho * Q is evaluated in closed form, which is polynomial in P
-    and P' and therefore finite through the profile nodes:
+    Returns the arrays rho * Q, rho * Q_res and rho and their one support
+    mask. The product rho * Q is evaluated in closed form, which is
+    polynomial in P and P' and therefore finite through the profile nodes:
 
         rho Q     = rho c4/z^4 + rho Q_res
         rho Q_res = N e^2 pref (P^2 + 2 s P P' - s^2 P^2 / 2 sigma^2)
 
-    The validity mask marks the packet support, rho >= support_cut * max rho;
-    the z = 0 endpoint is always masked (rho vanishes there exactly while Q
-    grows without bound, so the product has no limit on the grid).
+    The mask marks the packet support, rho >= support_cut * max rho, where
+    both fields must be finite; z = 0 is always masked (rho vanishes there
+    exactly while Q grows without bound, so the product has no limit there).
     """
+    check_grid(grid, params)
     z = grid.z
     z0, sig = params.z0, params.sigma
     pos = z > 0
@@ -53,8 +53,6 @@ def weighted_fields(grid, params, spec=DEFAULT_PROFILE, support_cut=1e-6):
     support[~pos] = False
     if not support.any():
         raise EmptyFieldError(f"support_cut = {support_cut!r} leaves no supported point")
-    return (
-        RealField(grid, w_q, support),
-        RealField(grid, w_res, support),
-        RealField(grid, rho, support),
-    )
+    if not np.isfinite(w_q[support]).all():  # w_q = w_cp + w_res: covers both
+        raise NumericsError("non-finite weighted field at a supported point")
+    return w_q, w_res, rho, support

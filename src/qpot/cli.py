@@ -85,19 +85,18 @@ def cmd_profile(run):
 
 def cmd_fields(run):
     run.fields = _settings(weighted_fields, run.section)
-    w_q, w_res, rho = weighted_fields(run.grid, run.params, **run.fields)
-    support = w_q.valid
-    peak_q = float(abs(w_q.values[support]).max())
-    peak_res = float(abs(w_res.values[support]).max())
+    w_q, w_res, rho, support = weighted_fields(run.grid, run.params, **run.fields)
+    peak_q = float(abs(w_q[support]).max())
+    peak_res = float(abs(w_res[support]).max())
     peak = max(peak_q, peak_res)
     if not np.isfinite(peak / run.params.hbar):  # the largest cell written below
         raise NumericsError(f"weighted field peak {peak!r} over hbar overflows a double")
     # zero outside the support, so that a plot shows exactly the supported
     # region; np.where, as a product with the mask would write -0.0
-    wq, wr = (np.where(support, w.values, 0.0) / run.params.hbar for w in (w_q, w_res))
+    wq, wr = (np.where(support, w, 0.0) / run.params.hbar for w in (w_q, w_res))
     header = ("z_m", "density", "weighted_q_over_hbar", "weighted_residual_over_hbar")
     return _Output(
-        [("fields.csv", header, run.grid.z, rho.values, wq, wr)],
+        [("fields.csv", header, run.grid.z, rho, wq, wr)],
         {"peak_weighted_q": repr(peak_q), "peak_weighted_residual": repr(peak_res)},
         f"wrote {_path(run, 'fields.csv')} "
         f"(residual/q peak ratio {peak_res / peak_q:.3e})",

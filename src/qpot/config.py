@@ -200,7 +200,7 @@ def params_from(cfg):
     return PhysicalParams(**cfg.get("params", {}))
 
 
-def grid_from(cfg, params=None):
+def grid_from(cfg, params):
     base = default_grid(params)
     return Grid1D(**{"z_max": base.z_max, "n_points": base.n_points, **cfg.get("grid", {})})
 

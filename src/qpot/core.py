@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, GridError, NormalizationError, NumericsError
+from .errors import ConfigError, GridError, NormalizationError
 
 HBAR = 1.054571817e-34  # J s
 
@@ -118,18 +118,16 @@ class Grid1D:
         return self.dz <= 2 * np.pi * params.delta**2 / scale / POINTS_PER_CYCLE
 
 
-def default_grid(params=None):
+def default_grid(params):
     """Default box: [0, DEFAULT_Z_MAX] with DEFAULT_POINTS points, dz about 2.4 nm.
     For packets sitting far out the box widens at that dz to hold z0 + 6 sigma,
     to MAX_DEFAULT_POINTS."""
-    z_max, n_points = DEFAULT_Z_MAX, DEFAULT_POINTS
-    if params is not None:
-        z_max = max(z_max, params.z0 + 6 * params.sigma)
-        base_dz = DEFAULT_Z_MAX / (DEFAULT_POINTS - 1)
-        n_points = max(n_points, int(np.ceil(z_max / base_dz)) + 1)
-        if n_points > MAX_DEFAULT_POINTS:
-            raise ConfigError(f"z0 + 6 sigma = {z_max!r} m needs {n_points} grid "
-                              f"points, over {MAX_DEFAULT_POINTS}; check the units")
+    z_max = max(DEFAULT_Z_MAX, params.z0 + 6 * params.sigma)
+    base_dz = DEFAULT_Z_MAX / (DEFAULT_POINTS - 1)
+    n_points = max(DEFAULT_POINTS, int(np.ceil(z_max / base_dz)) + 1)
+    if n_points > MAX_DEFAULT_POINTS:
+        raise ConfigError(f"z0 + 6 sigma = {z_max!r} m needs {n_points} grid "
+                          f"points, over {MAX_DEFAULT_POINTS}; check the units")
     return Grid1D(z_max=z_max, n_points=n_points)
 
 
@@ -154,26 +152,6 @@ class Wavefunction:
 
     def with_values(self, values):
         return Wavefunction(self.grid, values)
-
-
-@dataclass(frozen=True)
-class RealField:
-    """Real scalar field on a grid, finite wherever its mask is valid."""
-
-    grid: Grid1D
-    values: np.ndarray
-    valid: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        mask = np.asarray(self.valid, dtype=bool)
-        if vals.shape != self.grid.z.shape or mask.shape != vals.shape:
-            raise GridError(f"values {vals.shape} and mask {mask.shape} do not match "
-                            f"grid ({self.grid.n_points},)")
-        if not np.all(np.isfinite(vals[mask])):
-            raise NumericsError("non-finite value at a valid grid point")
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "valid", mask)
 
 
 def normalize(psi):

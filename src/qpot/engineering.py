@@ -84,24 +84,28 @@ def profile_derivative(z, params, spec=DEFAULT_PROFILE):
     return deriv if deriv.ndim else float(deriv)
 
 
-def _envelope(grid, z0, sigma):
-    """exp(-(z-z0)^2 / 4 sigma^2) on the grid points; warns when more than
-    1e-6 of the probability mass of that Gaussian lies beyond z_max."""
+def _warn_truncated(grid, z0, sigma):
+    """Warns when more than 1e-6 of the probability mass of the Gaussian
+    exp(-(z-z0)^2 / 2 sigma^2) lies beyond z_max."""
     tail = 0.5 * math.erfc((grid.z_max - z0) / (math.sqrt(2) * sigma))
     if tail > 1e-6:
         warnings.warn(f"{tail:.2e} of the packet mass lies beyond z_max = "
                       f"{grid.z_max:.2e} m", TruncationWarning, stacklevel=3)
-    return np.exp(-((grid.z - z0) ** 2) / (4 * sigma**2))
+
+
+def check_grid(grid, params):
+    """GridError unless dz resolves the profile oscillation at the absorber
+    edge; then _warn_truncated for the packet of params' z0 and sigma."""
+    if not grid.resolves_profile(params):
+        raise GridError("grid spacing does not resolve the profile oscillation at the "
+                        f"absorber edge (dz = {grid.dz:.3e} m)")
+    _warn_truncated(grid, params.z0, params.sigma)
 
 
 def engineered_packet(grid, params, spec=DEFAULT_PROFILE):
-    """Engineered profile times the Gaussian _envelope, normalized, psi(0) = 0."""
-    if not grid.resolves_profile(params):
-        raise GridError(
-            "grid spacing does not resolve the profile oscillation at the "
-            f"absorber edge (dz = {grid.dz:.3e} m)"
-        )
-    envelope = _envelope(grid, params.z0, params.sigma)
+    """Engineered profile times the Gaussian envelope, normalized, psi(0) = 0."""
+    check_grid(grid, params)
+    envelope = np.exp(-((grid.z - params.z0) ** 2) / (4 * params.sigma**2))
     return normalize(Wavefunction(grid, profile_on_grid(grid, params, spec) * envelope))
 
 
@@ -112,7 +116,8 @@ def gaussian_packet(grid, z0, sigma):
     """
     if z0 <= 0 or sigma <= 0:
         raise ConfigError("gaussian_packet requires z0 > 0 and sigma > 0")
-    vals = _envelope(grid, z0, sigma).astype(complex)
+    _warn_truncated(grid, z0, sigma)
+    vals = np.exp(-((grid.z - z0) ** 2) / (4 * sigma**2)).astype(complex)
     vals[grid.z <= 0] = 0.0
     return normalize(Wavefunction(grid, vals))
 

@@ -9,20 +9,22 @@ analytic one, two algebraic routes to the closed-form residual of the
 truncated engineered packet.
 
 Q diverges at nodes of the engineered profile. Every numerical Q comes with
-a validity mask: points where the amplitude is negligible or where the
-finite-difference stencil is corrupted by a nearby node are flagged invalid,
-and a two-point guard band is eroded around them. `profile_node_mask` marks
-the nodes of the profile itself.
+a validity mask, and the two travel together as a `RealField`: points where
+the amplitude is negligible or where the finite-difference stencil is
+corrupted by a nearby node are flagged invalid, and a two-point guard band is
+eroded around them. `profile_node_mask` marks the nodes of the profile itself.
 
 pytest does not collect this module; the test modules import it.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from qpot.core import RealField
+from qpot.core import Grid1D
 from qpot.engineering import (DEFAULT_PROFILE, engineered_profile, profile_derivative,
                               profile_factor, profile_on_grid)
-from qpot.errors import DomainError, EmptyFieldError, NumericsError, QpotError
+from qpot.errors import DomainError, EmptyFieldError, GridError, NumericsError, QpotError
 
 
 class NodeSingularity(QpotError):
@@ -31,6 +33,26 @@ class NodeSingularity(QpotError):
     def __init__(self, z):
         self.z = z
         super().__init__(f"profile node too close to z = {z!r}")
+
+
+@dataclass(frozen=True)
+class RealField:
+    """Real scalar field on a grid, finite wherever its mask is valid."""
+
+    grid: Grid1D
+    values: np.ndarray
+    valid: np.ndarray
+
+    def __post_init__(self):
+        vals = np.asarray(self.values, dtype=float)
+        mask = np.asarray(self.valid, dtype=bool)
+        if vals.shape != self.grid.z.shape or mask.shape != vals.shape:
+            raise GridError(f"values {vals.shape} and mask {mask.shape} do not match "
+                            f"grid ({self.grid.n_points},)")
+        if not np.all(np.isfinite(vals[mask])):
+            raise NumericsError("non-finite value at a valid grid point")
+        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "valid", mask)
 
 
 AMPLITUDE_CUT = 1e-6  # relative sqrt(rho) threshold for masking

@@ -325,15 +325,14 @@ def test_criterion_8_weighted_residual_small_and_shrinks_with_width():
     a tenth of the density-weighted quantum potential, and quadrupling
     sigma^2 shrinks the residual peak at least threefold."""
     params = PhysicalParams()
-    w_q, w_res, _ = weighted_fields(default_grid(params), params)
-    sup = w_res.valid
-    peak_res = float(np.abs(w_res.values[sup]).max())
-    peak_q = float(np.abs(w_q.values[sup]).max())
+    w_q, w_res, _, sup = weighted_fields(default_grid(params), params)
+    peak_res = float(np.abs(w_res[sup]).max())
+    peak_q = float(np.abs(w_q[sup]).max())
     small = peak_res < 0.1 * peak_q
 
     wide = params.replace(sigma=2.0e-6)
-    _, w_res2, _ = weighted_fields(default_grid(wide), wide)
-    peak_res2 = float(np.abs(w_res2.values[w_res2.valid]).max())
+    _, w_res2, _, sup2 = weighted_fields(default_grid(wide), wide)
+    peak_res2 = float(np.abs(w_res2[sup2]).max())
     reduction = peak_res / peak_res2
     shrinks = reduction >= 3.0
     report(

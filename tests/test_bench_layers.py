@@ -124,3 +124,35 @@ def test_label_of_the_baseline_file_rejected_before_any_child(tmp_path):
                           timeout=60)
     assert proc.returncode == 2
     assert "--label/--out" in proc.stderr
+
+
+def test_make_reference_runs_against_this_library():
+    # nothing else runs perfbench/make_reference.py, which reads the library's
+    # config parsers, packets and absorption_ratio_series; two steps per run
+    code = ("import json, sys, types; sys.path.insert(0, sys.argv[1])\n"
+            "import make_reference as ref\n"
+            "evolve = '[evolve]\\ndt = 1us\\nt_final = 2us\\n'\n"
+            "sweep = evolve + ('[sweep]\\nz0_values = 1.5um, 2.3um\\n'\n"
+            "                  'sigma_rule = ratio 0.5\\nt_average_window = 2us\\n')\n"
+            "compare = ('[params]\\nz0 = 2.3um\\nsigma = 1um\\n' + evolve\n"
+            "           + '[compare]\\nt_average_window = 2us\\n')\n"
+            "spec = types.SimpleNamespace(dt=1e-6, t_final=2e-6)\n"
+            "out = {}\n"
+            "for point in (0, 1):\n"
+            "    eng, gau = (ref.fine_absorbed(sweep, packet, point)\n"
+            "                for packet in ('engineered', 'gaussian'))\n"
+            "    out[f'sweep{point}'] = [eng, gau, ref.sweep_ratio(spec, eng, gau)]\n"
+            "out['compare'] = [ref.fine_absorbed(compare, packet)\n"
+            "                  for packet in ('engineered', 'gaussian')]\n"
+            "print(json.dumps(out))")
+    env = {**os.environ, "PYTHONPATH": str(Path(qpot.__file__).resolve().parents[1]),
+           "PYTHONDONTWRITEBYTECODE": "1"}  # and writes nothing under perfbench/
+    proc = subprocess.run([sys.executable, "-c", code, str(LAYERS.parents[1] / "perfbench")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    for point in ("sweep0", "sweep1"):
+        *records, ratio = out[point]
+        assert [len(r) for r in records] == [3, 3]  # t = 0, 1 and 2 us
+        assert ratio > 0
+    assert [len(r) for r in out["compare"]] == [3, 3]

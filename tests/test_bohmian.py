@@ -3,6 +3,7 @@ import pytest
 
 from oracles import (
     NodeSingularity,
+    RealField,
     profile_node_mask,
     quantum_potential,
     residual_potential,
@@ -11,7 +12,7 @@ from oracles import (
 from qpot.bohmian import weighted_fields
 from qpot.core import Grid1D, PhysicalParams, default_grid
 from qpot.engineering import ProfileSpec, engineered_profile
-from qpot.errors import DomainError, EmptyFieldError, NumericsError
+from qpot.errors import DomainError, EmptyFieldError, GridError, NumericsError
 from qpot.potentials import casimir_polder
 
 
@@ -22,7 +23,7 @@ def params():
 
 @pytest.fixture
 def grid():
-    return default_grid()
+    return default_grid(PhysicalParams())
 
 
 def nearest_index(grid, z):
@@ -180,30 +181,29 @@ class TestResidualPotential:
 
 class TestWeightedFields:
     def test_surface_point_masked(self, grid, params):
-        w_q, w_res, rho = weighted_fields(grid, params)
-        assert not w_q.valid[0]
-        assert np.any(w_q.valid)
-        assert np.all(np.isfinite(w_q.values[w_q.valid]))
+        w_q, w_res, rho, support = weighted_fields(grid, params)
+        assert not support[0]
+        assert np.any(support)
+        assert np.all(np.isfinite(w_q[support]))
 
     def test_residual_is_small_fraction(self, grid, params):
-        w_q, w_res, _ = weighted_fields(grid, params)
-        ok = w_q.valid
-        ratio = np.abs(w_res.values[ok]).max() / np.abs(w_q.values[ok]).max()
+        w_q, w_res, _, ok = weighted_fields(grid, params)
+        ratio = np.abs(w_res[ok]).max() / np.abs(w_q[ok]).max()
         assert 1e-4 < ratio < 0.1
 
     def test_finite_through_nodes(self, grid, params):
         # rho ~ P^2 kills the node singularity of Q
-        w_q, _, rho = weighted_fields(grid, params)
+        w_q, _, rho, support = weighted_fields(grid, params)
         node = 2 * params.profile_scale / np.pi
         i = nearest_index(grid, node)
-        assert np.isfinite(w_q.values[i])
-        assert abs(w_q.values[i]) <= np.abs(w_q.values[w_q.valid]).max()
+        assert np.isfinite(w_q[i])
+        assert abs(w_q[i]) <= np.abs(w_q[support]).max()
 
     def test_wider_envelope_shrinks_residual(self, grid, params):
-        _, res_1, _ = weighted_fields(grid, params)
-        _, res_2, _ = weighted_fields(grid, params.replace(sigma=2e-6))
-        p1 = np.abs(res_1.values[res_1.valid]).max()
-        p2 = np.abs(res_2.values[res_2.valid]).max()
+        _, res_1, _, sup_1 = weighted_fields(grid, params)
+        _, res_2, _, sup_2 = weighted_fields(grid, params.replace(sigma=2e-6))
+        p1 = np.abs(res_1[sup_1]).max()
+        p2 = np.abs(res_2[sup_2]).max()
         assert p1 / p2 >= 3.0
 
     @pytest.mark.parametrize("kwargs", [{}, {"sigma": 2e-6},
@@ -212,18 +212,18 @@ class TestWeightedFields:
         # the shipped fields restate the oracle's residual, weighted by rho
         params = params.replace(**kwargs)
         grid = default_grid(params)
-        w_q, w_res, rho = weighted_fields(grid, params)
-        ok = w_q.valid & profile_node_mask(grid, params)
+        w_q, w_res, rho, support = weighted_fields(grid, params)
+        ok = support & profile_node_mask(grid, params)
         z = grid.z[ok]
         closed = residual_potential(z, params)
         for field, q in ((w_res, closed), (w_q, params.c4 / z**4 + closed)):
-            peak = np.abs(field.values[field.valid]).max()
-            gap = np.abs(field.values[ok] - rho.values[ok] * q).max()
+            peak = np.abs(field[support]).max()
+            gap = np.abs(field[ok] - rho[ok] * q).max()
             assert gap <= 1e-12 * peak
 
     def test_density_normalized(self, grid, params):
-        _, _, rho = weighted_fields(grid, params)
-        assert np.trapezoid(rho.values, grid.z) == pytest.approx(1.0, rel=1e-9)
+        _, _, rho, _ = weighted_fields(grid, params)
+        assert np.trapezoid(rho, grid.z) == pytest.approx(1.0, rel=1e-9)
 
     def test_empty_support(self, params):
         # envelope so far outside the box that the density underflows
@@ -236,3 +236,26 @@ class TestWeightedFields:
     def test_cut_above_the_peak_leaves_no_support(self, grid, params, cut):
         with pytest.raises(EmptyFieldError, match="leaves no supported point"):
             weighted_fields(grid, params, support_cut=cut)
+
+    def test_non_finite_supported_value_raises_numerics_error(self, grid, params,
+                                                              monkeypatch):
+        monkeypatch.setattr("qpot.bohmian.profile_derivative",
+                            lambda z, params, spec: np.full_like(z, np.nan))
+        with pytest.raises(NumericsError, match="non-finite weighted field"):
+            weighted_fields(grid, params)
+
+
+class TestRealField:
+    def test_non_finite_value_raises_numerics_error(self):
+        grid = Grid1D(z_max=1e-6, n_points=3)
+        with pytest.raises(NumericsError, match="non-finite value"):
+            RealField(grid, [0.0, np.inf, 1.0], [True, True, False])
+        assert RealField(grid, [0.0, 1.0, np.nan], [True, True, False]).values[1] == 1.0
+
+    def test_mask_is_required(self):
+        with pytest.raises(TypeError):
+            RealField(Grid1D(z_max=1e-6, n_points=3), [0.0, 1.0, 2.0])
+
+    def test_mask_shape_must_match(self):
+        with pytest.raises(GridError, match="do not match"):
+            RealField(Grid1D(z_max=1e-6, n_points=3), [0.0, 1.0, 2.0], [True, False])

@@ -24,7 +24,7 @@ from qpot.bohmian import weighted_fields
 from qpot.config import evolve_from, grid_from, params_from, parse_config_text
 from qpot.core import Grid1D, PhysicalParams, default_grid
 from qpot.engineering import gaussian_packet
-from qpot.errors import NumericsError
+from qpot.errors import NumericsError, TruncationWarning
 from qpot.potentials import total_potential
 from qpot.propagate import CrankNicolson
 from qpot.propagate import evolve as real_evolve
@@ -206,7 +206,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("command, text", [
         ("fields", "[params]\nc4 = 1e300\n"),  # absorber_strength = c4 / delta**4 is inf
-        ("fields", "[params]\nc4 = 1e280\n"),  # a weighted field overflows
+        ("fields", "[params]\nc4 = 1e280\n"),  # the default dz cannot resolve the profile
         *[(command, "[params]\ntrap_omega = 1e200\n")  # its square overflows
           for command in ("evolve", "compare", "prepare", "converge")],
         ("evolve", "[evolve]\ndt = 1e-320\n"),  # t_final / dt overflows
@@ -333,14 +333,14 @@ class TestFields:
         code, out = run(tmp_path, ["fields"])
         assert code == 0
         params = PhysicalParams()
-        w_q, _, _ = weighted_fields(default_grid(params), params)
+        w_q, _, _, support = weighted_fields(default_grid(params), params)
         data = np.loadtxt(out / "fields.csv", delimiter=",", skiprows=1)
-        outside = ~w_q.valid
+        outside = ~support
         assert outside.any()
         assert np.all(data[outside, 2] == 0.0)
         assert np.all(data[outside, 3] == 0.0)
-        inside = w_q.valid
-        assert np.allclose(data[inside, 2], w_q.values[inside] / params.hbar)
+        inside = support
+        assert np.allclose(data[inside, 2], w_q[inside] / params.hbar)
 
     def test_cut_leaving_no_support_exits_1(self, tmp_path, capsys):
         code, out = run(tmp_path, ["fields"], "[fields]\nsupport_cut = 2\n")
@@ -350,15 +350,38 @@ class TestFields:
         assert not out.exists()
 
     def test_field_overflowing_over_hbar_exits_1(self, tmp_path, capsys):
-        # every weighted field is finite, but its peak over hbar is not
-        with warnings.catch_warnings():
+        # every weighted field is finite, but its peak over hbar is not; a grid
+        # that resolves so large a c4 is far inside the surface zone, so it
+        # truncates the packet
+        with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("error")  # numpy's overflow warning fails the run
-            code, out = run(tmp_path, ["fields"], "[params]\nc4 = 1e250\n")
+            warnings.simplefilter("always", TruncationWarning)
+            code, out = run(tmp_path, ["fields"], "[params]\nc4 = 1e34\n\n"
+                                                  "[grid]\nz_max = 1e-49\n")
+        assert [w.category for w in caught] == [TruncationWarning]
         assert code == 1
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: weighted field peak \S+ over hbar overflows a double\n",
                             err)
         assert not out.exists()
+
+    def test_unresolved_grid_exits_1_as_profile_does(self, tmp_path, capsys):
+        # 64 points put dz = 159 nm, over the tenth of the profile wavelength at delta
+        for command in ("profile", "fields"):
+            code, out = run(tmp_path / command, [command], "[grid]\nn_points = 64\n")
+            assert code == 1
+            assert capsys.readouterr().err == (
+                "error: grid spacing does not resolve the profile oscillation at the "
+                "absorber edge (dz = 1.587e-07 m)\n")
+            assert not out.exists()
+
+    def test_truncating_grid_warns_as_profile_does(self, tmp_path):
+        for command in ("profile", "fields"):
+            with pytest.warns(TruncationWarning, match="^2.42e-01 of the packet mass "
+                                                       "lies beyond z_max = 3.00e-06 m$"):
+                code, _ = run(tmp_path / command, [command],
+                              "[grid]\nz_max = 3um\nn_points = 1229\n")
+            assert code == 0
 
 
 EVOLVE_CFG = """\

@@ -145,7 +145,7 @@ class TestBuilders:
 
     def test_grid_from_full_and_partial(self):
         cfg = parse_config_text("[grid]\nz_max = 8um\nn_points = 512\n")
-        g = grid_from(cfg)
+        g = grid_from(cfg, PhysicalParams())
         assert g == Grid1D(z_max=8e-6, n_points=512)
         partial = parse_config_text("[grid]\nn_points = 1024\n")
         g2 = grid_from(partial, PhysicalParams())

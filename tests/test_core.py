@@ -8,13 +8,12 @@ from qpot.core import (
     HBAR,
     Grid1D,
     PhysicalParams,
-    RealField,
     Wavefunction,
     default_grid,
     moments,
     normalize,
 )
-from qpot.errors import ConfigError, GridError, NormalizationError, NumericsError
+from qpot.errors import ConfigError, GridError, NormalizationError
 
 
 class TestPhysicalParams:
@@ -149,22 +148,6 @@ class TestPhysicalParams:
         assert p.replace(z0=3e-6).absorber_strength == 1e-28
 
 
-class TestRealField:
-    def test_non_finite_value_raises_numerics_error(self):
-        grid = Grid1D(z_max=1e-6, n_points=3)
-        with pytest.raises(NumericsError, match="non-finite value"):
-            RealField(grid, [0.0, np.inf, 1.0], [True, True, False])
-        assert RealField(grid, [0.0, 1.0, np.nan], [True, True, False]).values[1] == 1.0
-
-    def test_mask_is_required(self):
-        with pytest.raises(TypeError):
-            RealField(Grid1D(z_max=1e-6, n_points=3), [0.0, 1.0, 2.0])
-
-    def test_mask_shape_must_match(self):
-        with pytest.raises(GridError, match="do not match"):
-            RealField(Grid1D(z_max=1e-6, n_points=3), [0.0, 1.0, 2.0], [True, False])
-
-
 class TestGrid1D:
     def test_spacing(self):
         g = Grid1D(z_max=10e-6, n_points=4096)
@@ -200,7 +183,7 @@ class TestGrid1D:
 
 class TestDefaultGrid:
     def test_plain(self):
-        g = default_grid()
+        g = default_grid(PhysicalParams())
         assert g.z_max == 10e-6
         assert g.n_points == 4096
 
@@ -209,7 +192,7 @@ class TestDefaultGrid:
         g = default_grid(p)
         assert g.z_max >= p.z0 + 6 * p.sigma
         # spacing stays at the base resolution
-        base = default_grid()
+        base = default_grid(PhysicalParams())
         assert g.dz <= base.dz * 1.001
 
     def test_resolves_by_construction(self):

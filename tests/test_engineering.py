@@ -77,7 +77,7 @@ def params():
 
 @pytest.fixture
 def grid():
-    return default_grid()
+    return default_grid(PhysicalParams())
 
 
 class TestProfile:

@@ -443,7 +443,7 @@ class TestFittedControl:
         grid, other = grids
         assert other == grid
         assert grid.z_max == pytest.approx(14.3e-6)
-        assert grid.dz == pytest.approx(default_grid().dz, rel=1e-3)
+        assert grid.dz == pytest.approx(default_grid(PhysicalParams()).dz, rel=1e-3)
 
 
 class TestPreparationStudy:

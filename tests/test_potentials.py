@@ -13,7 +13,7 @@ def params():
 
 @pytest.fixture
 def grid():
-    return default_grid()
+    return default_grid(PhysicalParams())
 
 
 def nearest_index(grid, z):

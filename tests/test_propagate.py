@@ -99,7 +99,7 @@ class TestStep:
 
     @pytest.fixture
     def grid(self):
-        return default_grid()
+        return default_grid(PhysicalParams())
 
     def test_matches_one_evolve_step(self, grid, params):
         # 0.7 um width keeps the tail at the far wall below 1e-11 of the
@@ -414,7 +414,7 @@ class TestTimeReversal:
     def test_conjugation_returns_packet(self):
         # conj . U^N . conj inverts U^N exactly when the potential is real,
         # so the round trip should recover the packet to roundoff.
-        grid = default_grid()
+        grid = default_grid(PhysicalParams())
         params = PhysicalParams()
         psi = gaussian_packet(grid, 3e-6, 0.6e-6)
         pot = total_potential(grid, params.replace(absorber_strength=0.0))
